@@ -673,9 +673,9 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
 ///
 /// # Errors
 ///
-/// Returns [`CliError::Unknown`] for unrecognized specs.
+/// Returns [`CliError::Device`] for unrecognized or oversized specs.
 pub fn parse_device(spec: &str) -> Result<Topology, CliError> {
-    parse_spec(spec).map_err(|_| CliError::Unknown(format!("device '{spec}'")))
+    parse_spec(spec).map_err(CliError::Device)
 }
 
 #[cfg(test)]
@@ -1052,5 +1052,12 @@ mod tests {
         assert!(parse_device("torus:3x3").is_err());
         assert!(parse_device("line:x").is_err());
         assert!(parse_device("nonsense").is_err());
+        // Oversized specs carry their typed error to the user.
+        let err = parse_device("line:100000").unwrap_err();
+        assert!(
+            matches!(&err, CliError::Device(e) if e.kind == trios_topology::SpecErrorKind::TooLarge),
+            "{err}"
+        );
+        assert!(err.to_string().contains("line:100000"), "{err}");
     }
 }

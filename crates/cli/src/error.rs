@@ -8,8 +8,10 @@ use std::fmt;
 pub enum CliError {
     /// Unknown subcommand or malformed flags.
     Usage(String),
-    /// The named benchmark / device / file could not be resolved.
+    /// The named benchmark, family or input files could not be resolved.
     Unknown(String),
+    /// A device spec is unknown, malformed, or too large.
+    Device(trios_topology::SpecError),
     /// Reading an input file failed.
     Io(std::io::Error),
     /// Parsing an input QASM file failed.
@@ -61,6 +63,7 @@ impl fmt::Display for CliError {
         match self {
             CliError::Usage(msg) => write!(f, "usage error: {msg}"),
             CliError::Unknown(what) => write!(f, "unknown {what}"),
+            CliError::Device(e) => write!(f, "{e}"),
             CliError::Io(e) => write!(f, "io error: {e}"),
             CliError::Qasm(e) => write!(f, "qasm error: {e}"),
             CliError::Compile(e) => write!(f, "compile error: {e}"),
@@ -96,6 +99,7 @@ impl Error for CliError {
             CliError::Io(e) => Some(e),
             CliError::Qasm(e) => Some(e),
             CliError::Compile(e) => Some(e),
+            CliError::Device(e) => Some(e),
             CliError::Batch { source, .. } => Some(source),
             CliError::Sweep(e) => Some(e),
             CliError::FuzzSpec(e) => Some(e),

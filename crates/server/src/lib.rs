@@ -30,7 +30,8 @@
 //!
 //! Connections are read by per-connection threads; work is admitted into
 //! a bounded queue drained by a fixed worker pool sharing one
-//! [`ShardedCache`](trios_core::ShardedCache). A full queue answers a
+//! [`ShardedCache`](trios_core::ShardedCache) and one bounded device
+//! table, which builds each device spec once. A full queue answers a
 //! structured `busy` error (backpressure, never unbounded buffering), a
 //! configurable timeout turns runaway requests into `timeout` errors, and
 //! shutdown drains: every admitted request is answered before
@@ -42,6 +43,7 @@
 #![warn(missing_debug_implementations)]
 
 mod client;
+mod devices;
 mod histogram;
 mod protocol;
 mod server;

@@ -13,14 +13,16 @@
 //!    backpressure instead of unbounded buffering.
 //! 3. A fixed worker pool drains the queue. Workers share one
 //!    [`ShardedCache`], so repeated requests across *all* connections pay
-//!    for each distinct compilation once, and a configurable timeout
-//!    turns runaway compiles into clean `timeout` errors.
+//!    for each distinct compilation once, and one bounded device table,
+//!    so they build each device once. A configurable timeout turns
+//!    runaway compiles into clean `timeout` errors.
 //!
 //! Shutdown (via [`Server::shutdown`] or the `shutdown` method) is a
 //! drain, not an abort: admission closes immediately, workers finish
 //! everything already queued, and every accepted request gets its
 //! response before [`Server::join`] returns.
 
+use crate::devices::DeviceTable;
 use crate::histogram::{LatencyHistogram, LatencySnapshot};
 use crate::protocol::{
     self, json_array, CompileParams, ErrorKind, JsonObj, Method, ProtocolError, Request,
@@ -33,7 +35,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use trios_core::{
-    run_sweep, CacheStats, CompilationCache, CompiledProgram, ShardedCache, SweepSpec,
+    run_sweep, CacheStats, CompilationCache, CompiledProgram, ShardedCache, SweepSpec, Topology,
 };
 
 /// Tuning knobs of one [`Server`].
@@ -133,6 +135,7 @@ struct Job {
 struct Shared {
     config: ServerConfig,
     cache: ShardedCache,
+    devices: DeviceTable,
     queue: Mutex<VecDeque<Job>>,
     job_ready: Condvar,
     shutdown: AtomicBool,
@@ -172,6 +175,7 @@ impl Server {
         let workers = config.effective_workers();
         let shared = Arc::new(Shared {
             cache: ShardedCache::with_total_capacity(config.shards, config.cache_capacity),
+            devices: DeviceTable::default(),
             config,
             queue: Mutex::new(VecDeque::new()),
             job_ready: Condvar::new(),
@@ -670,7 +674,12 @@ fn execute(shared: &Arc<Shared>, method: &Method) -> Result<String, ProtocolErro
                 devices: params
                     .devices
                     .iter()
-                    .map(|spec| Ok((spec.clone(), protocol::resolve_device(spec)?)))
+                    .map(|spec| {
+                        // The sweep owns its devices; a clone keeps the
+                        // distance rows the table's copy has filled.
+                        let device = shared.devices.resolve(spec)?;
+                        Ok((spec.clone(), Topology::clone(&device)))
+                    })
                     .collect::<Result<Vec<_>, ProtocolError>>()?,
                 routers: params.routers.clone(),
                 decomposers: params.decomposers.clone(),
@@ -697,14 +706,15 @@ fn execute(shared: &Arc<Shared>, method: &Method) -> Result<String, ProtocolErro
     }
 }
 
-/// The cached compile at the heart of every work method: key the request,
-/// consult the request's shard, compile and fill on miss.
+/// The cached compile at the heart of every work method: key the request
+/// on the device table's shared topology, consult the request's shard,
+/// compile and fill on miss.
 fn compile_one(
     shared: &Arc<Shared>,
     params: &CompileParams,
 ) -> Result<(CompiledProgram, JsonObj), ProtocolError> {
     let circuit = protocol::resolve_circuit(params)?;
-    let device = protocol::resolve_device(&params.device)?;
+    let device = shared.devices.resolve(&params.device)?;
     let compiler = protocol::compiler_for(params);
     let key = CompilationCache::key(&circuit, &device, compiler.options());
     let (program, cached) = match shared.cache.get(key) {
@@ -786,6 +796,92 @@ mod tests {
         // Exactly at the limit is fine.
         assert_eq!(read("12345678\n", 8), [("12345678".into(), false)]);
         assert!(read("123456789\n", 8)[0].1);
+    }
+
+    /// The `result` object of one successful reply line.
+    fn result_of(line: &str) -> serde_json::Value {
+        let reply: serde_json::Value = serde_json::from_str(line).unwrap();
+        assert_eq!(
+            reply.get("ok").and_then(|v| v.as_bool()),
+            Some(true),
+            "{line}"
+        );
+        reply.get("result").cloned().unwrap()
+    }
+
+    fn test_server() -> Server {
+        Server::start(ServerConfig {
+            workers: 2,
+            ..ServerConfig::default()
+        })
+        .unwrap()
+    }
+
+    #[test]
+    fn repeated_requests_share_one_interned_topology() {
+        let server = test_server();
+        let mut client = crate::Client::connect(server.local_addr()).unwrap();
+        let devices = &server.shared.devices;
+        let mut interned = None;
+        for (method, params) in [
+            (
+                "compile",
+                r#"{"benchmark": "cnx_inplace-4", "device": "heavy-hex:127"}"#,
+            ),
+            (
+                "compile",
+                r#"{"benchmark": "bv-20", "device": "heavy-hex:127"}"#,
+            ),
+            (
+                "estimate",
+                r#"{"benchmark": "bv-20", "device": "heavy-hex:127", "seed": 3}"#,
+            ),
+            (
+                "compile-batch",
+                r#"{"circuits": ["grovers-9"], "device": "heavy-hex:127"}"#,
+            ),
+            (
+                "sweep",
+                r#"{"benchmarks": ["cnx_inplace-4"], "devices": ["heavy-hex:127"], "routers": ["trios"]}"#,
+            ),
+        ] {
+            result_of(&client.call(method, params).unwrap());
+            let now = devices.get("heavy-hex:127").expect("the spec is interned");
+            let first = interned.get_or_insert_with(|| Arc::clone(&now));
+            assert!(Arc::ptr_eq(first, &now), "{method} rebuilt the device");
+        }
+        assert_eq!(devices.specs(), ["heavy-hex:127"]);
+        server.shutdown();
+        server.join();
+    }
+
+    #[test]
+    fn more_specs_than_the_table_holds_still_answer_correctly() {
+        let server = test_server();
+        let mut client = crate::Client::connect(server.local_addr()).unwrap();
+        let table = &server.shared.devices;
+        let capacity = crate::devices::DEVICE_TABLE_CAPACITY;
+        // Twice around the table: every spec is evicted before it returns.
+        for round in 0..2 {
+            for n in 6..6 + capacity + 4 {
+                let params = format!(r#"{{"benchmark": "cnx_inplace-4", "device": "line:{n}"}}"#);
+                let result = result_of(&client.call("compile", &params).unwrap());
+                let name = format!("line-{n}");
+                assert_eq!(
+                    result.get("device").and_then(|v| v.as_str()),
+                    Some(&name[..])
+                );
+                // The second round hits the compilation cache, whose key
+                // is structural: a rebuilt device keys the same entry.
+                let cached = result.get("cached").and_then(|v| v.as_bool());
+                assert_eq!(cached, Some(round == 1), "{name}");
+                assert!(table.specs().len() <= capacity);
+            }
+        }
+        assert_eq!(table.specs().len(), capacity);
+        assert!(table.get("line:6").is_none(), "least recently used is gone");
+        server.shutdown();
+        server.join();
     }
 
     #[test]

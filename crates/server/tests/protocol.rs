@@ -101,6 +101,52 @@ fn protocol_errors_answer_structured_and_the_server_keeps_serving() {
 }
 
 #[test]
+fn oversized_device_specs_are_bad_requests_and_the_next_compile_succeeds() {
+    let server = start(test_config());
+    let mut client = Client::connect(server.local_addr()).unwrap();
+
+    // Before the size cap this asked for a 10¹⁶-entry distance matrix
+    // and aborted the whole daemon.
+    let response = parse(
+        &client
+            .call(
+                "compile",
+                r#"{"benchmark": "gen:toffoli-ripple:7", "device": "line:100000000"}"#,
+            )
+            .unwrap(),
+    );
+    assert_eq!(error_kind(&response).as_deref(), Some("bad-request"));
+    let message = response
+        .get("error")
+        .and_then(|e| e.get("message"))
+        .and_then(Value::as_str)
+        .unwrap();
+    assert!(
+        message.contains("line:100000000") && message.contains("4096"),
+        "{message}"
+    );
+
+    // The same connection compiles on a kiloqubit device next.
+    let response = parse(
+        &client
+            .call(
+                "compile",
+                r#"{"benchmark": "gen:toffoli-ripple:7", "device": "heavy-hex:1121"}"#,
+            )
+            .unwrap(),
+    );
+    let result = result_of(&response);
+    assert_eq!(
+        result.get("device").and_then(Value::as_str),
+        Some("heavy-hex-1121")
+    );
+    assert_eq!(result.get("cached").and_then(Value::as_bool), Some(false));
+
+    server.shutdown();
+    server.join();
+}
+
+#[test]
 fn oversized_lines_error_without_desyncing_the_stream() {
     let server = start(ServerConfig {
         max_line_bytes: 512,

@@ -1,5 +1,5 @@
-//! [`Topology`]: an undirected qubit coupling graph with precomputed
-//! distances.
+//! [`Topology`]: an undirected qubit coupling graph whose hop distances
+//! are computed one source row at a time, on first use.
 
 use crate::TopologyError;
 use std::cmp::Reverse;
@@ -23,25 +23,6 @@ pub enum TripleShape {
     Disconnected,
 }
 
-/// All-pairs hop distances stored as one row-major boxed slice.
-///
-/// The nested `Vec<Vec<u32>>` of earlier versions cost one heap
-/// allocation (and one pointer chase) per source row; at kiloqubit scale
-/// the routing hot loop reads this matrix millions of times, so the
-/// flat layout matters. `get` is a single multiply-add index.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct DistMatrix {
-    n: usize,
-    d: Box<[u32]>,
-}
-
-impl DistMatrix {
-    #[inline]
-    fn get(&self, a: usize, b: usize) -> u32 {
-        self.d[a * self.n + b]
-    }
-}
-
 /// Per-coupling-edge cost model of an implicitly-stored device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum LinkCost {
@@ -53,17 +34,22 @@ enum LinkCost {
     LinearShuttle,
 }
 
-/// Internal storage: explicit adjacency + precomputed BFS distances for
-/// sparse hardware graphs, or a closed-form complete graph for all-to-all
-/// devices. A 1000-qubit all-to-all device has ~500k edges; storing (or
-/// BFS-ing) them is pure waste when every distance is 0 or 1, so the
-/// complete representation materializes nothing.
+/// Internal storage: explicit adjacency + lazily filled BFS distance rows
+/// for sparse hardware graphs, or a closed-form complete graph for
+/// all-to-all devices. A 1000-qubit all-to-all device has ~500k edges;
+/// storing (or BFS-ing) them is pure waste when every distance is 0 or 1,
+/// so the complete representation materializes nothing.
 #[derive(Debug)]
 enum Repr {
     Explicit {
         adj: Vec<Vec<usize>>,
         edges: Vec<(usize, usize)>,
-        dist: DistMatrix,
+        /// `rows[s][q]` is the hop distance from `s` to `q`. Each row is
+        /// one BFS, run the first time a query needs it: routing only
+        /// asks about the qubits around a circuit's footprint, so a
+        /// kiloqubit device never pays for the n² distances it would
+        /// never read.
+        rows: Box<[OnceLock<Box<[u32]>>]>,
     },
     Complete {
         cost: LinkCost,
@@ -77,10 +63,11 @@ enum Repr {
 impl Clone for Repr {
     fn clone(&self) -> Self {
         match self {
-            Repr::Explicit { adj, edges, dist } => Repr::Explicit {
+            // Filled rows are copied: a memcpy is cheaper than the BFS.
+            Repr::Explicit { adj, edges, rows } => Repr::Explicit {
                 adj: adj.clone(),
                 edges: edges.clone(),
-                dist: dist.clone(),
+                rows: rows.clone(),
             },
             // The lazy edge cache is derived state: a clone starts cold.
             Repr::Complete { cost, .. } => Repr::Complete {
@@ -94,11 +81,13 @@ impl Clone for Repr {
 /// An undirected hardware coupling graph.
 ///
 /// Two-qubit gates may only execute across edges of this graph; the routing
-/// passes insert SWAPs to satisfy that constraint. Sparse devices
-/// precompute all-pairs shortest-path distances at construction (one BFS
-/// per source, flat row-major matrix); all-to-all devices
-/// ([`Topology::complete`]) answer every query in closed form and never
-/// materialize their ~n²/2 edges.
+/// passes insert SWAPs to satisfy that constraint. Sparse devices keep one
+/// distance row per source qubit and fill it with a BFS the first time a
+/// query reads it, so construction is `O(n + m)` and memory grows only
+/// with the rows a workload touches. Rows fill at most once, also when
+/// threads sharing one topology race for the same row. All-to-all
+/// devices ([`Topology::complete`]) answer every query in closed form
+/// and never materialize their ~n²/2 edges.
 ///
 /// # Examples
 ///
@@ -115,6 +104,8 @@ pub struct Topology {
     name: String,
     num_qubits: usize,
     repr: Repr,
+    /// [`Topology::structural_hash`], computed once at construction.
+    hash: u64,
 }
 
 impl PartialEq for Topology {
@@ -229,16 +220,12 @@ impl Topology {
         for list in &mut adj {
             list.sort_unstable();
         }
-        let dist = all_pairs_bfs(num_qubits, &adj);
-        Ok(Topology {
-            name: name.into(),
-            num_qubits,
-            repr: Repr::Explicit {
-                adj,
-                edges: canon,
-                dist,
-            },
-        })
+        let repr = Repr::Explicit {
+            adj,
+            edges: canon,
+            rows: (0..num_qubits).map(|_| OnceLock::new()).collect(),
+        };
+        Ok(Topology::new(name.into(), num_qubits, repr))
     }
 
     /// A fully connected device with unit-cost couplings, stored
@@ -265,13 +252,33 @@ impl Topology {
 
     fn complete_with_cost(name: impl Into<String>, n: usize, cost: LinkCost) -> Self {
         assert!(n > 0, "device size must be positive");
-        Topology {
-            name: name.into(),
-            num_qubits: n,
-            repr: Repr::Complete {
-                cost,
-                edges: OnceLock::new(),
-            },
+        let repr = Repr::Complete {
+            cost,
+            edges: OnceLock::new(),
+        };
+        Topology::new(name.into(), n, repr)
+    }
+
+    fn new(name: String, num_qubits: usize, repr: Repr) -> Self {
+        let mut topology = Topology {
+            name,
+            num_qubits,
+            repr,
+            hash: 0,
+        };
+        topology.hash = topology.hash_structure();
+        topology
+    }
+
+    /// The hop distances from `source` to every qubit, running the BFS
+    /// that fills the row if no query has needed it yet. `None` for
+    /// complete devices, whose distances are closed-form.
+    fn row(&self, source: usize) -> Option<&[u32]> {
+        match &self.repr {
+            Repr::Explicit { adj, rows, .. } => {
+                Some(rows[source].get_or_init(|| bfs_row(adj, source)))
+            }
+            Repr::Complete { .. } => None,
         }
     }
 
@@ -346,13 +353,13 @@ impl Topology {
 
     /// Hop distance between `a` and `b` (`Some(0)` when equal), or `None`
     /// if disconnected.
+    ///
+    /// Reads the row of `b`, like [`Topology::shortest_path`], so a
+    /// distance test followed by a path query fills one row, not two.
     pub fn distance(&self, a: usize, b: usize) -> Option<usize> {
-        match &self.repr {
-            Repr::Explicit { dist, .. } => {
-                let d = dist.get(a, b);
-                (d != UNREACHABLE).then_some(d as usize)
-            }
-            Repr::Complete { .. } => Some(usize::from(a != b)),
+        match self.row(b) {
+            Some(row) => (row[a] != UNREACHABLE).then_some(row[a] as usize),
+            None => Some(usize::from(a != b)),
         }
     }
 
@@ -392,14 +399,10 @@ impl Topology {
         }
     }
 
-    /// `true` if every qubit can reach every other.
+    /// `true` if every qubit can reach every other. Fills only row 0.
     pub fn is_connected(&self) -> bool {
-        match &self.repr {
-            Repr::Explicit { dist, .. } => {
-                (0..self.num_qubits).all(|b| dist.get(0, b) != UNREACHABLE)
-            }
-            Repr::Complete { .. } => true,
-        }
+        self.row(0)
+            .is_none_or(|row| row.iter().all(|&d| d != UNREACHABLE))
     }
 
     /// A shortest path from `a` to `b` inclusive, or `None` if disconnected.
@@ -409,23 +412,26 @@ impl Topology {
     /// reproducible regardless of how the adjacency lists happen to be
     /// ordered.
     pub fn shortest_path(&self, a: usize, b: usize) -> Option<Vec<usize>> {
-        let (adj, dist) = match &self.repr {
-            Repr::Explicit { adj, dist, .. } => (adj, dist),
-            Repr::Complete { .. } => {
-                return Some(if a == b { vec![a] } else { vec![a, b] });
-            }
+        let Repr::Explicit { adj, .. } = &self.repr else {
+            return Some(if a == b { vec![a] } else { vec![a, b] });
         };
-        self.distance(a, b)?;
-        // Walk greedily from a toward b along the precomputed distances.
-        // The qubit index is part of the key: `min_by_key` alone would
-        // resolve equal-distance neighbors by iteration order, which is an
+        // Distances are symmetric, so the row of the target `b` holds
+        // every `d(v, b)` the walk needs: one row per query, not one per
+        // hop.
+        let to_b = self.row(b).expect("explicit devices have distance rows");
+        if to_b[a] == UNREACHABLE {
+            return None;
+        }
+        // Walk greedily from a toward b along those distances. The qubit
+        // index is part of the key: `min_by_key` alone would resolve
+        // equal-distance neighbors by iteration order, which is an
         // accident of adjacency-list construction, not a guarantee.
         let mut path = vec![a];
         let mut cur = a;
         while cur != b {
             let next = *adj[cur]
                 .iter()
-                .min_by_key(|&&v| (dist.get(v, b), v))
+                .min_by_key(|&&v| (to_b[v], v))
                 .expect("connected node has neighbors");
             path.push(next);
             cur = next;
@@ -570,7 +576,8 @@ impl Topology {
     ///
     /// The diameter bounds the worst-case SWAP chain any router can be
     /// forced into; the paper's Figure 6/7 x-axis ("total swap distance")
-    /// tops out near twice this value.
+    /// tops out near twice this value. Reads every pair, so it fills the
+    /// distance rows.
     pub fn diameter(&self) -> Option<usize> {
         if let Repr::Complete { .. } = &self.repr {
             return Some(usize::from(self.num_qubits > 1));
@@ -589,7 +596,7 @@ impl Topology {
     ///
     /// A single-number proxy for expected routing cost: the paper's §6.1
     /// ordering of topology benefit (line > grid ≳ Johannesburg > clusters)
-    /// tracks this metric.
+    /// tracks this metric. Reads every pair, so it fills the distance rows.
     pub fn mean_distance(&self) -> Option<f64> {
         let n = self.num_qubits();
         if n < 2 {
@@ -617,7 +624,13 @@ impl Topology {
     /// their closed form (count plus cost model — an ion-trap all-to-all
     /// and a unit-cost full graph place circuits differently, so they must
     /// not share cache entries) without materializing edges.
+    ///
+    /// Computed once at construction; this is a field read.
     pub fn structural_hash(&self) -> u64 {
+        self.hash
+    }
+
+    fn hash_structure(&self) -> u64 {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01b3;
         let write_u64 = |mut h: u64, word: u64| {
@@ -704,24 +717,21 @@ impl fmt::Display for Topology {
     }
 }
 
-fn all_pairs_bfs(n: usize, adj: &[Vec<usize>]) -> DistMatrix {
-    let mut d = vec![UNREACHABLE; n * n].into_boxed_slice();
-    let mut queue = VecDeque::new();
-    for src in 0..n {
-        let row = &mut d[src * n..(src + 1) * n];
-        row[src] = 0;
-        queue.clear();
-        queue.push_back(src);
-        while let Some(u) = queue.pop_front() {
-            for &v in &adj[u] {
-                if row[v] == UNREACHABLE {
-                    row[v] = row[u] + 1;
-                    queue.push_back(v);
-                }
+/// Hop distances from `source` to every qubit ([`UNREACHABLE`] across
+/// components): one BFS over the adjacency lists.
+fn bfs_row(adj: &[Vec<usize>], source: usize) -> Box<[u32]> {
+    let mut row = vec![UNREACHABLE; adj.len()].into_boxed_slice();
+    row[source] = 0;
+    let mut queue = VecDeque::from([source]);
+    while let Some(u) = queue.pop_front() {
+        for &v in &adj[u] {
+            if row[v] == UNREACHABLE {
+                row[v] = row[u] + 1;
+                queue.push_back(v);
             }
         }
     }
-    DistMatrix { n, d }
+    row
 }
 
 #[cfg(test)]
@@ -730,6 +740,86 @@ mod tests {
 
     fn path4() -> Topology {
         Topology::from_edges("p4", 4, &[(0, 1), (1, 2), (2, 3)]).unwrap()
+    }
+
+    fn filled_rows(t: &Topology) -> Vec<usize> {
+        match &t.repr {
+            Repr::Explicit { rows, .. } => (0..rows.len())
+                .filter(|&s| rows[s].get().is_some())
+                .collect(),
+            Repr::Complete { .. } => Vec::new(),
+        }
+    }
+
+    #[test]
+    fn distance_rows_fill_only_when_a_query_needs_them() {
+        let t = crate::heavy_hex(21);
+        assert!(filled_rows(&t).is_empty(), "construction runs no BFS");
+        // A distance test and the path query that follows it share the
+        // row of their target.
+        assert_eq!(t.distance(3, 700), t.distance(700, 3));
+        assert_eq!(filled_rows(&t), [3, 700]);
+        let path = t.shortest_path(5, 700).unwrap();
+        assert_eq!(path.len(), t.distance(5, 700).unwrap() + 1);
+        assert_eq!(filled_rows(&t), [3, 700]);
+        assert!(t.is_connected());
+        assert_eq!(filled_rows(&t), [0, 3, 700]);
+        // Clones keep the rows already filled.
+        assert_eq!(filled_rows(&t.clone()), [0, 3, 700]);
+        // Whole-graph summaries fill every row.
+        assert!(t.diameter().is_some());
+        assert_eq!(filled_rows(&t).len(), t.num_qubits());
+    }
+
+    #[test]
+    fn threads_racing_for_cold_rows_all_get_the_same_answers() {
+        use std::sync::{Arc, Barrier};
+        const TARGETS: [usize; 4] = [0, 17, 216, 432];
+        fn answers(t: &Topology) -> Vec<(Option<usize>, Option<Vec<usize>>)> {
+            let mut out = Vec::new();
+            for b in TARGETS {
+                for a in (0..t.num_qubits()).step_by(7) {
+                    out.push((t.distance(a, b), t.shortest_path(a, b)));
+                }
+            }
+            out
+        }
+        let shared = Arc::new(crate::heavy_hex(13));
+        let expected = answers(&crate::heavy_hex(13));
+        let threads = 8;
+        let barrier = Arc::new(Barrier::new(threads));
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                let (t, barrier) = (Arc::clone(&shared), Arc::clone(&barrier));
+                std::thread::spawn(move || {
+                    barrier.wait();
+                    answers(&t)
+                })
+            })
+            .collect();
+        for handle in handles {
+            assert_eq!(handle.join().unwrap(), expected);
+        }
+        assert_eq!(filled_rows(&shared), TARGETS);
+    }
+
+    #[test]
+    fn structural_hash_is_stored_at_construction() {
+        // Pinned values: the hash is part of every compilation-cache key,
+        // so computing it once must not change it.
+        assert_eq!(path4().structural_hash(), 0x64c0_63a4_0eba_cac1);
+        assert_eq!(
+            crate::heavy_hex(21).structural_hash(),
+            0x940a_ba40_f41a_e2a0
+        );
+        assert_eq!(
+            Topology::complete("k", 40).structural_hash(),
+            0x3218_c038_ac74_024d
+        );
+        assert_eq!(
+            crate::alltoall(1121).structural_hash(),
+            0xe26a_1359_381c_3c69
+        );
     }
 
     #[test]

@@ -36,4 +36,4 @@ pub use named::{
     line, ring, PaperDevice,
 };
 pub use render::GridEmbedding;
-pub use spec::{parse_spec, SpecError};
+pub use spec::{parse_spec, SpecError, SpecErrorKind, MAX_SPEC_QUBITS};

@@ -522,8 +522,8 @@ fn generated_circuits_with_distinct_seeds_never_false_hit_the_cache() {
     assert_eq!(warm.results, cold.results);
 }
 
-/// The nested-`Vec` per-source BFS the flat row-major distance matrix
-/// replaced, reimplemented verbatim as the reference.
+/// The reference: an eager all-pairs BFS, one nested `Vec` row per
+/// source, that shares no code with `Topology`'s lazy rows.
 fn nested_bfs_distances(n: usize, edges: &[(usize, usize)]) -> Vec<Vec<u32>> {
     let mut adj = vec![Vec::new(); n];
     for &(a, b) in edges {
@@ -570,33 +570,109 @@ proptest! {
         prop_assert_eq!(respecced.num_qubits(), topo.num_qubits());
     }
 
-    // The flat row-major distance matrix answers exactly what the old
-    // nested per-source BFS answered, on arbitrary (possibly
-    // disconnected) graphs.
+    // Lazily filled distance rows answer exactly what an eager all-pairs
+    // BFS would, on arbitrary graphs — disconnected ones and isolated
+    // qubits included — whatever order the queries fill the rows in.
     #[test]
-    fn flat_distance_matrix_matches_nested_bfs(
-        n in 2usize..24,
+    fn lazy_distance_rows_match_reference_bfs(
+        n in 1usize..24,
         raw_edges in proptest::collection::vec((0usize..24, 0usize..24), 0..60),
+        queries in proptest::collection::vec((0usize..24, 0usize..24), 0..40),
     ) {
         let edges: Vec<(usize, usize)> = raw_edges
             .into_iter()
-            .filter(|&(a, b)| a != b)
             .map(|(a, b)| (a % n, b % n))
             .filter(|&(a, b)| a != b)
             .collect();
         let topo = Topology::from_edges("random", n, &edges).unwrap();
         let reference = nested_bfs_distances(n, &edges);
-        for (a, row) in reference.iter().enumerate() {
-            for (b, &value) in row.iter().enumerate() {
-                let expected = match value {
-                    u32::MAX => None,
-                    d => Some(d as usize),
-                };
-                prop_assert_eq!(topo.distance(a, b), expected);
-            }
+        // Scattered queries first, while most rows are still cold.
+        for (a, b) in queries {
+            let (a, b) = (a % n, b % n);
+            prop_assert_eq!(topo.shortest_path(a, b), reference_path(&topo, &reference, a, b));
+            prop_assert_eq!(topo.distance(a, b), reference_distance(&reference, a, b));
         }
-        // Connectivity and diameter are derived from the same matrix.
-        let reachable_all = (0..n).all(|b| reference[0][b] != u32::MAX);
-        prop_assert_eq!(topo.is_connected(), reachable_all);
+        prop_assert_eq!(matches_reference(&topo, &reference), Ok(()));
+    }
+}
+
+fn reference_distance(reference: &[Vec<u32>], a: usize, b: usize) -> Option<usize> {
+    (reference[a][b] != u32::MAX).then_some(reference[a][b] as usize)
+}
+
+/// The greedy walk toward `b`, lowest index first among equally close
+/// neighbors, over the reference distances.
+fn reference_path(
+    topo: &Topology,
+    reference: &[Vec<u32>],
+    a: usize,
+    b: usize,
+) -> Option<Vec<usize>> {
+    reference_distance(reference, a, b)?;
+    let mut path = vec![a];
+    let mut here = a;
+    while here != b {
+        here = topo
+            .neighbors(here)
+            .min_by_key(|&v| (reference[v][b], v))
+            .unwrap();
+        path.push(here);
+    }
+    Some(path)
+}
+
+/// Every query a lazy row serves, checked against the reference matrix.
+fn matches_reference(topo: &Topology, reference: &[Vec<u32>]) -> Result<(), String> {
+    let n = topo.num_qubits();
+    let check = |what: &str, ok: bool| {
+        if ok {
+            Ok(())
+        } else {
+            Err(format!("{topo}: {what}"))
+        }
+    };
+    for a in 0..n {
+        for b in 0..n {
+            let expected = reference_distance(reference, a, b);
+            check(
+                &format!("distance({a}, {b})"),
+                topo.distance(a, b) == expected,
+            )?;
+            let path = reference_path(topo, reference, a, b);
+            check(
+                &format!("shortest_path({a}, {b})"),
+                topo.shortest_path(a, b) == path,
+            )?;
+        }
+    }
+    let pairs: Vec<u32> = (0..n)
+        .flat_map(|a| (a + 1..n).map(move |b| reference[a][b]))
+        .collect();
+    let connected = reference[0].iter().all(|&d| d != u32::MAX);
+    check("is_connected", topo.is_connected() == connected)?;
+    let diameter = connected.then(|| pairs.iter().copied().max().unwrap_or(0) as usize);
+    check("diameter", topo.diameter() == diameter)?;
+    let mean = (connected && n > 1)
+        .then(|| pairs.iter().map(|&d| d as usize).sum::<usize>() as f64 / pairs.len() as f64);
+    check("mean_distance", topo.mean_distance() == mean)
+}
+
+#[test]
+fn lazy_distance_rows_match_reference_bfs_on_the_named_zoo() {
+    for topo in [
+        johannesburg(),
+        grid(5, 4),
+        line(20),
+        ring(20),
+        clusters(4, 5),
+        trios_topology::heavy_hex_falcon27(),
+        trios_topology::heavy_hex(3),
+        trios_topology::heavy_hex(7),
+        trios_topology::parse_spec("grid:12x11").unwrap(),
+        trios_topology::full(6),
+        trios_topology::alltoall(9),
+    ] {
+        let reference = nested_bfs_distances(topo.num_qubits(), topo.edges());
+        matches_reference(&topo, &reference).unwrap();
     }
 }
