@@ -16,13 +16,19 @@
 //! Toffolis, double the ≥100 the scaling acceptance budget is defined
 //! over.
 //!
-//! **Asserted budgets** (release): `trios` routes the 200-Toffoli
-//! workload on `heavy-hex:1121` in < 5 s, and on `alltoall:1121` in
-//! < 5 s. Regressions fail the bench, and CI's `--test` smoke keeps a
-//! reduced version of the same assertions on every push.
+//! Every cell is compiled [`REPEATS`] times, each time on a freshly
+//! parsed device (so the distance rows the compile reads are filled
+//! inside the timing), and reports the median.
+//!
+//! **Asserted budgets** (release): `trios` compiles the 200-Toffoli
+//! workload within the limits in [`BUDGETS`] on `heavy-hex:1121` and
+//! `alltoall:1121`. Each limit is 10× the median measured when it was
+//! set, so a regression of that size fails the bench. The `--test` mode,
+//! which CI runs on every push, checks the same two budgets.
 //!
 //! Run with `cargo bench -p trios-bench --bench scale`; pass `-- --test`
-//! for the CI smoke (127-qubit devices only, no file output).
+//! for the CI smoke (127-qubit devices plus the budgeted cells, no file
+//! output).
 
 use std::time::Instant;
 use trios_core::Compiler;
@@ -33,6 +39,18 @@ use trios_topology::parse_spec;
 /// The two routers the curves compare: the paper's trios router and its
 /// lookahead variant (the hot path the in-place swap scoring rewrote).
 const ROUTERS: [&str; 2] = ["trios", "trios-lookahead"];
+
+/// Timed compiles per cell; the cell reports their median.
+const REPEATS: usize = 11;
+
+/// The budgeted cells — `trios` on the 200-Toffoli workload — as (JSON
+/// key, device, limit in seconds). Each limit is 10× the release median
+/// measured on a 2-vCPU Xeon when it was set: 4.0 ms on heavy-hex:1121
+/// and 0.5 ms on alltoall:1121.
+const BUDGETS: [(&str, &str, f64); 2] = [
+    ("heavy_hex_1121_trios_200_toffolis", "heavy-hex:1121", 0.04),
+    ("alltoall_1121_trios_200_toffolis", "alltoall:1121", 0.005),
+];
 
 fn workload(qubits: usize) -> Circuit {
     // depth 2 → 2 · (qubits − 2) Toffolis plus a carry CX per sweep.
@@ -57,22 +75,41 @@ struct Point {
 }
 
 fn measure(spec: &str, router: &'static str, circuit: &Circuit) -> Point {
-    let device = parse_spec(spec).expect("bench device spec is valid");
     let compiler = Compiler::builder().router(router).seed(7).build();
-    let started = Instant::now();
-    let program = compiler
-        .compile(circuit, &device)
-        .unwrap_or_else(|e| panic!("{router} on {spec} failed: {e}"));
-    let wall_s = started.elapsed().as_secs_f64();
+    let mut walls = Vec::with_capacity(REPEATS);
+    let mut device_qubits = 0;
+    let mut swaps = 0;
+    for _ in 0..REPEATS {
+        let device = parse_spec(spec).expect("bench device spec is valid");
+        let started = Instant::now();
+        let program = compiler
+            .compile(circuit, &device)
+            .unwrap_or_else(|e| panic!("{router} on {spec} failed: {e}"));
+        walls.push(started.elapsed().as_secs_f64());
+        device_qubits = device.num_qubits();
+        swaps = program.stats.swap_count;
+    }
+    walls.sort_by(f64::total_cmp);
     Point {
         device: spec.to_string(),
-        device_qubits: device.num_qubits(),
+        device_qubits,
         router,
         circuit_qubits: circuit.num_qubits(),
         toffolis: toffoli_count(circuit),
-        swaps: program.stats.swap_count,
-        wall_s,
+        swaps,
+        wall_s: walls[REPEATS / 2],
     }
+}
+
+/// Asserts that `point`'s median is within `limit_s`.
+fn check_budget(point: &Point, limit_s: f64) {
+    assert!(
+        point.wall_s < limit_s,
+        "budget blown: {} on {} took {:.4}s (limit {limit_s}s)",
+        point.router,
+        point.device,
+        point.wall_s
+    );
 }
 
 fn run_test_mode() {
@@ -93,6 +130,15 @@ fn run_test_mode() {
                 p.wall_s, p.swaps
             );
         }
+    }
+    let budgeted = workload(102);
+    for (_, spec, limit_s) in BUDGETS {
+        let p = measure(spec, "trios", &budgeted);
+        check_budget(&p, limit_s);
+        println!(
+            "scale --test: budget {spec} trios 200 toffolis: {:.4}s (limit {limit_s}s)",
+            p.wall_s
+        );
     }
 }
 
@@ -140,21 +186,21 @@ fn main() {
     }
 
     // The acceptance budgets: the 200-Toffoli workload on the
-    // 1121-qubit devices, trios router, must compile in < 5 s.
-    let budget = |device: &str| {
-        let p = points
-            .iter()
-            .find(|p| p.device == device && p.router == "trios" && p.circuit_qubits == 102)
-            .expect("budgeted cell was measured");
-        assert!(
-            p.wall_s < 5.0,
-            "budget blown: trios on {device} took {:.2}s (limit 5s)",
-            p.wall_s
-        );
-        p.wall_s
-    };
-    let hh_s = budget("heavy-hex:1121");
-    let trap_s = budget("alltoall:1121");
+    // 1121-qubit devices, trios router.
+    let budgets: Vec<String> = BUDGETS
+        .iter()
+        .map(|&(key, device, limit_s)| {
+            let p = points
+                .iter()
+                .find(|p| p.device == device && p.router == "trios" && p.circuit_qubits == 102)
+                .expect("budgeted cell was measured");
+            check_budget(p, limit_s);
+            format!(
+                r#"    "{key}": {{"limit_s": {limit_s}, "wall_s": {:.4}}}"#,
+                p.wall_s
+            )
+        })
+        .collect();
 
     let rows: Vec<String> = points
         .iter()
@@ -170,24 +216,20 @@ fn main() {
   "bench": "scale",
   "workload": "toffoli-ripple depth 2, seed 7 (52q/100 toffolis and 102q/200 toffolis)",
   "budgets": {{
-    "heavy_hex_1121_trios_200_toffolis": {{"limit_s": 5.0, "wall_s": {hh_s:.4}}},
-    "alltoall_1121_trios_200_toffolis": {{"limit_s": 5.0, "wall_s": {trap_s:.4}}}
+{budgets}
   }},
   "points": [
 {rows}
   ]
 }}
 "#,
+        budgets = budgets.join(",\n"),
         rows = rows.join(",\n"),
     );
 
     // Anchor at the workspace root regardless of the bench's cwd.
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scale.json");
     std::fs::write(path, &json).expect("write BENCH_scale.json");
-    println!(
-        "scale: {} cells; heavy-hex:1121 trios {hh_s:.2}s, alltoall:1121 trios {trap_s:.2}s \
-         (budget 5s each)",
-        points.len()
-    );
+    println!("scale: {} cells, budgets met", points.len());
     println!("wrote BENCH_scale.json");
 }

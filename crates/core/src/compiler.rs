@@ -150,9 +150,8 @@ impl Compiler {
     /// pipeline, so per-pipeline setup — in particular the schedule
     /// pass's gate-duration table, cached inside [`SchedulePass`] after
     /// its first run — happens once per batch instead of once per
-    /// circuit. (The topology's all-pairs distance matrix is precomputed
-    /// when the [`Topology`] is constructed, so it is shared by every
-    /// compilation, batched or not.)
+    /// circuit. (The topology fills each distance row on first use and
+    /// keeps it, so rows are shared by every compilation, batched or not.)
     ///
     /// Output is identical to calling [`Compiler::compile`] on each
     /// circuit in order (each compilation seeds its own RNG from
@@ -195,9 +194,14 @@ impl Compiler {
             .collect()
     }
 
-    /// Compiles many circuits concurrently on a [`std::thread::scope`]
-    /// worker pool of up to `jobs` threads, returning results in **input
-    /// order**.
+    /// Compiles many circuits concurrently on up to `jobs` workers,
+    /// returning results in **input order**.
+    ///
+    /// The calling thread is one of the workers: the batch spawns `jobs −
+    /// 1` scoped threads ([`std::thread::scope`]) and runs the last worker
+    /// itself, so `jobs = 1` (or a batch of one circuit) compiles inline
+    /// and spawns nothing. `jobs = 0` counts as 1, and `jobs` is capped at
+    /// the number of circuits.
     ///
     /// Output is byte-identical to [`Compiler::compile_batch`] (and thus
     /// to per-circuit [`Compiler::compile`]): compilation is deterministic
@@ -230,6 +234,10 @@ impl Compiler {
     /// [`CompileReport`]s plus an aggregate [`BatchReport`], and optionally
     /// consults (and fills) a shared [`CompilationCache`].
     ///
+    /// Workers are as in [`Compiler::compile_batch_parallel`]: the caller
+    /// plus `jobs − 1` scoped threads, each claiming the next circuit
+    /// index and reusing one pass pipeline for all its circuits.
+    ///
     /// A cache hit replays the stored program and report without running
     /// any pass; because compilation is deterministic, hits are
     /// indistinguishable from recompiling apart from the recorded
@@ -255,34 +263,34 @@ impl Compiler {
         let slots: Vec<Mutex<Slot>> = circuits.iter().map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);
         let failed = AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            for _ in 0..jobs {
-                scope.spawn(|| {
-                    // One pipeline per worker, reused across its circuits,
-                    // so per-pipeline setup (the schedule pass's duration
-                    // table) happens once per worker, not once per circuit.
-                    let mut manager = self.pass_manager();
-                    loop {
-                        if failed.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let index = next.fetch_add(1, Ordering::Relaxed);
-                        if index >= circuits.len() {
-                            break;
-                        }
-                        let outcome = self.compile_one_cached(
-                            &mut manager,
-                            &circuits[index],
-                            topology,
-                            cache,
-                        );
-                        if outcome.is_err() {
-                            failed.store(true, Ordering::Relaxed);
-                        }
-                        *slots[index].lock().expect("batch slot lock poisoned") = Some(outcome);
-                    }
-                });
+        let worker = || {
+            // One pipeline per worker, reused across its circuits, so
+            // per-pipeline setup (the schedule pass's duration table)
+            // happens once per worker, not once per circuit.
+            let mut manager = self.pass_manager();
+            loop {
+                if failed.load(Ordering::Relaxed) {
+                    break;
+                }
+                let index = next.fetch_add(1, Ordering::Relaxed);
+                if index >= circuits.len() {
+                    break;
+                }
+                let outcome =
+                    self.compile_one_cached(&mut manager, &circuits[index], topology, cache);
+                if outcome.is_err() {
+                    failed.store(true, Ordering::Relaxed);
+                }
+                *slots[index].lock().expect("batch slot lock poisoned") = Some(outcome);
             }
+        };
+        // The calling thread is the last of the `jobs` workers, so
+        // `jobs = 1` compiles inline and spawns nothing.
+        std::thread::scope(|scope| {
+            for _ in 1..jobs {
+                scope.spawn(worker);
+            }
+            worker();
         });
         // Indices are claimed in order and every claimed circuit completes,
         // so the filled slots form a prefix and the first error found in

@@ -44,9 +44,9 @@
 //!
 //! Whole-suite sweeps (the paper's evaluation compiles every benchmark
 //! against many topologies) go through
-//! [`Compiler::compile_batch_parallel`]: a scoped worker pool that keeps
-//! results in input order and is byte-identical to sequential
-//! compilation. [`Compiler::compile_batch_parallel_with_cache`] adds a
+//! [`Compiler::compile_batch_parallel`]: a scoped worker pool, with the
+//! calling thread as one of its workers, that keeps results in input
+//! order and is byte-identical to sequential compilation. [`Compiler::compile_batch_parallel_with_cache`] adds a
 //! shared [`CompilationCache`] — an LRU keyed by the structural hash of
 //! `(circuit, device, options)` with exact hit/miss counters — and
 //! returns a [`BatchReport`] aggregating per-pass wall times and

@@ -58,11 +58,21 @@ impl Circuit {
         num_qubits: usize,
         instructions: impl IntoIterator<Item = Instruction>,
     ) -> Result<Self, CircuitError> {
-        let mut c = Circuit::new(num_qubits);
-        for instr in instructions {
-            c.try_push(instr)?;
+        let instructions: Vec<Instruction> = instructions.into_iter().collect();
+        for (i, instr) in instructions.iter().enumerate() {
+            if let Some(q) = instr.qubits().iter().find(|q| q.index() >= num_qubits) {
+                return Err(CircuitError::QubitOutOfRange {
+                    instruction: i,
+                    qubit: q.index(),
+                    num_qubits,
+                });
+            }
         }
-        Ok(c)
+        Ok(Circuit {
+            num_qubits,
+            name: String::new(),
+            instructions,
+        })
     }
 
     /// The circuit name (may be empty).

@@ -130,9 +130,10 @@ impl MonteCarloResult {
 /// # Errors
 ///
 /// Returns [`MonteCarloError::ZeroShots`] when `options.shots == 0` (the
-/// statistics would all be NaN), or [`MonteCarloError::Sim`] wrapping
-/// [`SimError::TooManyQubits`] if the circuit is too wide to simulate
-/// densely.
+/// statistics would all be NaN), or [`MonteCarloError::Sim`] when the
+/// statevector simulator refuses the circuit or an injected error — for
+/// example [`SimError::TooManyQubits`] if the circuit is too wide to
+/// simulate densely.
 pub fn monte_carlo_fidelity(
     circuit: &Circuit,
     calibration: &Calibration,
@@ -164,17 +165,17 @@ pub fn monte_carlo_fidelity(
                 for q in instr.qubits() {
                     let dt = op.end_us() - qubit_clock[q.index()];
                     qubit_clock[q.index()] = op.end_us();
-                    erred |= inject_decoherence(&mut state, &mut rng, q.index(), dt, calibration);
+                    erred |= inject_decoherence(&mut state, &mut rng, q.index(), dt, calibration)?;
                 }
             }
-            state.apply(instr);
+            state.try_apply(instr)?;
             if options.gate_errors {
                 let rate = match instr.gate().arity() {
                     1 => calibration.one_qubit_error,
                     _ => calibration.two_qubit_error,
                 };
                 if rng.gen_bool(rate) {
-                    inject_random_pauli(&mut state, &mut rng, instr.qubits());
+                    inject_random_pauli(&mut state, &mut rng, instr.qubits())?;
                     erred = true;
                 }
             }
@@ -184,7 +185,7 @@ pub fn monte_carlo_fidelity(
             let total = schedule.total_duration_us();
             for (q, clock) in qubit_clock.iter().enumerate() {
                 let dt = total - clock;
-                erred |= inject_decoherence(&mut state, &mut rng, q, dt, calibration);
+                erred |= inject_decoherence(&mut state, &mut rng, q, dt, calibration)?;
             }
         }
         if !erred {
@@ -277,7 +278,11 @@ pub fn analytic_error_free_probability(
 }
 
 /// Applies a uniformly random non-identity Pauli over `qubits`.
-fn inject_random_pauli(state: &mut State, rng: &mut StdRng, qubits: &[Qubit]) {
+fn inject_random_pauli(
+    state: &mut State,
+    rng: &mut StdRng,
+    qubits: &[Qubit],
+) -> Result<(), SimError> {
     let options = 4usize.pow(qubits.len() as u32);
     let pick = rng.gen_range(1..options); // 0 = identity, excluded
     for (i, q) in qubits.iter().enumerate() {
@@ -288,8 +293,9 @@ fn inject_random_pauli(state: &mut State, rng: &mut StdRng, qubits: &[Qubit]) {
             2 => Gate::Y,
             _ => Gate::Z,
         };
-        state.apply(&Instruction::new(gate, &[*q]));
+        state.try_apply(&Instruction::new(gate, &[*q]))?;
     }
+    Ok(())
 }
 
 /// Pauli-twirled relaxation/dephasing on one qubit over `dt` µs. Returns
@@ -300,23 +306,23 @@ fn inject_decoherence(
     qubit: usize,
     dt: f64,
     calibration: &Calibration,
-) -> bool {
+) -> Result<bool, SimError> {
     if dt <= 0.0 {
-        return false;
+        return Ok(false);
     }
     let q = Qubit::new(qubit);
     let mut erred = false;
     let p_relax = 0.5 * (1.0 - (-dt / calibration.t1_us).exp());
     if rng.gen_bool(p_relax.clamp(0.0, 1.0)) {
-        state.apply(&Instruction::new(Gate::X, &[q]));
+        state.try_apply(&Instruction::new(Gate::X, &[q]))?;
         erred = true;
     }
     let p_dephase = 0.5 * (1.0 - (-dt / calibration.t2_us).exp());
     if rng.gen_bool(p_dephase.clamp(0.0, 1.0)) {
-        state.apply(&Instruction::new(Gate::Z, &[q]));
+        state.try_apply(&Instruction::new(Gate::Z, &[q]))?;
         erred = true;
     }
-    erred
+    Ok(erred)
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@
 //! shared wires in the same basis, and such sums commute. This check is
 //! conservative (it never claims commutation falsely) and cheap.
 
-use crate::TapName;
+use crate::optimize::rebuild;
 use std::f64::consts::PI;
 use trios_ir::{Circuit, Gate, Instruction};
 
@@ -129,7 +129,13 @@ const SCAN_WINDOW: usize = 64;
 /// instructions; on finding its inverse (same operands up to the gate's
 /// symmetries) both are removed. Runs to a fixpoint.
 pub fn cancel_commuting_inverses(circuit: &Circuit) -> Circuit {
-    let mut instrs: Vec<Option<Instruction>> = circuit.iter().copied().map(Some).collect();
+    rebuild(circuit, cancel_commuting(circuit.instructions().to_vec()))
+}
+
+/// The kernel of [`cancel_commuting_inverses`], shared with
+/// [`optimize`](crate::optimize).
+pub(crate) fn cancel_commuting(instrs: Vec<Instruction>) -> Vec<Instruction> {
+    let mut instrs: Vec<Option<Instruction>> = instrs.into_iter().map(Some).collect();
     loop {
         let mut changed = false;
         for i in 0..instrs.len() {
@@ -159,12 +165,7 @@ pub fn cancel_commuting_inverses(circuit: &Circuit) -> Circuit {
             break;
         }
     }
-    Circuit::from_instructions(
-        circuit.num_qubits(),
-        instrs.into_iter().flatten().collect::<Vec<_>>(),
-    )
-    .expect("cancellation preserves validity")
-    .tap_name(circuit.name())
+    instrs.into_iter().flatten().collect()
 }
 
 /// The Z-rotation angle a gate applies, when it is a pure single-qubit
@@ -201,7 +202,13 @@ fn normalize_angle(a: f64) -> f64 {
 /// routing, the T/T† ladders of consecutive Toffoli decompositions often
 /// meet across CX controls and annihilate.
 pub fn merge_commuting_rotations(circuit: &Circuit) -> Circuit {
-    let mut instrs: Vec<Option<Instruction>> = circuit.iter().copied().map(Some).collect();
+    rebuild(circuit, merge_rotations(circuit.instructions().to_vec()))
+}
+
+/// The kernel of [`merge_commuting_rotations`], shared with
+/// [`optimize`](crate::optimize).
+pub(crate) fn merge_rotations(instrs: Vec<Instruction>) -> Vec<Instruction> {
+    let mut instrs: Vec<Option<Instruction>> = instrs.into_iter().map(Some).collect();
     for i in 0..instrs.len() {
         let Some(cur) = instrs[i] else { continue };
         let Some(angle) = z_angle(cur.gate()) else {
@@ -232,12 +239,7 @@ pub fn merge_commuting_rotations(circuit: &Circuit) -> Circuit {
             }
         }
     }
-    Circuit::from_instructions(
-        circuit.num_qubits(),
-        instrs.into_iter().flatten().collect::<Vec<_>>(),
-    )
-    .expect("rotation merging preserves validity")
-    .tap_name(circuit.name())
+    instrs.into_iter().flatten().collect()
 }
 
 #[cfg(test)]

@@ -49,7 +49,7 @@ mod optimize;
 mod three_qubit;
 mod toffoli;
 
-pub(crate) use optimize::{operands_cancel, TapName};
+pub(crate) use optimize::operands_cancel;
 
 pub use commute::{cancel_commuting_inverses, commutes, merge_commuting_rotations};
 pub use decomposer::{

@@ -284,23 +284,6 @@ impl State {
         Ok(())
     }
 
-    /// Applies one unitary instruction, panicking on anything
-    /// [`State::try_apply`] rejects.
-    ///
-    /// # Panics
-    ///
-    /// Panics on measurement instructions, matrixless gates, or
-    /// out-of-range qubits. The bounds check is unconditional (not a
-    /// `debug_assert`): in a release build a qubit index ≥ 64 would
-    /// otherwise wrap through the shift (`1usize << q` masks `q` on
-    /// x86/ARM) and silently corrupt the amplitudes of a *different*
-    /// qubit.
-    pub fn apply(&mut self, instr: &Instruction) {
-        if let Err(e) = self.try_apply(instr) {
-            panic!("cannot apply {} as a unitary: {e}", instr.gate());
-        }
-    }
-
     /// Applies one unitary instruction.
     ///
     /// # Errors
@@ -1254,7 +1237,7 @@ mod tests {
         let mut state = State::random(6, 99).unwrap();
         let mut reference: Vec<C64> = state.amplitudes().to_vec();
         for instr in all_kind_instructions() {
-            state.apply(&instr);
+            state.try_apply(&instr).unwrap();
             naive_apply(&mut reference, &instr);
             // Bitwise equality, not approximate: the stride kernels must
             // compute the identical floating-point expressions.
@@ -1274,8 +1257,8 @@ mod tests {
             let mut parallel = serial.clone();
             parallel.set_threads(threads);
             for instr in all_kind_instructions() {
-                serial.apply(&instr);
-                parallel.apply(&instr);
+                serial.try_apply(&instr).unwrap();
+                parallel.try_apply(&instr).unwrap();
             }
             assert_eq!(
                 serial.amplitudes(),
@@ -1320,7 +1303,7 @@ mod tests {
         let instr = Instruction::new(Gate::X, &[Qubit::new(70)]);
         let mut state = State::zero(3).unwrap();
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            state.apply(&instr);
+            state.try_apply(&instr).unwrap();
         }))
         .unwrap_err();
         let message = err.downcast_ref::<String>().cloned().unwrap_or_default();
@@ -1340,7 +1323,7 @@ mod tests {
             Instruction::new(Gate::Swap, &[Qubit::new(9), Qubit::new(1)]),
         ] {
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                state.apply(&instr);
+                state.try_apply(&instr).unwrap();
             }));
             assert!(result.is_err(), "{instr:?} must panic");
         }

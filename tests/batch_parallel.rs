@@ -207,3 +207,67 @@ fn paper_suite_parallel_and_cached_matches_sequential() {
         "cached results must equal sequential compilation"
     );
 }
+
+/// The calling thread is one of the batch's `jobs` workers, so a
+/// one-worker batch compiles everything on the caller and spawns nothing.
+/// A custom strategy registered through `Compiler::with_strategies`
+/// records the thread each circuit is routed on.
+#[test]
+fn one_job_batch_compiles_every_circuit_on_the_calling_thread() {
+    use std::sync::{Arc, Mutex};
+    use std::thread::ThreadId;
+    use trios_core::{CompileOptions, Layout, RoutingStrategy, RoutingTrace, StrategyRegistry};
+    use trios_route::{OrchestratedTrios, RouteError, RoutedCircuit, RouterOptions};
+
+    struct Recording(Arc<Mutex<Vec<ThreadId>>>);
+    impl RoutingStrategy for Recording {
+        fn name(&self) -> &str {
+            "recording"
+        }
+        fn route(
+            &self,
+            circuit: &Circuit,
+            topology: &Topology,
+            layout: Layout,
+            options: &RouterOptions,
+            trace: &mut RoutingTrace,
+        ) -> Result<RoutedCircuit, RouteError> {
+            self.0.lock().unwrap().push(std::thread::current().id());
+            OrchestratedTrios.route(circuit, topology, layout, options, trace)
+        }
+    }
+
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let mut registry = StrategyRegistry::standard();
+    let shared = Arc::clone(&seen);
+    registry.register("recording", move || {
+        Box::new(Recording(Arc::clone(&shared)))
+    });
+    let options = CompileOptions {
+        router: Some("recording".into()),
+        ..CompileOptions::default()
+    };
+    let compiler = Compiler::with_strategies(options, registry);
+    let circuits: Vec<Circuit> = (3..7)
+        .map(|width| {
+            let mut c = Circuit::new(width);
+            c.h(0).ccx(0, 1, 2).cx(width - 1, 0);
+            c
+        })
+        .collect();
+    let topo = line(8);
+    let caller = std::thread::current().id();
+
+    compiler
+        .compile_batch_parallel_with_cache(&circuits, &topo, 1, None)
+        .unwrap();
+    compiler
+        .compile_batch_parallel(&circuits, &topo, 1)
+        .unwrap();
+    let seen = seen.lock().unwrap();
+    assert_eq!(seen.len(), 2 * circuits.len(), "one route per circuit");
+    assert!(
+        seen.iter().all(|id| *id == caller),
+        "a one-job batch left the calling thread: {seen:?}"
+    );
+}
