@@ -14,7 +14,7 @@
 
 use trios_bench::{geomean, rule};
 use trios_benchmarks::Benchmark;
-use trios_core::{compile, CompileOptions, DirectionPolicy, InitialMapping, Pipeline};
+use trios_core::{CompileOptions, Compiler, DirectionPolicy, InitialMapping};
 use trios_route::LookaheadConfig;
 use trios_topology::johannesburg;
 
@@ -38,7 +38,8 @@ fn main() {
                     direction: policy,
                     ..CompileOptions::with_seed(0)
                 };
-                compile(&b.build(), &topo, &options)
+                Compiler::new(options)
+                    .compile(&b.build(), &topo)
                     .unwrap()
                     .stats
                     .two_qubit_gates as f64
@@ -63,7 +64,8 @@ fn main() {
                     direction: DirectionPolicy::MoveFirst,
                     ..CompileOptions::with_seed(0)
                 };
-                compile(&b.build(), &topo, &options)
+                Compiler::new(options)
+                    .compile(&b.build(), &topo)
                     .unwrap()
                     .stats
                     .two_qubit_gates as f64
@@ -87,12 +89,12 @@ fn main() {
         let mut row = Vec::new();
         for (i, strategy) in strategies.into_iter().enumerate() {
             let options = CompileOptions {
-                pipeline: Pipeline::Trios,
                 decomposer: Some(strategy.into()),
                 direction: DirectionPolicy::MoveFirst,
                 ..CompileOptions::with_seed(0)
             };
-            let gates = compile(&circuit, &topo, &options)
+            let gates = Compiler::new(options)
+                .compile(&circuit, &topo)
                 .unwrap()
                 .stats
                 .two_qubit_gates;
@@ -132,27 +134,28 @@ fn main() {
         let circuit = b.build();
         let configs = [
             CompileOptions {
-                pipeline: Pipeline::Baseline,
+                router: Some("baseline".into()),
                 decomposer: Some("six".into()),
                 direction: DirectionPolicy::MoveFirst,
                 ..CompileOptions::with_seed(0)
             },
             CompileOptions {
-                pipeline: Pipeline::Baseline,
+                router: Some("baseline".into()),
                 decomposer: Some("six".into()),
                 direction: DirectionPolicy::MoveFirst,
                 lookahead: Some(LookaheadConfig::default()),
                 ..CompileOptions::with_seed(0)
             },
             CompileOptions {
-                pipeline: Pipeline::Trios,
+                router: Some("trios".into()),
                 direction: DirectionPolicy::MoveFirst,
                 ..CompileOptions::with_seed(0)
             },
         ];
         let mut row = Vec::new();
-        for (i, options) in configs.iter().enumerate() {
-            let gates = compile(&circuit, &topo, options)
+        for (i, options) in configs.into_iter().enumerate() {
+            let gates = Compiler::new(options)
+                .compile(&circuit, &topo)
                 .unwrap()
                 .stats
                 .two_qubit_gates;
@@ -203,7 +206,8 @@ fn main() {
                 direction: DirectionPolicy::MoveFirst,
                 ..CompileOptions::with_seed(0)
             };
-            let gates = compile(&circuit, &topo, &options)
+            let gates = Compiler::new(options)
+                .compile(&circuit, &topo)
                 .unwrap()
                 .stats
                 .two_qubit_gates;
@@ -246,7 +250,7 @@ fn main() {
             direction: DirectionPolicy::MoveFirst,
             ..CompileOptions::with_seed(0)
         };
-        let compiled = compile(&b.build(), &topo, &options).unwrap();
+        let compiled = Compiler::new(options).compile(&b.build(), &topo).unwrap();
         let conflicts = crosstalk_conflicts(
             &schedule_asap(&compiled.circuit, &GateDurations::johannesburg()),
             &topo,
@@ -284,7 +288,8 @@ fn main() {
                 direction: DirectionPolicy::MoveFirst,
                 ..CompileOptions::with_seed(0)
             };
-            let gates = compile(&circuit, &topo, &options)
+            let gates = Compiler::new(options)
+                .compile(&circuit, &topo)
                 .unwrap()
                 .stats
                 .two_qubit_gates;

@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use trios_benchmarks::Benchmark;
-use trios_core::{compile, PaperConfig};
+use trios_core::{Compiler, PaperConfig};
 use trios_topology::{johannesburg, PaperDevice};
 
 fn pipelines(c: &mut Criterion) {
@@ -20,11 +20,12 @@ fn pipelines(c: &mut Criterion) {
     ] {
         let circuit = bench.build();
         for config in [PaperConfig::QiskitBaseline, PaperConfig::Trios] {
+            let compiler = Compiler::new(config.to_options(0));
             group.bench_with_input(
                 BenchmarkId::new(config.label(), bench.name()),
                 &circuit,
                 |b, circuit| {
-                    b.iter(|| compile(circuit, &topo, &config.to_options(0)).unwrap());
+                    b.iter(|| compiler.compile(circuit, &topo).unwrap());
                 },
             );
         }
@@ -36,13 +37,14 @@ fn devices(c: &mut Criterion) {
     let mut group = c.benchmark_group("compile-by-device");
     group.sample_size(20);
     let circuit = Benchmark::TakahashiAdder20.build();
+    let compiler = Compiler::new(PaperConfig::Trios.to_options(0));
     for device in PaperDevice::ALL {
         let topo = device.build();
         group.bench_with_input(
             BenchmarkId::from_parameter(device.label()),
             &topo,
             |b, topo| {
-                b.iter(|| compile(&circuit, topo, &PaperConfig::Trios.to_options(0)).unwrap());
+                b.iter(|| compiler.compile(&circuit, topo).unwrap());
             },
         );
     }

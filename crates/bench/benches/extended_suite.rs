@@ -17,7 +17,7 @@
 
 use trios_bench::{calibrations, compile_benchmark, geomean, pct, rule};
 use trios_benchmarks::ExtendedBenchmark;
-use trios_core::Pipeline;
+use trios_core::PaperConfig;
 use trios_topology::{heavy_hex_falcon27, PaperDevice, Topology};
 
 fn main() {
@@ -42,8 +42,8 @@ fn main() {
     for b in ExtendedBenchmark::ALL {
         let circuit = b.build();
         for (di, (label, topo)) in devices.iter().enumerate() {
-            let base = compile_benchmark(&circuit, topo, Pipeline::Baseline, 0);
-            let trios = compile_benchmark(&circuit, topo, Pipeline::Trios, 0);
+            let base = compile_benchmark(&circuit, topo, PaperConfig::QiskitBaseline, 0);
+            let trios = compile_benchmark(&circuit, topo, PaperConfig::Trios, 0);
             let (cb, ct) = (base.stats.two_qubit_gates, trios.stats.two_qubit_gates);
             let saved = 100.0 * (1.0 - ct as f64 / cb as f64);
             let (pb, pt) = (

@@ -9,7 +9,7 @@
 
 use trios_bench::{compile_benchmark, rule};
 use trios_benchmarks::Benchmark;
-use trios_core::{Calibration, Pipeline};
+use trios_core::{Calibration, PaperConfig};
 use trios_topology::johannesburg;
 
 fn main() {
@@ -26,8 +26,8 @@ fn main() {
 
     for b in Benchmark::toffoli_suite() {
         let circuit = b.build();
-        let base = compile_benchmark(&circuit, &topo, Pipeline::Baseline, 0);
-        let trios = compile_benchmark(&circuit, &topo, Pipeline::Trios, 0);
+        let base = compile_benchmark(&circuit, &topo, PaperConfig::QiskitBaseline, 0);
+        let trios = compile_benchmark(&circuit, &topo, PaperConfig::Trios, 0);
         print!("{:<28}", b.name());
         for f in factors {
             let cal = Calibration::johannesburg_2020_08_19().improved(f);

@@ -18,7 +18,7 @@
 
 use trios_bench::{calibrations, compile_benchmark, geomean, pct, rule};
 use trios_benchmarks::Benchmark;
-use trios_core::Pipeline;
+use trios_core::PaperConfig;
 use trios_topology::PaperDevice;
 
 fn main() {
@@ -32,8 +32,8 @@ fn main() {
         let mut per_bench = Vec::new();
         for b in Benchmark::ALL {
             let circuit = b.build();
-            let base = compile_benchmark(&circuit, &topo, Pipeline::Baseline, 0);
-            let trios = compile_benchmark(&circuit, &topo, Pipeline::Trios, 0);
+            let base = compile_benchmark(&circuit, &topo, PaperConfig::QiskitBaseline, 0);
+            let trios = compile_benchmark(&circuit, &topo, PaperConfig::Trios, 0);
             per_bench.push((
                 base.stats.two_qubit_gates,
                 trios.stats.two_qubit_gates,

@@ -11,7 +11,7 @@
 
 use trios_core::{
     with_measurements, Calibration, Circuit, CompileReport, CompiledProgram, Compiler,
-    InitialMapping, PaperConfig, Pipeline,
+    InitialMapping, PaperConfig,
 };
 use trios_topology::{johannesburg, Topology};
 
@@ -85,15 +85,16 @@ pub fn compile_single_toffoli(
         .expect("single-Toffoli experiment compiles")
 }
 
-/// Compiles one of the paper's NISQ benchmarks on a device, with every
-/// logical qubit measured (Figures 9–11).
+/// Compiles one of the paper's NISQ benchmarks on a device under a paper
+/// configuration (`QiskitBaseline` or `Trios` in Figures 9–11), with every
+/// logical qubit measured.
 pub fn compile_benchmark(
     circuit: &Circuit,
     device: &Topology,
-    pipeline: Pipeline,
+    config: PaperConfig,
     seed: u64,
 ) -> CompiledProgram {
-    compile_benchmark_with_report(circuit, device, pipeline, seed).0
+    compile_benchmark_with_report(circuit, device, config, seed).0
 }
 
 /// Like [`compile_benchmark`], also returning the per-pass
@@ -102,14 +103,10 @@ pub fn compile_benchmark(
 pub fn compile_benchmark_with_report(
     circuit: &Circuit,
     device: &Topology,
-    pipeline: Pipeline,
+    config: PaperConfig,
     seed: u64,
 ) -> (CompiledProgram, CompileReport) {
     let measured = with_measurements(circuit, &(0..circuit.num_qubits()).collect::<Vec<_>>());
-    let config = match pipeline {
-        Pipeline::Baseline => PaperConfig::QiskitBaseline,
-        Pipeline::Trios => PaperConfig::Trios,
-    };
     let compiler = Compiler::builder().seed(seed).config(config).build();
     compiler
         .compile_with_report(&measured, device)
@@ -192,7 +189,8 @@ mod tests {
             c.ccx(0, 1, 2);
             c
         };
-        let (compiled, report) = compile_benchmark_with_report(&circuit, &dev, Pipeline::Trios, 0);
+        let (compiled, report) =
+            compile_benchmark_with_report(&circuit, &dev, PaperConfig::Trios, 0);
         assert_eq!(compiled.stats, report.stats);
         let json = report_json(&report);
         for pass in [

@@ -1,7 +1,7 @@
 //! Argument parsing (hand-rolled; the CLI's surface is small).
 
 use crate::CliError;
-use trios_core::{DecomposerRegistry, Pipeline, StrategyRegistry};
+use trios_core::{DecomposerRegistry, StrategyRegistry};
 use trios_topology::{parse_spec, Topology};
 
 /// A parsed command line.
@@ -150,9 +150,7 @@ pub struct Options {
     pub input: String,
     /// Device spec (default: `johannesburg`).
     pub device: String,
-    /// Pass structure (default: Trios).
-    pub pipeline: Pipeline,
-    /// Routing strategy by registry name (default: the pipeline's choice).
+    /// Routing strategy by registry name (default: `trios`).
     pub router: Option<String>,
     /// Toffoli decomposition by registry name (default: `standard`, the
     /// mapping-aware paper lowering).
@@ -176,7 +174,6 @@ impl Default for Options {
         Options {
             input: String::new(),
             device: "johannesburg".into(),
-            pipeline: Pipeline::Trios,
             router: None,
             decomposer: None,
             seed: 0,
@@ -581,17 +578,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             while i < rest.len() {
                 match rest[i].as_str() {
                     "--device" | "-d" => options.device = flag_value(&rest, &mut i, "--device")?,
-                    "--pipeline" | "-p" => {
-                        options.pipeline = match flag_value(&rest, &mut i, "--pipeline")?.as_str() {
-                            "baseline" => Pipeline::Baseline,
-                            "trios" => Pipeline::Trios,
-                            other => {
-                                return Err(CliError::Usage(format!(
-                                    "--pipeline must be 'baseline' or 'trios', got '{other}'"
-                                )))
-                            }
-                        }
-                    }
                     "--router" | "-r" => {
                         let name = flag_value(&rest, &mut i, "--router")?;
                         // Validate at parse time so typos fail before any
@@ -693,7 +679,7 @@ mod tests {
             "grovers-9",
             "--device",
             "line:12",
-            "--pipeline",
+            "--router",
             "baseline",
             "--seed",
             "7",
@@ -705,7 +691,7 @@ mod tests {
         };
         assert_eq!(o.input, "grovers-9");
         assert_eq!(o.device, "line:12");
-        assert_eq!(o.pipeline, Pipeline::Baseline);
+        assert_eq!(o.router.as_deref(), Some("baseline"));
         assert_eq!(o.seed, 7);
         assert!(o.lookahead);
     }
@@ -1030,7 +1016,16 @@ mod tests {
         assert!(parse_args(&args(&["frob"])).is_err());
         assert!(parse_args(&args(&["compile"])).is_err());
         assert!(parse_args(&args(&["compile", "a", "b"])).is_err());
-        assert!(parse_args(&args(&["compile", "a", "--pipeline", "x"])).is_err());
+        assert!(parse_args(&args(&["compile", "a", "--router", "x"])).is_err());
+        // The router alone picks the pass structure; there is no
+        // `--pipeline` flag.
+        for flag in ["--pipeline", "-p"] {
+            let err = parse_args(&args(&["compile", "a", flag, "baseline"])).unwrap_err();
+            assert!(
+                err.to_string().contains(&format!("unknown flag '{flag}'")),
+                "{err}"
+            );
+        }
         assert!(parse_args(&args(&["compile", "a", "--seed", "x"])).is_err());
         assert!(parse_args(&args(&["compile", "a", "--seed"])).is_err());
         assert!(parse_args(&args(&["compile", "a", "--wat"])).is_err());

@@ -51,9 +51,8 @@ FLAGS (compile / estimate):
                                  grid:CxR | clusters:KxS | alltoall:N |
                                  heavy-hex:N (N = 127, 433, 1121, ...)
                                  (default johannesburg)
-    --pipeline, -p <which>       baseline | trios          (default trios)
-    --router, -r <name>          routing strategy by name (see 'trios routers');
-                                 overrides the pipeline's default
+    --router, -r <name>          routing strategy by name (see 'trios
+                                 routers')                 (default trios)
     --decomposer <name>          Toffoli decomposition by name (see 'trios
                                  decomposers')          (default standard)
     --seed, -s <n>               routing seed              (default 0)
@@ -288,14 +287,7 @@ fn run_compile_batch(batch: &BatchOptions) -> Result<String, CliError> {
         files.len()
     );
     let _ = writeln!(out, "device:          {device}");
-    let _ = writeln!(
-        out,
-        "pipeline:        {:?} (router {}, decomposer {}, seed {})",
-        options.pipeline,
-        compiler.options().router_name(),
-        compiler.options().decomposer_name(),
-        options.seed
-    );
+    let _ = writeln!(out, "{}", router_line(&compiler));
     // Report the clamped worker count the engine actually used (a batch
     // never spawns more workers than it has circuits), so this line and
     // the batch summary below agree.
@@ -706,7 +698,6 @@ fn load_input(input: &str) -> Result<Circuit, CliError> {
 /// flag by flag.
 fn compiler_for(options: &Options) -> Compiler {
     let mut builder = Compiler::builder()
-        .pipeline(options.pipeline)
         .seed(options.seed)
         .lookahead(options.lookahead.then(LookaheadConfig::default))
         .bridge(options.bridge);
@@ -717,6 +708,24 @@ fn compiler_for(options: &Options) -> Compiler {
         builder = builder.decomposer(decomposer.clone());
     }
     builder.build()
+}
+
+/// The header line naming the router that ran and the knobs set around
+/// it, shared by `compile`, `verify`, `estimate` and `compile-batch`.
+fn router_line(compiler: &Compiler) -> String {
+    let options = compiler.options();
+    format!(
+        "router:          {} (decomposer {}, seed {}{}{})",
+        options.router_name(),
+        options.decomposer_name(),
+        options.seed,
+        if options.lookahead.is_some() {
+            ", lookahead"
+        } else {
+            ""
+        },
+        if options.bridge { ", bridge" } else { "" }
+    )
 }
 
 fn compile_input(options: &Options) -> Result<(CompiledProgram, String), CliError> {
@@ -732,16 +741,7 @@ fn compile_input(options: &Options) -> Result<(CompiledProgram, String), CliErro
         circuit.counts()
     );
     let _ = writeln!(out, "device:          {device}");
-    let _ = writeln!(
-        out,
-        "pipeline:        {:?} (router {}, decomposer {}, seed {}{}{})",
-        options.pipeline,
-        compiler.options().router_name(),
-        compiler.options().decomposer_name(),
-        options.seed,
-        if options.lookahead { ", lookahead" } else { "" },
-        if options.bridge { ", bridge" } else { "" }
-    );
+    let _ = writeln!(out, "{}", router_line(&compiler));
     let _ = writeln!(out, "two-qubit gates: {}", compiled.stats.two_qubit_gates);
     let _ = writeln!(out, "one-qubit gates: {}", compiled.stats.one_qubit_gates);
     let _ = writeln!(out, "SWAPs inserted:  {}", compiled.stats.swap_count);
@@ -912,7 +912,7 @@ mod tests {
             "1",
         ]))
         .unwrap();
-        assert!(base.contains("router trios"), "{base}");
+        assert!(base.contains("router:          trios "), "{base}");
         for router in ["baseline", "trios-lookahead", "trios-noise"] {
             let out = run(&args(&[
                 "compile",
@@ -925,38 +925,63 @@ mod tests {
                 router,
             ]))
             .unwrap();
-            assert!(out.contains(&format!("router {router}")), "{out}");
+            assert!(
+                out.contains(&format!("router:          {router} ")),
+                "{out}"
+            );
         }
-        // The explicit name equals the pipeline spelling of the same
-        // strategy.
-        let named = run(&args(&[
-            "compile",
-            "cnx_inplace-4",
-            "-d",
-            "line:6",
-            "-s",
-            "1",
-            "-r",
-            "baseline",
-        ]))
-        .unwrap();
-        let via_pipeline = run(&args(&[
-            "compile",
-            "cnx_inplace-4",
-            "-d",
-            "line:6",
-            "-s",
-            "1",
-            "-p",
-            "baseline",
-        ]))
-        .unwrap();
-        let gates = |s: &str| -> String {
-            s.lines()
-                .filter(|l| l.starts_with("two-qubit") | l.starts_with("depth"))
-                .collect()
+    }
+
+    #[test]
+    fn header_names_the_router_that_ran() {
+        let header = |out: &str| -> String {
+            let mut lines = out.lines().filter(|l| l.starts_with("router:"));
+            let line = lines.next().unwrap_or_default().to_string();
+            assert_eq!(lines.next(), None, "one router line:\n{out}");
+            line
         };
-        assert_eq!(gates(&named), gates(&via_pipeline));
+        let dir = batch_dir("batch-header", &[("toffoli.qasm", TOFF)]);
+        for router in StrategyRegistry::standard().names() {
+            let expected = format!("router:          {router} (decomposer standard, seed 1)");
+            for (command, input, device) in [
+                ("compile", "cnx_inplace-4", "line:6"),
+                ("verify", "cnx_inplace-4", "line:6"),
+                ("estimate", "cnx_inplace-4", "line:6"),
+                ("compile-batch", dir.to_str().unwrap(), "line:4"),
+            ] {
+                let out = run(&args(&[
+                    command, input, "-d", device, "-s", "1", "-r", router,
+                ]))
+                .unwrap_or_else(|e| panic!("{command} -r {router}: {e}"));
+                assert_eq!(header(&out), expected, "{command}:\n{out}");
+                assert!(!out.contains("pipeline"), "{command}:\n{out}");
+            }
+        }
+        // Unset, the router is trios; lookahead and bridge are listed.
+        let out = run(&args(&[
+            "compile",
+            "cnx_inplace-4",
+            "-d",
+            "line:6",
+            "--lookahead",
+            "--bridge",
+        ]))
+        .unwrap();
+        assert_eq!(
+            header(&out),
+            "router:          trios (decomposer standard, seed 0, lookahead, bridge)"
+        );
+    }
+
+    #[test]
+    fn compile_errors_name_the_failing_pass() {
+        let err = run(&args(&["compile", "bv-20", "-d", "line:6"])).unwrap_err();
+        assert!(matches!(err, CliError::Compile(_)), "{err:?}");
+        assert!(
+            err.to_string()
+                .starts_with("compile error: [initial-mapping] routing failed: circuit has 20"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1594,7 +1619,7 @@ mod tests {
             "cnx_inplace-4",
             "-d",
             "line:6",
-            "-p",
+            "-r",
             "baseline",
         ]))
         .unwrap();
@@ -1603,7 +1628,7 @@ mod tests {
             "cnx_inplace-4",
             "-d",
             "line:6",
-            "-p",
+            "-r",
             "trios",
         ]))
         .unwrap();

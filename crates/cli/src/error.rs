@@ -16,8 +16,8 @@ pub enum CliError {
     Io(std::io::Error),
     /// Parsing an input QASM file failed.
     Qasm(trios_qasm::QasmError),
-    /// Compilation failed.
-    Compile(trios_core::CompileError),
+    /// Compilation failed; the diagnostic names the failing pass.
+    Compile(trios_core::Diagnostic),
     /// One batch input file could not be read or parsed.
     BatchFile {
         /// The offending file.
@@ -132,15 +132,9 @@ impl From<trios_qasm::QasmError> for CliError {
     }
 }
 
-impl From<trios_core::CompileError> for CliError {
-    fn from(e: trios_core::CompileError) -> Self {
-        CliError::Compile(e)
-    }
-}
-
 impl From<trios_core::Diagnostic> for CliError {
     fn from(d: trios_core::Diagnostic) -> Self {
-        CliError::Compile(d.into())
+        CliError::Compile(d)
     }
 }
 

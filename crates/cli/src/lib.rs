@@ -5,7 +5,7 @@
 //! ```text
 //! trios list
 //! trios table1
-//! trios compile grovers-9 --device johannesburg --pipeline trios
+//! trios compile grovers-9 --device johannesburg --router baseline
 //! trios compile program.qasm --device line:12 --emit-qasm out.qasm
 //! trios estimate cuccaro_adder-20 --device grid:5x4 --improve 20
 //! ```

@@ -322,7 +322,6 @@ fn write_str(h: u64, value: &str) -> u64 {
 /// instead of silently aliasing cache entries across configurations.
 fn options_hash(options: &CompileOptions) -> u64 {
     let CompileOptions {
-        pipeline,
         router,
         decomposer,
         mapping,
@@ -337,14 +336,10 @@ fn options_hash(options: &CompileOptions) -> u64 {
     let mut h = hash::OFFSET;
     // The *resolved* strategy name is what routing actually runs, so it —
     // not just the raw Option — must separate cache entries: a warm cache
-    // may never serve one strategy's result for another. The pipeline
-    // discriminant is deliberately NOT hashed on its own: for every
-    // cacheable compilation it is fully subsumed by the resolved name
-    // (`-p baseline` and `-r baseline` compile byte-identically and share
-    // an entry), and unknown names fail before producing anything to
-    // cache.
+    // may never serve one strategy's result for another, and an unset
+    // router shares the `trios` entry it compiles identically to.
     h = write_str(h, options.router_name());
-    let (_, _) = (pipeline, router);
+    let _ = router;
     // Same resolution rule for the decomposition strategy: the resolved
     // name separates entries, so warm hits never cross decomposers.
     h = write_str(h, options.decomposer_name());
@@ -491,19 +486,12 @@ mod tests {
                 assert_ne!(a, b, "strategies must never share a cache key");
             }
         }
-        // `router: None` with the Trios pipeline resolves to "trios" and
-        // may share that entry — they compile identically.
+        // `router: None` resolves to "trios" and may share that entry —
+        // they compile identically.
         assert_eq!(
             keys[1],
             CompilationCache::key(&c, &dev, &CompileOptions::default())
         );
-        // Likewise `-p baseline` and `-r baseline` are the same
-        // compilation spelled two ways, so they share a key.
-        let by_pipeline = CompileOptions {
-            pipeline: crate::Pipeline::Baseline,
-            ..CompileOptions::default()
-        };
-        assert_eq!(keys[0], CompilationCache::key(&c, &dev, &by_pipeline));
     }
 
     #[test]

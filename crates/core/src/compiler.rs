@@ -1,21 +1,58 @@
 //! [`Compiler`]: the builder-configured entrypoint over the pass-pipeline
-//! API, including batch compilation with shared precomputation.
+//! API, including batch compilation with shared precomputation, and the
+//! [`CompiledProgram`] it produces.
 
 use crate::batch::{BatchOutcome, BatchReport};
 use crate::cache::CompilationCache;
 use crate::context::{CompileContext, ProgramSchedule, RouterTrace};
 use crate::manager::PassManager;
 use crate::report::{CompileReport, CompileStats};
-use crate::{CompileOptions, CompiledProgram, Diagnostic, PaperConfig, Pipeline};
+use crate::{CompileOptions, Diagnostic, PaperConfig};
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 use trios_ir::Circuit;
+use trios_noise::{estimate_success, Calibration, SuccessEstimate};
 use trios_passes::{DecomposerRegistry, OptimizeOptions};
-use trios_route::{DirectionPolicy, InitialMapping, LookaheadConfig, PathMetric, StrategyRegistry};
+use trios_route::{
+    DirectionPolicy, InitialMapping, Layout, LookaheadConfig, PathMetric, StrategyRegistry,
+};
 use trios_topology::Topology;
+
+/// A fully compiled program: hardware gate set, coupling-legal, scheduled.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CompiledProgram {
+    /// The executable circuit over physical qubits (1q gates, CX, and
+    /// measurements only; every CX on a coupling edge).
+    pub circuit: Circuit,
+    /// Where each logical qubit started.
+    pub initial_layout: Layout,
+    /// Where each logical qubit ended.
+    pub final_layout: Layout,
+    /// Static metrics.
+    pub stats: CompileStats,
+}
+
+impl CompiledProgram {
+    /// Success probability under the paper's §2.6 model.
+    pub fn estimate_success(&self, calibration: &Calibration) -> SuccessEstimate {
+        estimate_success(&self.circuit, calibration)
+    }
+}
+
+/// Appends measurements of the listed logical qubits to a copy of
+/// `circuit` — the form the success-rate experiments compile (the paper
+/// measures the three qubits of interest in the Toffoli experiments, and
+/// all data qubits in the benchmark studies).
+pub fn with_measurements(circuit: &Circuit, qubits: &[usize]) -> Circuit {
+    let mut out = circuit.clone();
+    for &q in qubits {
+        out.measure(q);
+    }
+    out
+}
 
 /// The compiler, configured once and reusable across circuits and
 /// topologies.
@@ -67,25 +104,25 @@ impl Compiler {
     }
 
     /// A compiler running exactly `options` over the standard
-    /// [`StrategyRegistry`].
+    /// [`StrategyRegistry`] and [`DecomposerRegistry`].
     pub fn new(options: CompileOptions) -> Self {
-        Compiler::with_strategies(options, StrategyRegistry::standard())
+        Compiler::with_registries(
+            options,
+            StrategyRegistry::standard(),
+            DecomposerRegistry::standard(),
+        )
     }
 
-    /// A compiler resolving [`CompileOptions::router_name`] in a
-    /// caller-supplied registry — the injection point for custom
-    /// [`RoutingStrategy`](trios_route::RoutingStrategy) implementations
-    /// into every compile path, including the parallel batch compiler
-    /// and [`fuzz`](crate::fuzz).
-    pub fn with_strategies(options: CompileOptions, registry: StrategyRegistry) -> Self {
-        Compiler::with_registries(options, registry, DecomposerRegistry::standard())
-    }
-
-    /// A compiler resolving both [`CompileOptions::router_name`] and
+    /// A compiler resolving [`CompileOptions::router_name`] and
     /// [`CompileOptions::decomposer_name`] in caller-supplied registries —
-    /// the full injection point when custom
+    /// the injection point for custom
+    /// [`RoutingStrategy`](trios_route::RoutingStrategy) and
     /// [`DecompositionStrategy`](trios_passes::DecompositionStrategy)
-    /// implementations are in play as well.
+    /// implementations into every compile path, including the parallel
+    /// batch compiler and [`fuzz`](crate::fuzz). The builder's
+    /// [`CompilerBuilder::strategies`] and
+    /// [`CompilerBuilder::decomposer_strategies`] replace one registry at a
+    /// time.
     pub fn with_registries(
         options: CompileOptions,
         registry: StrategyRegistry,
@@ -148,10 +185,11 @@ impl Compiler {
 
     /// Compiles many circuits over one device with one reused pass
     /// pipeline, so per-pipeline setup — in particular the schedule
-    /// pass's gate-duration table, cached inside [`SchedulePass`] after
-    /// its first run — happens once per batch instead of once per
-    /// circuit. (The topology fills each distance row on first use and
-    /// keeps it, so rows are shared by every compilation, batched or not.)
+    /// pass's gate-duration table, cached inside
+    /// [`SchedulePass`](crate::SchedulePass) after its first run —
+    /// happens once per batch instead of once per circuit. (The topology
+    /// fills each distance row on first use and keeps it, so rows are
+    /// shared by every compilation, batched or not.)
     ///
     /// Output is identical to calling [`Compiler::compile`] on each
     /// circuit in order (each compilation seeds its own RNG from
@@ -428,12 +466,12 @@ impl PartialEq for CompilerBuilder {
 }
 
 impl CompilerBuilder {
-    /// Applies a named paper configuration — its pipeline, Toffoli
+    /// Applies a named paper configuration — its router, Toffoli
     /// decomposition, and (stochastic) direction policy — leaving every
     /// other knob set on this builder untouched.
     pub fn config(mut self, config: PaperConfig) -> Self {
         let named = config.to_options(self.options.seed);
-        self.options.pipeline = named.pipeline;
+        self.options.router = named.router;
         self.options.decomposer = named.decomposer;
         self.options.direction = named.direction;
         self
@@ -445,15 +483,10 @@ impl CompilerBuilder {
         self
     }
 
-    /// Which pass structure to use (paper Fig. 2).
-    pub fn pipeline(mut self, pipeline: Pipeline) -> Self {
-        self.options.pipeline = pipeline;
-        self
-    }
-
     /// Routing strategy by registry name (`"baseline"`, `"trios"`,
-    /// `"trios-lookahead"`, `"trios-noise"`), overriding the pipeline's
-    /// default choice.
+    /// `"trios-lookahead"`, `"trios-noise"`), overriding the default
+    /// `"trios"`. The router also picks the pass structure of the paper's
+    /// Figure 2 (see [`CompileOptions::router`]).
     pub fn router(mut self, router: impl Into<String>) -> Self {
         self.options.router = Some(router.into());
         self
@@ -548,12 +581,27 @@ impl CompilerBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trios_topology::johannesburg;
+    use trios_route::{check_legal, ToffoliPolicy};
+    use trios_sim::compiled_equivalent;
+    use trios_topology::{johannesburg, line, PaperDevice};
+
+    fn verify(original: &Circuit, compiled: &CompiledProgram) -> bool {
+        compiled_equivalent(
+            original,
+            &compiled.circuit,
+            &compiled.initial_layout.to_mapping(),
+            &compiled.final_layout.to_mapping(),
+            2,
+            11,
+            1e-8,
+        )
+        .unwrap()
+    }
 
     #[test]
     fn builder_defaults_to_full_trios() {
         let compiler = Compiler::builder().build();
-        assert_eq!(compiler.options().pipeline, Pipeline::Trios);
+        assert_eq!(compiler.options().router_name(), "trios");
         assert_eq!(compiler.options().decomposer_name(), "standard");
         assert!(compiler.options().validate);
     }
@@ -561,7 +609,7 @@ mod tests {
     #[test]
     fn builder_setters_override_knobs() {
         let compiler = Compiler::builder()
-            .pipeline(Pipeline::Baseline)
+            .router("baseline")
             .decomposer("eight")
             .direction(DirectionPolicy::MoveFirst)
             .seed(9)
@@ -569,7 +617,7 @@ mod tests {
             .validate(false)
             .build();
         let o = compiler.options();
-        assert_eq!(o.pipeline, Pipeline::Baseline);
+        assert_eq!(o.router_name(), "baseline");
         assert_eq!(o.decomposer_name(), "eight");
         assert_eq!(o.direction, DirectionPolicy::MoveFirst);
         assert_eq!(o.seed, 9);
@@ -584,7 +632,7 @@ mod tests {
             .config(PaperConfig::QiskitEight)
             .build();
         assert_eq!(compiler.options().seed, 42);
-        assert_eq!(compiler.options().pipeline, Pipeline::Baseline);
+        assert_eq!(compiler.options().router_name(), "baseline");
         assert_eq!(compiler.options().decomposer_name(), "eight");
     }
 
@@ -600,7 +648,7 @@ mod tests {
         assert!(!o.validate, ".config must not reset validate");
         assert!(o.bridge, ".config must not reset bridge");
         assert_eq!(o.mapping, InitialMapping::Fixed(vec![0, 1, 2]));
-        assert_eq!(o.pipeline, Pipeline::Trios);
+        assert_eq!(o.router_name(), "trios");
     }
 
     #[test]
@@ -608,22 +656,12 @@ mod tests {
         let mut program = Circuit::new(4);
         program.h(0).ccx(0, 1, 2).cx(2, 3);
         let topo = johannesburg();
-        // Named "trios"/"baseline" are byte-identical to the pipeline
-        // defaults they alias.
+        // Naming "trios" is byte-identical to leaving the router unset.
         let trios_default = Compiler::builder().seed(3).build();
         let trios_named = Compiler::builder().seed(3).router("trios").build();
         assert_eq!(
             trios_default.compile(&program, &topo).unwrap(),
             trios_named.compile(&program, &topo).unwrap()
-        );
-        let base_default = Compiler::builder()
-            .seed(3)
-            .pipeline(Pipeline::Baseline)
-            .build();
-        let base_named = Compiler::builder().seed(3).router("baseline").build();
-        assert_eq!(
-            base_default.compile(&program, &topo).unwrap(),
-            base_named.compile(&program, &topo).unwrap()
         );
         // The new strategies compile end to end and report their own pass
         // names.
@@ -688,10 +726,7 @@ mod tests {
         let gather = compiled.stats.mean_gather_distance.unwrap();
         assert!(gather > 0.0, "distant trio must report a gather distance");
         // The decompose-first baseline records no trio events.
-        let baseline = Compiler::builder()
-            .seed(1)
-            .pipeline(Pipeline::Baseline)
-            .build();
+        let baseline = Compiler::builder().seed(1).router("baseline").build();
         let compiled = baseline.compile(&program, &topo).unwrap();
         assert_eq!(compiled.stats.mean_gather_distance, None);
         // A Toffoli-free program reports None even under trio routing.
@@ -793,5 +828,172 @@ mod tests {
         assert_eq!(err.index, 1);
         assert!(matches!(err.diagnostic, Diagnostic::Routing { .. }));
         assert!(err.to_string().contains("circuit 1"));
+    }
+
+    #[test]
+    fn compiles_single_toffoli_all_paper_configs() {
+        let mut program = Circuit::new(3);
+        program.ccx(0, 1, 2);
+        let topo = johannesburg();
+        for config in PaperConfig::FIG6 {
+            let compiled = Compiler::new(config.to_options(0))
+                .compile(&program, &topo)
+                .unwrap();
+            assert!(compiled.circuit.is_hardware_lowered(), "{config:?}");
+            assert!(
+                check_legal(&compiled.circuit, &topo, ToffoliPolicy::Forbid).is_ok(),
+                "{config:?}"
+            );
+            assert!(verify(&program, &compiled), "{config:?}");
+        }
+    }
+
+    /// Compiles `program` under a paper configuration with the three
+    /// logical qubits pinned to `place`.
+    fn compile_pinned(
+        program: &Circuit,
+        topo: &Topology,
+        config: PaperConfig,
+        place: &[usize],
+    ) -> CompiledProgram {
+        Compiler::builder()
+            .config(config)
+            .mapping(InitialMapping::Fixed(place.to_vec()))
+            .build()
+            .compile(program, topo)
+            .unwrap()
+    }
+
+    #[test]
+    fn trios_beats_baseline_on_distant_toffoli() {
+        let mut program = Circuit::new(3);
+        program.ccx(0, 1, 2);
+        let topo = johannesburg();
+        let base = compile_pinned(&program, &topo, PaperConfig::QiskitBaseline, &[6, 17, 3]);
+        let trios = compile_pinned(&program, &topo, PaperConfig::Trios, &[6, 17, 3]);
+        assert!(
+            trios.stats.two_qubit_gates < base.stats.two_qubit_gates,
+            "trios {} vs baseline {}",
+            trios.stats.two_qubit_gates,
+            base.stats.two_qubit_gates
+        );
+        assert!(verify(&program, &trios));
+        assert!(verify(&program, &base));
+    }
+
+    #[test]
+    fn success_estimate_orders_with_gate_count() {
+        let mut program = Circuit::new(3);
+        program.ccx(0, 1, 2);
+        let program = with_measurements(&program, &[0, 1, 2]);
+        let topo = johannesburg();
+        let cal = Calibration::johannesburg_2020_08_19();
+        let ps: Vec<f64> = [PaperConfig::QiskitBaseline, PaperConfig::TriosEight]
+            .into_iter()
+            .map(|config| {
+                compile_pinned(&program, &topo, config, &[0, 12, 15])
+                    .estimate_success(&cal)
+                    .probability()
+            })
+            .collect();
+        assert!(
+            ps[1] > ps[0],
+            "Trios-8 ({}) should beat baseline ({})",
+            ps[1],
+            ps[0]
+        );
+    }
+
+    #[test]
+    fn stats_are_consistent() {
+        let mut program = Circuit::new(4);
+        program.h(0).ccx(0, 1, 2).cx(2, 3);
+        let topo = line(6);
+        let compiled = Compiler::builder()
+            .seed(4)
+            .build()
+            .compile(&program, &topo)
+            .unwrap();
+        let counts = compiled.circuit.counts();
+        assert_eq!(compiled.stats.two_qubit_gates, counts.two_qubit);
+        assert_eq!(compiled.stats.one_qubit_gates, counts.one_qubit);
+        assert_eq!(compiled.stats.depth, compiled.circuit.depth());
+        assert!(compiled.stats.duration_us > 0.0);
+    }
+
+    #[test]
+    fn toffoli_free_circuits_identical_across_pipelines() {
+        // The paper's control claim: Trios has no effect without Toffolis.
+        let mut program = Circuit::new(5);
+        program.h(0).cx(0, 4).cx(1, 3).cx(2, 4).h(2);
+        let topo = line(5);
+        let compile = |router: &str| {
+            Compiler::builder()
+                .router(router)
+                .direction(DirectionPolicy::MoveFirst)
+                .build()
+                .compile(&program, &topo)
+                .unwrap()
+        };
+        let base = compile("baseline");
+        let trios = compile("trios");
+        assert_eq!(base.circuit, trios.circuit);
+        assert_eq!(base.stats, trios.stats);
+    }
+
+    #[test]
+    fn all_paper_devices_compile_a_toffoli_program() {
+        let mut program = Circuit::new(6);
+        program.h(0).ccx(0, 2, 4).ccx(1, 3, 5).cx(0, 5);
+        let compiler = Compiler::builder().seed(2).build();
+        for device in PaperDevice::ALL {
+            let topo = device.build();
+            let compiled = compiler.compile(&program, &topo).unwrap();
+            assert!(
+                check_legal(&compiled.circuit, &topo, ToffoliPolicy::Forbid).is_ok(),
+                "{device:?}"
+            );
+            assert!(verify(&program, &compiled), "{device:?}");
+        }
+    }
+
+    #[test]
+    fn extended_three_qubit_gates_compile_on_both_pipelines() {
+        // The §4 extension: ccz and cswap ride the same trio machinery.
+        let mut program = Circuit::new(6);
+        program.h(0).ccz(0, 2, 4).cswap(1, 3, 5).ccx(0, 1, 5);
+        let topo = johannesburg();
+        for router in ["baseline", "trios"] {
+            let compiled = Compiler::builder()
+                .router(router)
+                .seed(3)
+                .build()
+                .compile(&program, &topo)
+                .unwrap();
+            assert!(compiled.circuit.is_hardware_lowered(), "{router}");
+            assert!(
+                check_legal(&compiled.circuit, &topo, ToffoliPolicy::Forbid).is_ok(),
+                "{router}"
+            );
+            assert!(verify(&program, &compiled), "{router}");
+        }
+    }
+
+    #[test]
+    fn trios_beats_baseline_on_distant_ccz() {
+        // CCZ profits from the same gather + symmetric decomposition.
+        let mut program = Circuit::new(3);
+        program.ccz(0, 1, 2);
+        let topo = johannesburg();
+        let base = compile_pinned(&program, &topo, PaperConfig::QiskitBaseline, &[6, 17, 3]);
+        let trios = compile_pinned(&program, &topo, PaperConfig::Trios, &[6, 17, 3]);
+        assert!(
+            trios.stats.two_qubit_gates < base.stats.two_qubit_gates,
+            "trios {} vs baseline {}",
+            trios.stats.two_qubit_gates,
+            base.stats.two_qubit_gates
+        );
+        assert!(verify(&program, &trios));
+        assert!(verify(&program, &base));
     }
 }

@@ -1,16 +1,18 @@
 //! # trios-core — the Orchestrated Trios compiler
 //!
 //! End-to-end compilation pipelines reproducing
-//! [*Orchestrated Trios* (ASPLOS 2021)](https://doi.org/10.1145/3445814.3446718):
+//! [*Orchestrated Trios* (ASPLOS 2021)](https://doi.org/10.1145/3445814.3446718).
+//! The router, named in [`CompileOptions::router`], picks the pipeline:
 //!
-//! * [`Pipeline::Baseline`] — conventional, Qiskit-style: decompose all
+//! * the `baseline` router — conventional, Qiskit-style: decompose all
 //!   Toffolis to 1q/2q gates first, then map, route each distant CNOT
 //!   individually, and schedule (paper Fig. 2a).
-//! * [`Pipeline::Trios`] — the paper's contribution: decomposition stops
-//!   at the Toffoli; the router gathers each Toffoli's three operands to a
-//!   connected neighborhood as a unit; a second, *mapping-aware*
-//!   decomposition then picks the 6-CNOT form on triangles and the 8-CNOT
-//!   form (with the correct middle qubit) on lines (paper Fig. 2b, §4).
+//! * the `trios` router (the default) — the paper's contribution:
+//!   decomposition stops at the Toffoli; the router gathers each Toffoli's
+//!   three operands to a connected neighborhood as a unit; a second,
+//!   *mapping-aware* decomposition then picks the 6-CNOT form on triangles
+//!   and the 8-CNOT form (with the correct middle qubit) on lines (paper
+//!   Fig. 2b, §4).
 //!
 //! # The pass-pipeline API
 //!
@@ -37,8 +39,7 @@
 //! [`SwapTrace`], [`ProgramSchedule`]) into the context's typed artifact
 //! map; failures surface as a structured [`Diagnostic`] naming the pass.
 //! [`Compiler::compile_batch`] compiles many circuits over one device
-//! with shared precomputation. The original [`compile`] function remains
-//! as a thin shim over the same pipeline.
+//! with shared precomputation.
 //!
 //! # Batch throughput
 //!
@@ -89,14 +90,15 @@ pub mod fuzz;
 mod manager;
 mod options;
 mod pass;
-mod pipeline;
 mod report;
 mod shard;
 pub mod sweep;
 
 pub use batch::{BatchOutcome, BatchPassStat, BatchReport};
 pub use cache::{CacheStats, CachedCompilation, CompilationCache};
-pub use compiler::{BatchDiagnostic, Compiler, CompilerBuilder};
+pub use compiler::{
+    with_measurements, BatchDiagnostic, CompiledProgram, Compiler, CompilerBuilder,
+};
 pub use context::{
     Artifact, ArtifactMap, CompileContext, PostRouteCircuit, ProgramSchedule, RouterTrace,
     SwapTrace,
@@ -107,12 +109,11 @@ pub use fuzz::{
     FuzzReport, FuzzReproducer, FuzzSpec,
 };
 pub use manager::PassManager;
-pub use options::{CompileOptions, PaperConfig, Pipeline};
+pub use options::{CompileOptions, PaperConfig};
 pub use pass::{
     DecomposeToffolisPass, InitialMappingPass, LowerPass, OptimizePass, Pass, RoutePass,
     SchedulePass, ValidatePass,
 };
-pub use pipeline::{compile, with_measurements, CompileError, CompiledProgram};
 pub use report::{CompileReport, CompileStats, PassRecord};
 pub use shard::ShardedCache;
 pub use sweep::{
@@ -120,7 +121,7 @@ pub use sweep::{
     SweepReport, SweepSpec,
 };
 
-// Re-export the pieces callers need alongside `compile`, so downstream
+// Re-export the pieces callers need alongside `Compiler`, so downstream
 // users can depend on `trios-core` alone for common workflows.
 pub use trios_ir::{Circuit, Gate, GateCounts, Instruction, Qubit};
 pub use trios_noise::{Calibration, CrosstalkPolicy, SuccessEstimate};

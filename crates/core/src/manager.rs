@@ -6,7 +6,7 @@ use crate::pass::{
     SchedulePass, ValidatePass,
 };
 use crate::report::PassRecord;
-use crate::{CompileOptions, Diagnostic, Pipeline};
+use crate::{CompileOptions, Diagnostic};
 use std::fmt;
 use std::time::Instant;
 use trios_passes::DecomposerRegistry;
@@ -30,10 +30,11 @@ impl PassManager {
 
     /// The standard pipeline for `options` (paper Fig. 2):
     ///
-    /// * *Baseline*: initial-mapping → decompose-toffolis → route-pairs →
-    ///   lower → optimize → \[validate\] → schedule
-    /// * *Trios*: initial-mapping → route-trios (with inline mapping-aware
-    ///   decomposition) → lower → optimize → \[validate\] → schedule
+    /// * `baseline` router: initial-mapping → decompose-toffolis →
+    ///   route-pairs → lower → optimize → \[validate\] → schedule
+    /// * `trios` router: initial-mapping → route-trios (with inline
+    ///   mapping-aware decomposition) → lower → optimize → \[validate\] →
+    ///   schedule
     ///
     /// The routing stage is the strategy [`CompileOptions::router_name`]
     /// resolves to in the standard [`StrategyRegistry`]; the up-front
@@ -41,32 +42,22 @@ impl PassManager {
     /// cannot route three-qubit gates itself (only `"baseline"` among the
     /// built-ins). The `validate` pass is included iff
     /// [`CompileOptions::validate`] is set (it is by default).
-    ///
-    /// [`StrategyRegistry`]: trios_route::StrategyRegistry
     pub fn for_options(options: &CompileOptions) -> Self {
-        PassManager::for_options_with_registry(options, &StrategyRegistry::standard())
+        PassManager::for_options_with_registries(
+            options,
+            &StrategyRegistry::standard(),
+            &DecomposerRegistry::standard(),
+        )
     }
 
-    /// [`PassManager::for_options`] resolving the router in a
-    /// caller-supplied `registry` instead of the standard one — how
-    /// custom [`RoutingStrategy`] implementations enter the full
-    /// pipeline (and, through
-    /// [`Compiler::strategies`](crate::CompilerBuilder::strategies), the
-    /// batch compiler and the fuzz harness).
+    /// [`PassManager::for_options`] resolving the router and the
+    /// decomposer in caller-supplied registries — how custom
+    /// [`RoutingStrategy`] and [`DecompositionStrategy`] implementations
+    /// enter the full pipeline (and, through
+    /// [`CompilerBuilder::strategies`](crate::CompilerBuilder::strategies),
+    /// the batch compiler and the fuzz harness).
     ///
     /// [`RoutingStrategy`]: trios_route::RoutingStrategy
-    pub fn for_options_with_registry(
-        options: &CompileOptions,
-        registry: &StrategyRegistry,
-    ) -> Self {
-        PassManager::for_options_with_registries(options, registry, &DecomposerRegistry::standard())
-    }
-
-    /// [`PassManager::for_options`] resolving both the router and the
-    /// decomposer in caller-supplied registries — the full injection
-    /// point when custom [`DecompositionStrategy`] implementations are in
-    /// play as well.
-    ///
     /// [`DecompositionStrategy`]: trios_passes::DecompositionStrategy
     pub fn for_options_with_registries(
         options: &CompileOptions,
@@ -74,12 +65,11 @@ impl PassManager {
         decomposers: &DecomposerRegistry,
     ) -> Self {
         let router = options.router_name();
-        // Unknown names fall back to the pipeline's ordering here; the
-        // route pass itself reports them as a proper diagnostic.
-        let decompose_first = match registry.get(router) {
-            Some(strategy) => !strategy.handles_three_qubit_gates(),
-            None => options.pipeline == Pipeline::Baseline,
-        };
+        // An unknown name adds no up-front decomposition here; the route
+        // pass reports it as a proper diagnostic.
+        let decompose_first = registry
+            .get(router)
+            .is_some_and(|strategy| !strategy.handles_three_qubit_gates());
         let mut manager = PassManager::new();
         manager.push(InitialMappingPass);
         if decompose_first {
@@ -185,7 +175,7 @@ mod tests {
     #[test]
     fn baseline_pipeline_decomposes_up_front() {
         let options = CompileOptions {
-            pipeline: Pipeline::Baseline,
+            router: Some("baseline".into()),
             ..CompileOptions::default()
         };
         let names = PassManager::for_options(&options).names();
@@ -195,27 +185,14 @@ mod tests {
 
     #[test]
     fn named_routers_select_their_stage() {
-        // A trios-family router keeps Toffolis for the router even when
-        // the pipeline field says Baseline: the explicit name wins.
+        // A trios-family router keeps Toffolis for the router.
         let options = CompileOptions {
-            pipeline: Pipeline::Baseline,
             router: Some("trios-lookahead".into()),
             ..CompileOptions::default()
         };
         let names = PassManager::for_options(&options).names();
         assert!(!names.contains(&"decompose-toffolis"), "{names:?}");
         assert_eq!(names[1], "route-trios-lookahead");
-
-        // And the baseline strategy forces up-front decomposition even
-        // under the Trios pipeline.
-        let options = CompileOptions {
-            pipeline: Pipeline::Trios,
-            router: Some("baseline".into()),
-            ..CompileOptions::default()
-        };
-        let names = PassManager::for_options(&options).names();
-        assert_eq!(names[1], "decompose-toffolis");
-        assert_eq!(names[2], "route-pairs");
 
         let options = CompileOptions {
             router: Some("trios-noise".into()),

@@ -3,33 +3,21 @@
 use trios_passes::OptimizeOptions;
 use trios_route::{DirectionPolicy, InitialMapping, LookaheadConfig, PathMetric};
 
-/// Which pass structure to use (paper Figure 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Pipeline {
-    /// Conventional: decompose everything to 1q/2q gates **before**
-    /// mapping and routing (Fig. 2a). The paper's Qiskit-style baseline.
-    Baseline,
-    /// Orchestrated Trios: stop decomposition at the Toffoli, route trios
-    /// as units, then decompose placement-aware (Fig. 2b).
-    #[default]
-    Trios,
-}
-
-/// Everything a [`compile`](crate::compile) call needs to know.
+/// Everything a [`Compiler`](crate::Compiler) needs to know.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompileOptions {
-    /// Pass structure.
-    pub pipeline: Pipeline,
     /// Routing strategy, by registry name (`"baseline"`, `"trios"`,
     /// `"trios-lookahead"`, `"trios-noise"`, or a custom registration).
-    /// `None` derives the strategy from [`CompileOptions::pipeline`]
-    /// (`Baseline` → `"baseline"`, `Trios` → `"trios"`); an explicit name
-    /// overrides the pipeline's choice.
+    /// The strategy also picks the pass structure of the paper's Figure 2:
+    /// a router that cannot route three-qubit gates (`"baseline"`) gets
+    /// every Toffoli decomposed before routing (Fig. 2a); the others route
+    /// trios and decompose them afterwards (Fig. 2b). `None` means
+    /// `"trios"`.
     pub router: Option<String>,
     /// Decomposition strategy, by registry name (`"standard"`, `"six"`,
     /// `"eight"`, `"tdepth"`, `"relative-phase"`, `"qutrit"`, or a custom
-    /// registration). For [`Pipeline::Baseline`] it is applied up-front
-    /// with canonical qubit roles; for [`Pipeline::Trios`] it is the
+    /// registration). Under the `"baseline"` router it is applied up-front
+    /// with canonical qubit roles; under trio routing it is the
     /// placement-aware second pass. `None` means `"standard"` — the
     /// paper's connectivity-aware 6/8-CNOT split.
     pub decomposer: Option<String>,
@@ -59,7 +47,6 @@ pub struct CompileOptions {
 impl Default for CompileOptions {
     fn default() -> Self {
         CompileOptions {
-            pipeline: Pipeline::Trios,
             router: None,
             decomposer: None,
             mapping: InitialMapping::Trivial,
@@ -91,16 +78,9 @@ impl CompileOptions {
     }
 
     /// The routing-strategy registry name this compilation uses: the
-    /// explicit [`CompileOptions::router`] when set, otherwise the name
-    /// the [`Pipeline`] implies.
+    /// explicit [`CompileOptions::router`] when set, otherwise `"trios"`.
     pub fn router_name(&self) -> &str {
-        match &self.router {
-            Some(name) => name,
-            None => match self.pipeline {
-                Pipeline::Baseline => "baseline",
-                Pipeline::Trios => "trios",
-            },
-        }
+        self.router.as_deref().unwrap_or("trios")
     }
 }
 
@@ -108,16 +88,20 @@ impl CompileOptions {
 /// (Figures 6 and 7), plus the full Trios used in the benchmark studies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PaperConfig {
-    /// "Qiskit (baseline)": decompose-first with the 6-CNOT Toffoli.
+    /// "Qiskit (baseline)": the `baseline` router (decompose first) with
+    /// the 6-CNOT Toffoli.
     QiskitBaseline,
-    /// "Qiskit (8-CNOT Toffoli)": decompose-first with the 8-CNOT form.
+    /// "Qiskit (8-CNOT Toffoli)": the `baseline` router with the 8-CNOT
+    /// form.
     QiskitEight,
-    /// "Trios (6-CNOT Toffoli)": trio routing, forced 6-CNOT second pass.
+    /// "Trios (6-CNOT Toffoli)": the `trios` router, forced 6-CNOT second
+    /// pass.
     TriosSix,
-    /// "Trios (8-CNOT Toffoli)": trio routing, forced 8-CNOT second pass.
+    /// "Trios (8-CNOT Toffoli)": the `trios` router, forced 8-CNOT second
+    /// pass.
     TriosEight,
-    /// Full Trios: trio routing with connectivity-aware decomposition
-    /// (what the benchmark figures call simply "Trios").
+    /// Full Trios: the `trios` router with connectivity-aware
+    /// decomposition (what the benchmark figures call simply "Trios").
     Trios,
 }
 
@@ -141,21 +125,21 @@ impl PaperConfig {
         }
     }
 
-    /// Expands to full [`CompileOptions`]. The direction policy is
-    /// stochastic — the paper's Qiskit baseline uses a stochastic routing
-    /// policy (§5.2), and §3's "even chance" of separating just-gathered
-    /// qubits is central to its motivation — but seeded, so every figure
-    /// is exactly reproducible.
+    /// Expands to full [`CompileOptions`]: router and decomposer names
+    /// plus the direction policy. That policy is stochastic — the paper's
+    /// Qiskit baseline uses a stochastic routing policy (§5.2), and §3's
+    /// "even chance" of separating just-gathered qubits is central to its
+    /// motivation — but seeded, so every figure is exactly reproducible.
     pub fn to_options(self, seed: u64) -> CompileOptions {
-        let (pipeline, decomposer) = match self {
-            PaperConfig::QiskitBaseline => (Pipeline::Baseline, Some("six")),
-            PaperConfig::QiskitEight => (Pipeline::Baseline, Some("eight")),
-            PaperConfig::TriosSix => (Pipeline::Trios, Some("six")),
-            PaperConfig::TriosEight => (Pipeline::Trios, Some("eight")),
-            PaperConfig::Trios => (Pipeline::Trios, None),
+        let (router, decomposer) = match self {
+            PaperConfig::QiskitBaseline => ("baseline", Some("six")),
+            PaperConfig::QiskitEight => ("baseline", Some("eight")),
+            PaperConfig::TriosSix => ("trios", Some("six")),
+            PaperConfig::TriosEight => ("trios", Some("eight")),
+            PaperConfig::Trios => ("trios", None),
         };
         CompileOptions {
-            pipeline,
+            router: Some(router.into()),
             decomposer: decomposer.map(String::from),
             direction: DirectionPolicy::Stochastic,
             seed,
@@ -171,7 +155,8 @@ mod tests {
     #[test]
     fn default_is_full_trios() {
         let o = CompileOptions::default();
-        assert_eq!(o.pipeline, Pipeline::Trios);
+        assert_eq!(o.router, None);
+        assert_eq!(o.router_name(), "trios");
         assert_eq!(o.decomposer, None);
         assert_eq!(o.decomposer_name(), "standard");
     }
@@ -179,10 +164,10 @@ mod tests {
     #[test]
     fn paper_configs_expand_correctly() {
         let o = PaperConfig::QiskitBaseline.to_options(1);
-        assert_eq!(o.pipeline, Pipeline::Baseline);
+        assert_eq!(o.router_name(), "baseline");
         assert_eq!(o.decomposer_name(), "six");
         let o = PaperConfig::TriosEight.to_options(1);
-        assert_eq!(o.pipeline, Pipeline::Trios);
+        assert_eq!(o.router_name(), "trios");
         assert_eq!(o.decomposer_name(), "eight");
         assert_eq!(
             PaperConfig::Trios.to_options(1).decomposer_name(),
@@ -193,15 +178,24 @@ mod tests {
 
     #[test]
     fn router_name_follows_pipeline_unless_overridden() {
+        // Unset, the router is the default pipeline's: `trios`.
         let mut o = CompileOptions::default();
         assert_eq!(o.router_name(), "trios");
-        o.pipeline = Pipeline::Baseline;
-        assert_eq!(o.router_name(), "baseline");
         o.router = Some("trios-noise".into());
         assert_eq!(o.router_name(), "trios-noise", "explicit name wins");
-        for config in PaperConfig::FIG6 {
-            assert!(config.to_options(0).router.is_none());
-        }
+        // The paper configurations name their router outright.
+        let routers: Vec<_> = PaperConfig::FIG6
+            .into_iter()
+            .map(|config| config.to_options(0).router)
+            .collect();
+        assert_eq!(
+            routers,
+            ["baseline", "baseline", "trios", "trios"].map(|r| Some(r.to_string()))
+        );
+        assert_eq!(
+            PaperConfig::Trios.to_options(0).router.as_deref(),
+            Some("trios")
+        );
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! and ablated instead of hardcoded.
 
 use crate::context::{CompileContext, PostRouteCircuit, ProgramSchedule, RouterTrace, SwapTrace};
-use crate::{Diagnostic, Pipeline};
+use crate::Diagnostic;
 use trios_passes::{
     decompose_toffolis, lower_to_hardware_gates, optimize, DecomposerHandle, DecomposerRegistry,
     DecompositionStrategy,
@@ -53,12 +53,12 @@ impl Pass for InitialMappingPass {
 }
 
 /// Decomposes every Toffoli up-front with canonical qubit roles — the
-/// *baseline* pipeline's first stage (paper Fig. 2a). The Trios pipeline
-/// omits this pass; its router decomposes placement-aware instead.
+/// first stage under the `baseline` router (paper Fig. 2a). Trio routers
+/// omit this pass; they decompose placement-aware instead.
 ///
 /// Both this pre-route pass and the router's second pass resolve the same
 /// [`DecompositionStrategy`] by name, so there is exactly one lowering
-/// seam no matter which pipeline runs.
+/// seam no matter which router runs.
 #[derive(Debug, Clone)]
 pub struct DecomposeToffolisPass {
     decomposer: String,
@@ -134,10 +134,10 @@ impl Pass for DecomposeToffolisPass {
 /// Routes the circuit through a named [`RoutingStrategy`] from a
 /// [`StrategyRegistry`] (the standard one unless
 /// [`RoutePass::with_registry`] supplies another): the conventional
-/// per-pair strategy (`"baseline"`, [`Pipeline::Baseline`]'s choice), the
-/// paper's trio gathering with inline mapping-aware decomposition
-/// (`"trios"`, [`Pipeline::Trios`]'s choice), or any other registered
-/// strategy (`"trios-lookahead"`, `"trios-noise"`, custom registrations).
+/// per-pair strategy (`"baseline"`, paper Fig. 2a), the paper's trio
+/// gathering with inline mapping-aware decomposition (`"trios"`, Fig. 2b),
+/// or any other registered strategy (`"trios-lookahead"`,
+/// `"trios-noise"`, custom registrations).
 ///
 /// Publishes [`PostRouteCircuit`], [`SwapTrace`], and [`RouterTrace`]
 /// artifacts.
@@ -151,14 +151,6 @@ pub struct RoutePass {
 }
 
 impl RoutePass {
-    /// A routing pass using `pipeline`'s default strategy.
-    pub fn new(pipeline: Pipeline) -> Self {
-        RoutePass::named(match pipeline {
-            Pipeline::Baseline => "baseline",
-            Pipeline::Trios => "trios",
-        })
-    }
-
     /// A routing pass using the strategy registered under `router` in the
     /// standard registry. Unknown names surface as a validation
     /// [`Diagnostic`] when the pass runs.

@@ -271,10 +271,9 @@ impl Error for SweepError {
 /// The Monte Carlo cross-check of one cell: trajectory statistics next to
 /// the analytic error-free product they validate.
 ///
-/// The validated quantity is
-/// [`analytic_error_free_probability`](trios_noise::analytic_error_free_probability)
-/// — the exact probability that a trajectory injects no error, under the
-/// same per-gate and **per-qubit** decoherence channels the sampler uses.
+/// The validated quantity is [`analytic_error_free_probability`] — the
+/// exact probability that a trajectory injects no error, under the same
+/// per-gate and **per-qubit** decoherence channels the sampler uses.
 /// Error-free trajectories replay the ideal circuit (fidelity 1), so mean
 /// fidelity upper-bounds this product up to binomial sampling error; that
 /// is the invariant [`SweepMonteCarlo::bound_ok`] records. The §2.6

@@ -93,7 +93,7 @@ pub struct CompileParams {
     pub qasm: Option<String>,
     /// Device spec (`trios_topology::parse_spec` grammar).
     pub device: String,
-    /// Routing strategy registry name; `None` = the default pipeline.
+    /// Routing strategy registry name; `None` means `trios`.
     pub router: Option<String>,
     /// Toffoli decomposition registry name; `None` = `standard`.
     pub decomposer: Option<String>,

@@ -29,7 +29,7 @@ const PARALLEL_THRESHOLD: usize = 1 << 17;
 /// bit-stride ("insert zero bit") index construction — a 1-qubit gate
 /// visits exactly `2^(n-1)` pairs, a CX exactly `2^(n-2)`, a Toffoli
 /// exactly `2^(n-3)` — instead of scanning all `2^n` indices and
-/// branching away the non-participants. Above [`PARALLEL_THRESHOLD`]
+/// branching away the non-participants. Above `PARALLEL_THRESHOLD` (2^17)
 /// amplitudes the tuple range is split across scoped worker threads
 /// ([`State::set_threads`] pins the count); every tuple is computed by
 /// the same floating-point expression regardless of the split, so
@@ -176,7 +176,7 @@ impl State {
     }
 
     /// Pins the kernel worker-thread count: `0` restores the automatic
-    /// policy (single-threaded below [`PARALLEL_THRESHOLD`] amplitudes,
+    /// policy (single-threaded below `PARALLEL_THRESHOLD` (2^17) amplitudes,
     /// one worker per available core above it). Results are byte-identical
     /// for every setting; this knob exists for benchmarks and tests.
     pub fn set_threads(&mut self, threads: usize) {

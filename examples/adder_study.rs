@@ -1,11 +1,11 @@
 //! Domain study: compile ripple-carry adders across the paper's four
-//! device types, compare the pipelines, and verify a compiled adder still
+//! device types, compare the routers, and verify a compiled adder still
 //! adds by simulating it end-to-end.
 //!
 //! Run with `cargo run --release --example adder_study`.
 
 use orchestrated_trios::benchmarks::cuccaro_adder;
-use orchestrated_trios::core::{compile, Calibration, PaperConfig};
+use orchestrated_trios::core::{Calibration, Compiler, PaperConfig};
 use orchestrated_trios::sim::State;
 use orchestrated_trios::topology::PaperDevice;
 
@@ -18,10 +18,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{:<20} {:>10} {:>10} {:>12} {:>12}",
         "device", "2q base", "2q trios", "succ base", "succ trios"
     );
+    let base_compiler = Compiler::builder()
+        .config(PaperConfig::QiskitBaseline)
+        .build();
+    let trios_compiler = Compiler::builder().config(PaperConfig::Trios).build();
     for device in PaperDevice::ALL {
         let topo = device.build();
-        let base = compile(&adder, &topo, &PaperConfig::QiskitBaseline.to_options(0))?;
-        let trios = compile(&adder, &topo, &PaperConfig::Trios.to_options(0))?;
+        let base = base_compiler.compile(&adder, &topo)?;
+        let trios = trios_compiler.compile(&adder, &topo)?;
         println!(
             "{:<20} {:>10} {:>10} {:>11.2}% {:>11.2}%",
             device.label(),
@@ -37,7 +41,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // *compiled physical circuit*: 5 + 2 must still be 7.
     let small = cuccaro_adder(3);
     let topo = PaperDevice::Johannesburg.build();
-    let compiled = compile(&small, &topo, &PaperConfig::Trios.to_options(1))?;
+    let compiled = Compiler::builder()
+        .seed(1)
+        .config(PaperConfig::Trios)
+        .build()
+        .compile(&small, &topo)?;
     let (a_val, b_val) = (5usize, 2usize);
 
     // Prepare |a, b⟩ through the initial layout.

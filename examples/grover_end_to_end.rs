@@ -5,7 +5,7 @@
 //! Run with `cargo run --release --example grover_end_to_end`.
 
 use orchestrated_trios::benchmarks::grovers;
-use orchestrated_trios::core::{compile, Calibration, PaperConfig};
+use orchestrated_trios::core::{Calibration, Compiler, PaperConfig};
 use orchestrated_trios::sim::State;
 use orchestrated_trios::topology::johannesburg;
 
@@ -21,7 +21,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     for config in [PaperConfig::QiskitBaseline, PaperConfig::Trios] {
-        let compiled = compile(&program, &device, &config.to_options(0))?;
+        let compiler = Compiler::builder().config(config).build();
+        let compiled = compiler.compile(&program, &device)?;
 
         // Simulate the physical circuit and read the data qubits through
         // the final layout.

@@ -17,7 +17,7 @@
 //! Run with `cargo run --release --example montecarlo_validation`.
 
 use orchestrated_trios::benchmarks::Benchmark;
-use orchestrated_trios::core::{compile, Calibration, PaperConfig};
+use orchestrated_trios::core::{Calibration, Compiler, PaperConfig};
 use orchestrated_trios::noise::{estimate_success, monte_carlo_fidelity, MonteCarloOptions};
 use orchestrated_trios::topology::line;
 
@@ -37,7 +37,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{}", "-".repeat(78));
 
     for config in [PaperConfig::QiskitBaseline, PaperConfig::Trios] {
-        let compiled = compile(&program, &device, &config.to_options(0))?;
+        let compiler = Compiler::builder().config(config).build();
+        let compiled = compiler.compile(&program, &device)?;
         let analytic = estimate_success(&compiled.circuit, &calibration);
 
         let gates_only = monte_carlo_fidelity(

@@ -13,7 +13,7 @@
 //!
 //! Run with `cargo run --release --example noise_aware`.
 
-use orchestrated_trios::core::{compile, Calibration, CompileOptions};
+use orchestrated_trios::core::{Calibration, CompileOptions, Compiler};
 use orchestrated_trios::ir::Circuit;
 use orchestrated_trios::noise::estimate_success_with_edge_errors;
 use orchestrated_trios::route::{InitialMapping, PathMetric};
@@ -57,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("hop-based Trios", hop_based),
         ("noise-aware Trios", noise_aware),
     ] {
-        let compiled = compile(&program, &device, &options)?;
+        let compiled = Compiler::new(options).compile(&program, &device)?;
         let estimate = estimate_success_with_edge_errors(
             &compiled.circuit,
             &calibration,

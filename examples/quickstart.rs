@@ -1,9 +1,10 @@
 //! Quickstart: compile a Toffoli-containing program for IBM Johannesburg
-//! with the conventional pipeline and with Orchestrated Trios, and compare.
+//! with the conventional baseline router and with Orchestrated Trios, and
+//! compare.
 //!
 //! Run with `cargo run --release --example quickstart`.
 
-use orchestrated_trios::core::{compile, Calibration, PaperConfig};
+use orchestrated_trios::core::{Calibration, Compiler, PaperConfig};
 use orchestrated_trios::ir::Circuit;
 use orchestrated_trios::topology::johannesburg;
 
@@ -21,7 +22,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("device: {device}\n");
 
     for config in [PaperConfig::QiskitBaseline, PaperConfig::Trios] {
-        let compiled = compile(&program, &device, &config.to_options(0))?;
+        let compiler = Compiler::builder().config(config).build();
+        let compiled = compiler.compile(&program, &device)?;
         let estimate = compiled.estimate_success(&calibration);
         println!("{}:", config.label());
         println!("  two-qubit gates: {}", compiled.stats.two_qubit_gates);

@@ -13,7 +13,7 @@
 //!
 //! Run with `cargo run --release --example three_qubit_gates`.
 
-use orchestrated_trios::core::{compile, CompileOptions, Pipeline};
+use orchestrated_trios::core::Compiler;
 use orchestrated_trios::ir::Circuit;
 use orchestrated_trios::topology::johannesburg;
 
@@ -47,14 +47,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         build(&mut program);
         let place = orchestrated_trios::route::InitialMapping::Fixed(vec![6, 17, 3]);
         let mut results = Vec::new();
-        for pipeline in [Pipeline::Baseline, Pipeline::Trios] {
-            let options = CompileOptions {
-                pipeline,
-                mapping: place.clone(),
-                direction: orchestrated_trios::route::DirectionPolicy::MoveFirst,
-                ..CompileOptions::default()
-            };
-            let compiled = compile(&program, &device, &options)?;
+        for router in ["baseline", "trios"] {
+            let compiled = Compiler::builder()
+                .router(router)
+                .mapping(place.clone())
+                .direction(orchestrated_trios::route::DirectionPolicy::MoveFirst)
+                .build()
+                .compile(&program, &device)?;
             results.push((compiled.stats.two_qubit_gates, compiled.stats.swap_count));
         }
         let saved = 100.0 * (1.0 - results[1].0 as f64 / results[0].0 as f64);

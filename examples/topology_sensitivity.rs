@@ -5,7 +5,7 @@
 //! Run with `cargo run --release --example topology_sensitivity`.
 
 use orchestrated_trios::benchmarks::Benchmark;
-use orchestrated_trios::core::{compile, PaperConfig, PathMetric};
+use orchestrated_trios::core::{Compiler, InitialMapping, PaperConfig, PathMetric};
 use orchestrated_trios::topology::{clusters, full, grid, johannesburg, line, ring, Topology};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -24,9 +24,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{:<22} {:>7} {:>10} {:>8} {:>10}",
         "device", "edges", "baseline", "trios", "reduction"
     );
+    let base_compiler = Compiler::builder()
+        .config(PaperConfig::QiskitBaseline)
+        .build();
+    let trios_compiler = Compiler::builder().config(PaperConfig::Trios).build();
     for topo in &devices {
-        let base = compile(&program, topo, &PaperConfig::QiskitBaseline.to_options(0))?;
-        let trios = compile(&program, topo, &PaperConfig::Trios.to_options(0))?;
+        let base = base_compiler.compile(&program, topo)?;
+        let trios = trios_compiler.compile(&program, topo)?;
         let reduction =
             100.0 * (1.0 - trios.stats.two_qubit_gates as f64 / base.stats.two_qubit_gates as f64);
         println!(
@@ -49,21 +53,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .iter()
         .map(|&e| if e == (5, 6) { 0.15 } else { 0.015 })
         .collect();
-    let mut noisy_opts = PaperConfig::Trios.to_options(0);
-    noisy_opts.metric = PathMetric::from_edge_errors(&errors);
-    let mut plain_opts = PaperConfig::Trios.to_options(0);
-    plain_opts.metric = PathMetric::Hops;
+    let pinned = |metric| {
+        Compiler::builder()
+            .config(PaperConfig::Trios)
+            .metric(metric)
+            .mapping(InitialMapping::Fixed(vec![0, 6, 11]))
+            .build()
+    };
 
     let mut toffoli = orchestrated_trios::ir::Circuit::new(3);
     toffoli.ccx(0, 1, 2);
-    let opts_with_layout = |o: &mut orchestrated_trios::core::CompileOptions| {
-        o.mapping = orchestrated_trios::core::InitialMapping::Fixed(vec![0, 6, 11]);
-    };
-    opts_with_layout(&mut noisy_opts);
-    opts_with_layout(&mut plain_opts);
 
-    let plain = compile(&toffoli, &topo, &plain_opts)?;
-    let aware = compile(&toffoli, &topo, &noisy_opts)?;
+    let plain = pinned(PathMetric::Hops).compile(&toffoli, &topo)?;
+    let aware = pinned(PathMetric::from_edge_errors(&errors)).compile(&toffoli, &topo)?;
     let uses_bad_edge = |c: &orchestrated_trios::ir::Circuit| {
         c.iter().any(|i| {
             i.qubits().len() == 2 && {

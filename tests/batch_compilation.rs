@@ -1,9 +1,9 @@
 //! Batch compilation: `Compiler::compile_batch` must be a pure
 //! throughput optimization — byte-identical outputs to sequential
-//! `compile()` calls with the same seeds, across devices.
+//! `Compiler::compile` calls with the same seeds, across devices.
 
 use orchestrated_trios::benchmarks::Benchmark;
-use orchestrated_trios::core::{compile, Compiler, Diagnostic, PaperConfig};
+use orchestrated_trios::core::{Compiler, Diagnostic, PaperConfig};
 use orchestrated_trios::ir::Circuit;
 use orchestrated_trios::topology::PaperDevice;
 
@@ -36,9 +36,6 @@ fn batch_matches_sequential_compiles_across_devices() {
                     batched[i], sequential,
                     "circuit {i} diverged on {device:?} ({config:?})"
                 );
-                // The legacy shim agrees too.
-                let legacy = compile(circuit, &topo, compiler.options()).unwrap();
-                assert_eq!(batched[i], legacy, "legacy shim diverged");
             }
         }
     }

@@ -210,7 +210,7 @@ fn paper_suite_parallel_and_cached_matches_sequential() {
 
 /// The calling thread is one of the batch's `jobs` workers, so a
 /// one-worker batch compiles everything on the caller and spawns nothing.
-/// A custom strategy registered through `Compiler::with_strategies`
+/// A custom strategy registered through `CompilerBuilder::strategies`
 /// records the thread each circuit is routed on.
 #[test]
 fn one_job_batch_compiles_every_circuit_on_the_calling_thread() {
@@ -247,7 +247,10 @@ fn one_job_batch_compiles_every_circuit_on_the_calling_thread() {
         router: Some("recording".into()),
         ..CompileOptions::default()
     };
-    let compiler = Compiler::with_strategies(options, registry);
+    let compiler = Compiler::builder()
+        .options(options)
+        .strategies(registry)
+        .build();
     let circuits: Vec<Circuit> = (3..7)
         .map(|width| {
             let mut c = Circuit::new(width);

@@ -1,10 +1,10 @@
 //! Integration tests for the extension features: the extended benchmark
 //! suite (QFT, Toffoli chains, random circuits, CCZ/Fredkin workloads)
-//! through both pipelines on every paper device plus heavy-hex, the
+//! through both routers on every paper device plus heavy-hex, the
 //! lookahead router, and the commutation-aware optimizer.
 
 use orchestrated_trios::benchmarks::ExtendedBenchmark;
-use orchestrated_trios::core::{CompileOptions, Compiler, PaperConfig, Pipeline};
+use orchestrated_trios::core::{CompileOptions, Compiler, PaperConfig};
 use orchestrated_trios::passes::OptimizeOptions;
 use orchestrated_trios::route::{check_legal, LookaheadConfig, ToffoliPolicy};
 use orchestrated_trios::sim::compiled_equivalent;
@@ -23,9 +23,9 @@ fn extended_suite_compiles_legally_everywhere() {
     for b in ExtendedBenchmark::ALL {
         let circuit = b.build();
         for topo in all_devices() {
-            for pipeline in [Pipeline::Baseline, Pipeline::Trios] {
+            for router in ["baseline", "trios"] {
                 let compiled = Compiler::builder()
-                    .pipeline(pipeline)
+                    .router(router)
                     .seed(11)
                     .build()
                     .compile(&circuit, &topo)

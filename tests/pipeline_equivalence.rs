@@ -4,16 +4,15 @@
 //! against the original program with the statevector simulator.
 
 use orchestrated_trios::benchmarks::Benchmark;
-use orchestrated_trios::core::{Compiler, PaperConfig, Pipeline};
+use orchestrated_trios::core::{Compiler, PaperConfig};
 use orchestrated_trios::route::{check_legal, ToffoliPolicy};
 use orchestrated_trios::sim::compiled_equivalent;
 use orchestrated_trios::topology::PaperDevice;
 
-fn configs() -> [(Pipeline, PaperConfig); 2] {
-    [
-        (Pipeline::Baseline, PaperConfig::QiskitBaseline),
-        (Pipeline::Trios, PaperConfig::Trios),
-    ]
+/// The baseline and full-Trios paper configurations: one per pipeline of
+/// the paper's Figure 2.
+fn configs() -> [PaperConfig; 2] {
+    [PaperConfig::QiskitBaseline, PaperConfig::Trios]
 }
 
 /// One configured compiler per paper config — built once, reused across
@@ -28,7 +27,7 @@ fn every_benchmark_compiles_legally_on_every_device() {
         let circuit = b.build();
         for device in PaperDevice::ALL {
             let topo = device.build();
-            for (_, config) in configs() {
+            for config in configs() {
                 let compiled = compiler(config, 7)
                     .compile(&circuit, &topo)
                     .unwrap_or_else(|e| panic!("{b} on {device:?} ({config:?}): {e}"));
@@ -62,7 +61,7 @@ fn small_benchmarks_are_semantically_preserved() {
         // Keep runtime in check: verify on the two extreme devices.
         for device in [PaperDevice::Line, PaperDevice::Johannesburg] {
             let topo = device.build();
-            for (_, config) in configs() {
+            for config in configs() {
                 let compiled = compiler(config, 13).compile(&circuit, &topo).unwrap();
                 let ok = compiled_equivalent(
                     &circuit,

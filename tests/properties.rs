@@ -1,13 +1,13 @@
 //! Property-based tests: random Toffoli-level programs on random devices
 //! must compile to legal, semantics-preserving circuits under both
-//! pipelines, for every decomposition strategy, with and without the
+//! routers, for every decomposition strategy, with and without the
 //! lookahead router and the commutation-aware optimizer — and their
 //! compiled outputs must survive an OpenQASM round trip.
 
 use proptest::prelude::*;
 use trios_core::{
     CachedCompilation, CompilationCache, CompileOptions, CompileReport, CompileStats,
-    CompiledProgram, Compiler, DirectionPolicy, Pipeline, ShardedCache,
+    CompiledProgram, Compiler, DirectionPolicy, ShardedCache,
 };
 use trios_ir::{Circuit, Instruction};
 use trios_route::{check_legal, Layout, LookaheadConfig, ToffoliPolicy};
@@ -75,7 +75,7 @@ proptest! {
         gates in proptest::collection::vec(arb_gate(6), 1..14),
         device_choice in 0u8..5,
         seed in 0u64..1000,
-        pipeline_is_trios in any::<bool>(),
+        trio_routing in any::<bool>(),
         lookahead in any::<bool>(),
         optimize_full in any::<bool>(),
         bridge in any::<bool>(),
@@ -83,7 +83,7 @@ proptest! {
         let circuit = build_circuit(6, &gates);
         let topo = device(device_choice);
         let options = CompileOptions {
-            pipeline: if pipeline_is_trios { Pipeline::Trios } else { Pipeline::Baseline },
+            router: Some(if trio_routing { "trios" } else { "baseline" }.into()),
             seed,
             lookahead: lookahead.then(LookaheadConfig::default),
             bridge,
@@ -138,7 +138,6 @@ proptest! {
             [strategy_choice as usize];
         let topo = johannesburg();
         let options = CompileOptions {
-            pipeline: Pipeline::Trios,
             decomposer: Some(strategy.into()),
             direction: DirectionPolicy::MoveFirst,
             ..CompileOptions::default()
@@ -287,7 +286,7 @@ proptest! {
             _ => DirectionPolicy::MeetInMiddle,
         };
         let options = CompileOptions {
-            pipeline: Pipeline::Baseline,
+            router: Some("baseline".into()),
             direction: policy,
             optimize: trios_passes::OptimizeOptions::none(),
             ..CompileOptions::default()

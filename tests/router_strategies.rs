@@ -3,13 +3,11 @@
 //! 1. The registry's `"baseline"` and `"trios"` strategies are
 //!    **byte-identical** to the pre-refactor free functions
 //!    (`route_baseline` / `route_trios`) on the full paper suite.
-//! 2. The end-to-end `Compiler` produces identical programs whether a
-//!    strategy is chosen by `Pipeline` or by registry name.
-//! 3. Batch-compilation cache keys incorporate the strategy: a warm cache
+//! 2. Batch-compilation cache keys incorporate the strategy: a warm cache
 //!    never serves one strategy's result for another.
 
 use trios_benchmarks::Benchmark;
-use trios_core::{CompilationCache, CompileOptions, Compiler, Pipeline, StrategyRegistry};
+use trios_core::{CompilationCache, CompileOptions, Compiler, StrategyRegistry};
 use trios_passes::{decompose_toffolis, SixCnotDecomposition};
 use trios_route::{route_baseline, route_trios, Layout, RouterOptions, RoutingTrace};
 use trios_topology::johannesburg;
@@ -49,41 +47,6 @@ fn registry_baseline_and_trios_match_free_functions_on_paper_suite() {
                 .unwrap();
             assert_eq!(via_registry, golden, "baseline diverged on {b} seed {seed}");
         }
-    }
-}
-
-#[test]
-fn named_strategies_match_pipeline_compilation_on_paper_suite() {
-    let topo = johannesburg();
-    for b in Benchmark::ALL {
-        let circuit = b.build();
-        let by_pipeline = Compiler::builder()
-            .seed(3)
-            .pipeline(Pipeline::Trios)
-            .build()
-            .compile(&circuit, &topo)
-            .unwrap();
-        let by_name = Compiler::builder()
-            .seed(3)
-            .router("trios")
-            .build()
-            .compile(&circuit, &topo)
-            .unwrap();
-        assert_eq!(by_pipeline, by_name, "trios diverged on {b}");
-
-        let by_pipeline = Compiler::builder()
-            .seed(3)
-            .pipeline(Pipeline::Baseline)
-            .build()
-            .compile(&circuit, &topo)
-            .unwrap();
-        let by_name = Compiler::builder()
-            .seed(3)
-            .router("baseline")
-            .build()
-            .compile(&circuit, &topo)
-            .unwrap();
-        assert_eq!(by_pipeline, by_name, "baseline diverged on {b}");
     }
 }
 
