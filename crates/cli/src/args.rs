@@ -1,7 +1,8 @@
 //! Argument parsing (hand-rolled; the CLI's surface is small).
 
 use crate::CliError;
-use trios_core::{DecomposerRegistry, StrategyRegistry};
+use trios_core::request::{self, CalibrationSpec, CompileRequest};
+use trios_route::LookaheadConfig;
 use trios_topology::{parse_spec, Topology};
 
 /// A parsed command line.
@@ -143,47 +144,21 @@ impl Default for ServeOptions {
     }
 }
 
-/// Flags shared by `compile` and `estimate`.
-#[derive(Debug, Clone, PartialEq)]
+/// Flags shared by `compile`, `estimate` and `verify`.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Options {
-    /// Benchmark name or `.qasm` path.
+    /// Benchmark name, `gen:<family>[:<seed>]` ref, or `.qasm` path.
     pub input: String,
-    /// Device spec (default: `johannesburg`).
-    pub device: String,
-    /// Routing strategy by registry name (default: `trios`).
-    pub router: Option<String>,
-    /// Toffoli decomposition by registry name (default: `standard`, the
-    /// mapping-aware paper lowering).
-    pub decomposer: Option<String>,
-    /// Seed for stochastic routing (default 0).
-    pub seed: u64,
-    /// Use the windowed-lookahead pair strategy.
-    pub lookahead: bool,
-    /// Implement distance-2 CNOTs as bridges.
-    pub bridge: bool,
-    /// Error-improvement factor for `estimate` (default 1.0).
-    pub improve: f64,
+    /// `--device` (default `johannesburg`), `--router`, `--decomposer`,
+    /// `--seed`, `--lookahead` and `--bridge`.
+    pub compile: CompileRequest,
+    /// The calibration `estimate` scores under: `--improve <f>` gives
+    /// `improve:<f>`; the default is `now` (factor 1).
+    pub calibration: CalibrationSpec,
     /// Emit compiled OpenQASM to this path (`-` for inline output).
     pub emit_qasm: Option<String>,
     /// Print the per-pass compile report (wall times, gate deltas).
     pub report: bool,
-}
-
-impl Default for Options {
-    fn default() -> Self {
-        Options {
-            input: String::new(),
-            device: "johannesburg".into(),
-            router: None,
-            decomposer: None,
-            seed: 0,
-            lookahead: false,
-            bridge: false,
-            improve: 1.0,
-            emit_qasm: None,
-            report: false,
-        }
-    }
 }
 
 /// Flags of `compile-batch`: the shared compile [`Options`] (whose
@@ -282,40 +257,6 @@ fn flag_int<T: std::str::FromStr>(flag: &str, v: String) -> Result<T, CliError> 
         .map_err(|_| CliError::Usage(format!("{flag} must be an integer, got '{v}'")))
 }
 
-/// Validates a comma-separated router list against the standard registry.
-fn check_router_names(names: &str) -> Result<(), CliError> {
-    let registry = StrategyRegistry::standard();
-    for name in names.split(',') {
-        if !registry.contains(name.trim()) {
-            return Err(CliError::Usage(format!(
-                "--routers must name registered strategies ({}), got '{name}'",
-                registry.names().collect::<Vec<_>>().join(", ")
-            )));
-        }
-    }
-    Ok(())
-}
-
-/// Validates one decomposer name against the standard registry.
-fn check_decomposer_name(flag: &str, name: &str) -> Result<(), CliError> {
-    let registry = DecomposerRegistry::standard();
-    if !registry.contains(name.trim()) {
-        return Err(CliError::Usage(format!(
-            "{flag} must name a registered decomposition ({}), got '{name}'",
-            registry.names().collect::<Vec<_>>().join(", ")
-        )));
-    }
-    Ok(())
-}
-
-/// Validates a comma-separated decomposer list against the registry.
-fn check_decomposer_names(names: &str) -> Result<(), CliError> {
-    for name in names.split(',') {
-        check_decomposer_name("--decomposers", name)?;
-    }
-    Ok(())
-}
-
 fn parse_sweep_args(rest: &[&String]) -> Result<SweepOptions, CliError> {
     let mut options = SweepOptions::default();
     let mut i = 0usize;
@@ -325,12 +266,12 @@ fn parse_sweep_args(rest: &[&String]) -> Result<SweepOptions, CliError> {
             "--devices" | "-d" => options.devices = flag_value(rest, &mut i, "--devices")?,
             "--routers" | "-r" => {
                 let names = flag_value(rest, &mut i, "--routers")?;
-                check_router_names(&names)?;
+                request::check_routers(names.split(',').map(str::trim))?;
                 options.routers = names;
             }
             "--decomposers" => {
                 let names = flag_value(rest, &mut i, "--decomposers")?;
-                check_decomposer_names(&names)?;
+                request::check_decomposers(names.split(',').map(str::trim))?;
                 options.decomposers = names;
             }
             "--calibrations" | "-c" => {
@@ -445,13 +386,13 @@ fn parse_fuzz_args(rest: &[&String]) -> Result<FuzzOptions, CliError> {
             "--routers" | "-r" => {
                 let names = flag_value(rest, &mut i, "--routers")?;
                 if names != "all" {
-                    check_router_names(&names)?;
+                    request::check_routers(names.split(',').map(str::trim))?;
                 }
                 options.routers = names;
             }
             "--decomposer" => {
                 let name = flag_value(rest, &mut i, "--decomposer")?;
-                check_decomposer_name("--decomposer", &name)?;
+                request::check_decomposers([name.as_str()])?;
                 options.decomposer = name;
             }
             "--devices" | "-d" => options.devices = flag_value(rest, &mut i, "--devices")?,
@@ -577,41 +518,38 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             let mut i = 0usize;
             while i < rest.len() {
                 match rest[i].as_str() {
-                    "--device" | "-d" => options.device = flag_value(&rest, &mut i, "--device")?,
+                    "--device" | "-d" => {
+                        options.compile.device = flag_value(&rest, &mut i, "--device")?
+                    }
+                    // Names are checked at parse time, so typos fail before
+                    // any file IO or compilation starts.
                     "--router" | "-r" => {
                         let name = flag_value(&rest, &mut i, "--router")?;
-                        // Validate at parse time so typos fail before any
-                        // file IO or compilation starts.
-                        let registry = StrategyRegistry::standard();
-                        if !registry.contains(&name) {
-                            return Err(CliError::Usage(format!(
-                                "--router must be one of {}, got '{name}'",
-                                registry.names().collect::<Vec<_>>().join(", ")
-                            )));
-                        }
-                        options.router = Some(name);
+                        request::check_routers([name.as_str()])?;
+                        options.compile.options.router = Some(name);
                     }
                     // Long-only: -d already means --device here.
                     "--decomposer" => {
                         let name = flag_value(&rest, &mut i, "--decomposer")?;
-                        check_decomposer_name("--decomposer", &name)?;
-                        options.decomposer = Some(name);
+                        request::check_decomposers([name.as_str()])?;
+                        options.compile.options.decomposer = Some(name);
                     }
                     "--seed" | "-s" => {
                         let v = flag_value(&rest, &mut i, "--seed")?;
-                        options.seed = flag_int("--seed", v)?;
+                        options.compile.options.seed = flag_int("--seed", v)?;
                     }
                     // compile-batch falls through to the unknown-flag error
                     // for the per-circuit-output flags it cannot honor,
                     // instead of swallowing them silently.
+                    // `--improve <f>` is `improve:<f>`, under the same rule.
                     "--improve" if cmd != "compile-batch" => {
                         let v = flag_value(&rest, &mut i, "--improve")?;
-                        options.improve = v.parse().map_err(|_| {
-                            CliError::Usage(format!("--improve must be a number, got '{v}'"))
-                        })?;
+                        options.calibration = format!("improve:{v}").parse()?;
                     }
-                    "--lookahead" => options.lookahead = true,
-                    "--bridge" => options.bridge = true,
+                    "--lookahead" => {
+                        options.compile.options.lookahead = Some(LookaheadConfig::default())
+                    }
+                    "--bridge" => options.compile.options.bridge = true,
                     "--report" => options.report = true,
                     "--emit-qasm" if cmd != "compile-batch" => {
                         options.emit_qasm = Some(flag_value(&rest, &mut i, "--emit-qasm")?)
@@ -690,10 +628,10 @@ mod tests {
             panic!("expected compile");
         };
         assert_eq!(o.input, "grovers-9");
-        assert_eq!(o.device, "line:12");
-        assert_eq!(o.router.as_deref(), Some("baseline"));
-        assert_eq!(o.seed, 7);
-        assert!(o.lookahead);
+        assert_eq!(o.compile.device, "line:12");
+        assert_eq!(o.compile.options.router.as_deref(), Some("baseline"));
+        assert_eq!(o.compile.options.seed, 7);
+        assert!(o.compile.options.lookahead.is_some());
     }
 
     #[test]
@@ -714,7 +652,7 @@ mod tests {
             panic!("expected compile-batch");
         };
         assert_eq!(batch.options.input, "examples/qasm");
-        assert_eq!(batch.options.device, "grid:3x3");
+        assert_eq!(batch.options.compile.device, "grid:3x3");
         assert!(batch.options.report);
         assert_eq!(batch.jobs, 4);
         assert_eq!(batch.effective_jobs(), 4);
@@ -754,13 +692,16 @@ mod tests {
         .unwrap() else {
             panic!("expected compile");
         };
-        assert_eq!(o.router.as_deref(), Some("trios-lookahead"));
+        assert_eq!(o.compile.options.router.as_deref(), Some("trios-lookahead"));
         let Command::CompileBatch(batch) =
             parse_args(&args(&["compile-batch", "d", "-r", "trios-noise"])).unwrap()
         else {
             panic!("expected compile-batch");
         };
-        assert_eq!(batch.options.router.as_deref(), Some("trios-noise"));
+        assert_eq!(
+            batch.options.compile.options.router.as_deref(),
+            Some("trios-noise")
+        );
         // Unknown names fail at parse time, naming the registry.
         let err = parse_args(&args(&["compile", "a", "--router", "sabre"])).unwrap_err();
         let text = err.to_string();
@@ -778,21 +719,24 @@ mod tests {
         let Command::Compile(o) = parse_args(&args(&["compile", "grovers-9"])).unwrap() else {
             panic!("expected compile");
         };
-        assert_eq!(o.decomposer, None, "default is the registry default");
+        assert_eq!(
+            o.compile.options.decomposer, None,
+            "default is the registry default"
+        );
         for name in ["standard", "six", "eight", "tdepth", "relative-phase"] {
             let Command::Compile(o) =
                 parse_args(&args(&["compile", "grovers-9", "--decomposer", name])).unwrap()
             else {
                 panic!("expected compile");
             };
-            assert_eq!(o.decomposer.as_deref(), Some(name));
+            assert_eq!(o.compile.options.decomposer.as_deref(), Some(name));
         }
         let Command::Verify(o) =
             parse_args(&args(&["verify", "grovers-9", "--decomposer", "eight"])).unwrap()
         else {
             panic!("expected verify");
         };
-        assert_eq!(o.decomposer.as_deref(), Some("eight"));
+        assert_eq!(o.compile.options.decomposer.as_deref(), Some("eight"));
         // Unknown names fail at parse time, naming the registry.
         let err = parse_args(&args(&["compile", "a", "--decomposer", "margolus"])).unwrap_err();
         let text = err.to_string();
@@ -1029,6 +973,26 @@ mod tests {
         assert!(parse_args(&args(&["compile", "a", "--seed", "x"])).is_err());
         assert!(parse_args(&args(&["compile", "a", "--seed"])).is_err());
         assert!(parse_args(&args(&["compile", "a", "--wat"])).is_err());
+    }
+
+    #[test]
+    fn improve_factors_must_be_positive_numbers() {
+        let Command::Estimate(o) =
+            parse_args(&args(&["estimate", "a", "--improve", "20"])).unwrap()
+        else {
+            panic!("expected estimate");
+        };
+        assert_eq!(o.calibration.factor(), 20.0);
+        assert_eq!(Options::default().calibration.factor(), 1.0);
+        // Exactly the factors `Calibration::improved` would panic on.
+        for bad in ["0", "-2", "NaN", "x"] {
+            let err = parse_args(&args(&["estimate", "a", "--improve", bad])).unwrap_err();
+            assert!(matches!(err, CliError::Request(_)), "{err:?}");
+            assert!(
+                err.to_string().contains(&format!("'improve:{bad}'")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -8,13 +8,13 @@ use crate::CliError;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use trios_benchmarks::{Benchmark, ExtendedBenchmark};
+use trios_core::request::{self, CalibrationSpec, CircuitRef, CrosstalkSpec};
 use trios_core::{
-    run_fuzz, run_sweep, Calibration, CompilationCache, CompiledProgram, Compiler, CrosstalkPolicy,
-    DecomposerRegistry, FuzzSpec, StrategyRegistry, SweepBenchmark, SweepSpec,
+    run_fuzz, run_sweep, CompilationCache, CompiledProgram, Compiler, DecomposerRegistry, FuzzSpec,
+    StrategyRegistry, SweepBenchmark, SweepSpec, Topology,
 };
 use trios_gen::Family;
 use trios_ir::Circuit;
-use trios_route::LookaheadConfig;
 
 const HELP: &str = "\
 trios — the Orchestrated Trios quantum compiler (ASPLOS 2021 reproduction)
@@ -143,8 +143,8 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         Command::Decomposers => Ok(render_decomposers()),
         Command::Table1 => Ok(render_table1()),
         Command::Compile(options) => {
-            let (compiled, out) = compile_input(&options)?;
-            let mut out = out;
+            let (circuit, device) = resolve(&options)?;
+            let (compiled, mut out) = compile_input(&options, &circuit, &device)?;
             if let Some(path) = &options.emit_qasm {
                 let qasm = trios_qasm::emit(&compiled.circuit);
                 if path == "-" {
@@ -163,8 +163,8 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         Command::Fuzz(options) => run_fuzz_command(&options),
         Command::Serve(options) => run_serve(&options),
         Command::Verify(options) => {
-            let circuit = load_input(&options.input)?;
-            let device = parse_device(&options.device)?;
+            // The program checked is the one compiled.
+            let (circuit, device) = resolve(&options)?;
             if device.num_qubits() > trios_sim::MAX_QUBITS {
                 return Err(CliError::Usage(format!(
                     "device has {} qubits; dense verification caps at {}",
@@ -172,14 +172,14 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                     trios_sim::MAX_QUBITS
                 )));
             }
-            let (compiled, mut out) = compile_input(&options)?;
+            let (compiled, mut out) = compile_input(&options, &circuit, &device)?;
             let ok = trios_sim::compiled_equivalent(
                 &circuit,
                 &compiled.circuit,
                 &compiled.initial_layout.to_mapping(),
                 &compiled.final_layout.to_mapping(),
                 2,
-                options.seed.wrapping_add(1),
+                options.compile.options.seed.wrapping_add(1),
                 1e-7,
             )
             .map_err(|e| CliError::Usage(e.to_string()))?;
@@ -201,13 +201,13 @@ semantics:       {}",
             Ok(out)
         }
         Command::Estimate(options) => {
-            let (compiled, mut out) = compile_input(&options)?;
-            let calibration = Calibration::johannesburg_2020_08_19().improved(options.improve);
-            let estimate = compiled.estimate_success(&calibration);
+            let (circuit, device) = resolve(&options)?;
+            let (compiled, mut out) = compile_input(&options, &circuit, &device)?;
+            let estimate = compiled.estimate_success(&options.calibration.calibration());
             let _ = writeln!(
                 out,
                 "\ncalibration:     Johannesburg 2020-08-19, errors improved {}x",
-                options.improve
+                options.calibration.factor()
             );
             let _ = writeln!(out, "est. success:    {estimate}");
             Ok(out)
@@ -249,8 +249,8 @@ fn run_compile_batch(batch: &BatchOptions) -> Result<String, CliError> {
     }
     let files = collect_qasm_files(dir)?;
     if files.is_empty() {
-        return Err(CliError::Unknown(format!(
-            ".qasm files under '{}' (none found)",
+        return Err(CliError::Usage(format!(
+            ".qasm files under '{}': none found",
             dir.display()
         )));
     }
@@ -268,8 +268,8 @@ fn run_compile_batch(batch: &BatchOptions) -> Result<String, CliError> {
         circuit.set_name(path.display().to_string());
         circuits.push(circuit);
     }
-    let device = parse_device(&options.device)?;
-    let compiler = compiler_for(options);
+    let device = parse_device(&options.compile.device)?;
+    let compiler = options.compile.compiler();
     let cache = CompilationCache::new(batch.cache_size);
     let jobs = batch.effective_jobs();
     let outcome = compiler
@@ -349,69 +349,11 @@ fn sweep_benchmarks(selector: &str) -> Result<Vec<SweepBenchmark>, CliError> {
                 SweepBenchmark::measured(case.name, case.circuit)
             })
             .collect(),
-        list => list
-            .split(',')
-            .map(str::trim)
-            .filter(|name| !name.is_empty())
-            .map(|name| {
-                let circuit = load_input(name)?;
-                // .qasm inputs may already measure; don't double up.
-                Ok(if circuit.counts().measure > 0 {
-                    SweepBenchmark::new(name, circuit)
-                } else {
-                    SweepBenchmark::measured(name, circuit)
-                })
-            })
+        list => comma(list)
+            .iter()
+            .map(|name| Ok(load_input(name)?.sweep_benchmark()?))
             .collect::<Result<Vec<_>, CliError>>()?,
     })
-}
-
-/// Resolves one `--calibrations` entry.
-fn parse_calibration(spec: &str) -> Result<Calibration, CliError> {
-    match spec {
-        "now" => Ok(Calibration::johannesburg_2020_08_19()),
-        "future" => Ok(Calibration::near_future()),
-        other => match other.strip_prefix("improve:") {
-            Some(factor) => {
-                let factor: f64 = factor.parse().map_err(|_| {
-                    CliError::Usage(format!("improve:<f> needs a number, got '{other}'"))
-                })?;
-                if factor <= 0.0 {
-                    return Err(CliError::Usage(format!(
-                        "improve:<f> needs a positive factor, got '{other}'"
-                    )));
-                }
-                Ok(Calibration::johannesburg_2020_08_19().improved(factor))
-            }
-            None => Err(CliError::Usage(format!(
-                "--calibrations entries are 'now', 'future', or 'improve:<f>', got '{other}'"
-            ))),
-        },
-    }
-}
-
-/// Resolves the `--crosstalk` policy.
-fn parse_crosstalk(spec: &str) -> Result<CrosstalkPolicy, CliError> {
-    match spec {
-        "ignore" => Ok(CrosstalkPolicy::Ignore),
-        "avoid" => Ok(CrosstalkPolicy::Avoid),
-        other => match other.strip_prefix("charge:") {
-            Some(rate) => {
-                let error_per_conflict: f64 = rate.parse().map_err(|_| {
-                    CliError::Usage(format!("charge:<p> needs a number, got '{other}'"))
-                })?;
-                if !(0.0..=1.0).contains(&error_per_conflict) {
-                    return Err(CliError::Usage(format!(
-                        "charge:<p> needs a probability, got '{other}'"
-                    )));
-                }
-                Ok(CrosstalkPolicy::Charge { error_per_conflict })
-            }
-            None => Err(CliError::Usage(format!(
-                "--crosstalk is 'ignore', 'charge:<p>', or 'avoid', got '{other}'"
-            ))),
-        },
-    }
 }
 
 /// Splits a comma-separated flag value, trimming and dropping empties.
@@ -438,7 +380,8 @@ fn run_sweep_command(options: &SweepOptions) -> Result<String, CliError> {
     let devices = parse_devices(&options.devices)?;
     let mut calibrations = Vec::new();
     for spec in comma(&options.calibrations) {
-        calibrations.push((spec.clone(), parse_calibration(&spec)?));
+        let calibration: CalibrationSpec = spec.parse()?;
+        calibrations.push((spec, calibration.calibration()));
     }
     let spec = SweepSpec {
         benchmarks: sweep_benchmarks(&options.benchmarks)?,
@@ -446,7 +389,7 @@ fn run_sweep_command(options: &SweepOptions) -> Result<String, CliError> {
         routers: comma(&options.routers),
         decomposers: comma(&options.decomposers),
         calibrations,
-        crosstalk: parse_crosstalk(&options.crosstalk)?,
+        crosstalk: options.crosstalk.parse::<CrosstalkSpec>()?.policy(),
         seed: options.seed,
         jobs: options.jobs,
         cache_size: options.cache_size,
@@ -468,23 +411,13 @@ fn run_sweep_command(options: &SweepOptions) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Resolves a generator-family name, listing the valid names on failure.
-fn parse_family(name: &str) -> Result<Family, CliError> {
-    Family::parse(name).ok_or_else(|| {
-        CliError::Unknown(format!(
-            "family '{name}' (families: {})",
-            Family::ALL.map(|f| f.name()).join(", ")
-        ))
-    })
-}
-
 fn run_gen_command(options: &GenOptions) -> Result<String, CliError> {
     // Flags without a family never reach here: parse_gen_args rejects
     // them, so a missing family always means listing mode.
     let Some(name) = &options.family else {
         return Ok(render_families());
     };
-    let family = parse_family(name)?;
+    let family = request::family(name)?;
     let mut case = family.generate_case(options.seed);
     if options.qubits.is_some() || options.depth.is_some() || options.density.is_some() {
         let mut params = case.params;
@@ -546,8 +479,8 @@ fn run_fuzz_command(options: &FuzzOptions) -> Result<String, CliError> {
     } else {
         comma(&options.families)
             .iter()
-            .map(|name| parse_family(name))
-            .collect::<Result<Vec<_>, CliError>>()?
+            .map(|name| request::family(name))
+            .collect::<Result<Vec<_>, _>>()?
     };
     let routers = if options.routers == "all" {
         StrategyRegistry::standard()
@@ -659,55 +592,20 @@ fn run_serve(options: &ServeOptions) -> Result<String, CliError> {
     Ok("trios serve: drained and stopped\n".to_string())
 }
 
-fn load_input(input: &str) -> Result<Circuit, CliError> {
+/// Resolves a CLI input: a `.qasm` path is read here (the one input only
+/// the CLI takes); anything else is a benchmark name or `gen:` ref.
+fn load_input(input: &str) -> Result<CircuitRef, CliError> {
     if input.ends_with(".qasm") {
-        let source = std::fs::read_to_string(input)?;
-        return Ok(trios_qasm::parse(&source)?);
+        return Ok(CircuitRef::qasm(input, std::fs::read_to_string(input)?));
     }
-    if let Some(rest) = input.strip_prefix("gen:") {
-        // `gen:<family>[:<seed>]`: a generated instance as a benchmark.
-        let (name, seed) = match rest.split_once(':') {
-            Some((name, seed)) => (
-                name,
-                seed.parse::<u64>().map_err(|_| {
-                    CliError::Usage(format!(
-                        "gen:<family>:<seed> needs an integer seed, got '{seed}'"
-                    ))
-                })?,
-            ),
-            None => (rest, 0),
-        };
-        return Ok(parse_family(name)?.generate_case(seed).circuit);
-    }
-    if let Some(b) = Benchmark::ALL.into_iter().find(|b| b.name() == input) {
-        return Ok(b.build());
-    }
-    if let Some(b) = ExtendedBenchmark::ALL
-        .into_iter()
-        .find(|b| b.name() == input)
-    {
-        return Ok(b.build());
-    }
-    Err(CliError::Unknown(format!(
-        "benchmark '{input}' (and it is not a .qasm path; see 'trios list')"
-    )))
+    Ok(input.parse()?)
 }
 
-/// The one translation from CLI [`Options`] to a configured [`Compiler`],
-/// shared by `compile` and `compile-batch` so their outputs cannot diverge
-/// flag by flag.
-fn compiler_for(options: &Options) -> Compiler {
-    let mut builder = Compiler::builder()
-        .seed(options.seed)
-        .lookahead(options.lookahead.then(LookaheadConfig::default))
-        .bridge(options.bridge);
-    if let Some(router) = &options.router {
-        builder = builder.router(router.clone());
-    }
-    if let Some(decomposer) = &options.decomposer {
-        builder = builder.decomposer(decomposer.clone());
-    }
-    builder.build()
+/// The input circuit and the device of a single-circuit command, each
+/// resolved once.
+fn resolve(options: &Options) -> Result<(Circuit, Topology), CliError> {
+    let circuit = load_input(&options.input)?.circuit()?;
+    Ok((circuit, parse_device(&options.compile.device)?))
 }
 
 /// The header line naming the router that ran and the knobs set around
@@ -728,11 +626,13 @@ fn router_line(compiler: &Compiler) -> String {
     )
 }
 
-fn compile_input(options: &Options) -> Result<(CompiledProgram, String), CliError> {
-    let circuit = load_input(&options.input)?;
-    let device = parse_device(&options.device)?;
-    let compiler = compiler_for(options);
-    let (compiled, report) = compiler.compile_with_report(&circuit, &device)?;
+fn compile_input(
+    options: &Options,
+    circuit: &Circuit,
+    device: &Topology,
+) -> Result<(CompiledProgram, String), CliError> {
+    let compiler = options.compile.compiler();
+    let (compiled, report) = compiler.compile_with_report(circuit, device)?;
     let mut out = String::new();
     let _ = writeln!(
         out,

@@ -8,14 +8,14 @@ use std::fmt;
 pub enum CliError {
     /// Unknown subcommand or malformed flags.
     Usage(String),
-    /// The named benchmark, family or input files could not be resolved.
-    Unknown(String),
     /// A device spec is unknown, malformed, or too large.
     Device(trios_topology::SpecError),
     /// Reading an input file failed.
     Io(std::io::Error),
-    /// Parsing an input QASM file failed.
-    Qasm(trios_qasm::QasmError),
+    /// A request value (input, router, decomposer, calibration, crosstalk
+    /// or family) names nothing the compiler knows, or input QASM does not
+    /// parse.
+    Request(trios_core::request::RequestError),
     /// Compilation failed; the diagnostic names the failing pass.
     Compile(trios_core::Diagnostic),
     /// One batch input file could not be read or parsed.
@@ -62,10 +62,9 @@ impl fmt::Display for CliError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CliError::Usage(msg) => write!(f, "usage error: {msg}"),
-            CliError::Unknown(what) => write!(f, "unknown {what}"),
             CliError::Device(e) => write!(f, "{e}"),
             CliError::Io(e) => write!(f, "io error: {e}"),
-            CliError::Qasm(e) => write!(f, "qasm error: {e}"),
+            CliError::Request(e) => write!(f, "{e}"),
             CliError::Compile(e) => write!(f, "compile error: {e}"),
             CliError::BatchFile { file, message } => {
                 write!(f, "batch input {file}: {message}")
@@ -97,7 +96,7 @@ impl Error for CliError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             CliError::Io(e) => Some(e),
-            CliError::Qasm(e) => Some(e),
+            CliError::Request(e) => Some(e),
             CliError::Compile(e) => Some(e),
             CliError::Device(e) => Some(e),
             CliError::Batch { source, .. } => Some(source),
@@ -126,9 +125,9 @@ impl From<std::io::Error> for CliError {
     }
 }
 
-impl From<trios_qasm::QasmError> for CliError {
-    fn from(e: trios_qasm::QasmError) -> Self {
-        CliError::Qasm(e)
+impl From<trios_core::request::RequestError> for CliError {
+    fn from(e: trios_core::request::RequestError) -> Self {
+        CliError::Request(e)
     }
 }
 
@@ -147,7 +146,8 @@ mod tests {
         assert!(CliError::Usage("missing --device".into())
             .to_string()
             .contains("--device"));
-        assert!(CliError::Unknown("benchmark 'nope'".into())
+        let unknown = "nope".parse::<trios_core::request::CircuitRef>();
+        assert!(CliError::Request(unknown.unwrap_err())
             .to_string()
             .contains("nope"));
     }

@@ -1000,7 +1000,6 @@ mod tests {
     /// verified on the default grid — all generator families, all four
     /// routers, both simulable devices.
     #[test]
-    #[ignore = "all decomposers x all families x all routers: run in the release --include-ignored CI job"]
     fn every_executable_decomposer_survives_every_family() {
         for decomposer in ["standard", "six", "eight", "tdepth", "relative-phase"] {
             let spec = FuzzSpec {

@@ -77,6 +77,11 @@
 //! cross-checks semantics (simulator), hardware legality, and metric
 //! invariants, and greedily shrinks any failure to a minimal OpenQASM
 //! reproducer.
+//!
+//! # Requests
+//!
+//! The [`request`] module parses request values (circuit refs, noise specs,
+//! registry names, compile settings) for the CLI and the server alike.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -91,6 +96,7 @@ mod manager;
 mod options;
 mod pass;
 mod report;
+pub mod request;
 mod shard;
 pub mod sweep;
 

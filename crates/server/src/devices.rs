@@ -5,7 +5,7 @@
 //! kept here gets faster with use: warm requests pay neither the
 //! construction nor the BFS runs of their device.
 
-use crate::protocol::{self, ProtocolError};
+use crate::protocol::ProtocolError;
 use std::sync::{Arc, Mutex};
 use trios_core::Topology;
 
@@ -41,7 +41,9 @@ impl DeviceTable {
         let entry = match entries.iter().position(|(known, _)| known == spec) {
             Some(index) => entries.remove(index),
             None => {
-                let device = Arc::new(protocol::resolve_device(spec)?);
+                let device = Arc::new(
+                    trios_core::parse_spec(spec).map_err(|e| ProtocolError::bad(e.to_string()))?,
+                );
                 if entries.len() == DEVICE_TABLE_CAPACITY {
                     entries.remove(0);
                 }
@@ -98,7 +100,7 @@ mod tests {
             "heavy-hex:18446744073709551615",
         ] {
             let error = table.resolve(bad).unwrap_err();
-            assert_eq!(error.kind, protocol::ErrorKind::BadRequest);
+            assert_eq!(error.kind, crate::protocol::ErrorKind::BadRequest);
             assert!(error.message.contains(bad), "{}", error.message);
         }
         assert!(table.specs().is_empty());

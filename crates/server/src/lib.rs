@@ -22,9 +22,11 @@
 //! Methods: `compile`, `compile-batch`, `estimate`, `sweep` (queued work),
 //! plus `ping`, `stats`, and `shutdown` (answered inline, so liveness and
 //! metrics stay responsive under load). Requests pick their benchmark or
-//! inline OpenQASM, device spec (`line:20`, `grid:5x4`, ...), router, and
-//! seed per call; `gen:<family>:<seed>` references draw from the seeded
-//! circuit generator.
+//! inline OpenQASM, device spec (`line:20`, `grid:5x4`, ...), router,
+//! decomposer and seed per call; `gen:<family>[:<seed>]` references draw
+//! from the seeded circuit generator. Those values are resolved by
+//! [`trios_core::request`], as the CLI's flags are, and a key a method
+//! does not read is a `bad-request`.
 //!
 //! # Architecture
 //!

@@ -15,12 +15,13 @@
 //! next to the human-readable message. Parsing uses the vendored
 //! [`serde_json::Value`] walker and building uses a small hand-rolled
 //! object writer, mirroring how `SweepReport` round-trips JSON.
+//! Field values are resolved by [`trios_core::request`], as the CLI's
+//! flags are; a [`RequestError`] is a `bad-request`.
 
 use serde_json::Value;
-use trios_core::{
-    Calibration, Compiler, CrosstalkPolicy, DecomposerRegistry, StrategyRegistry, SweepBenchmark,
+use trios_core::request::{
+    self, CalibrationSpec, CircuitRef, CompileRequest, CrosstalkSpec, RequestError,
 };
-use trios_gen::Family;
 
 /// Machine-readable error classes of the protocol, the `kind` field of
 /// every error response.
@@ -29,7 +30,7 @@ pub enum ErrorKind {
     /// The request line was not valid JSON.
     Parse,
     /// The request was JSON but structurally wrong (missing id/method,
-    /// bad params).
+    /// bad or unknown params, a malformed sweep grid).
     BadRequest,
     /// The `method` names nothing the server knows.
     UnknownMethod,
@@ -74,7 +75,7 @@ pub struct ProtocolError {
 }
 
 impl ProtocolError {
-    fn bad(message: impl Into<String>) -> Self {
+    pub(crate) fn bad(message: impl Into<String>) -> Self {
         ProtocolError {
             kind: ErrorKind::BadRequest,
             message: message.into(),
@@ -82,23 +83,21 @@ impl ProtocolError {
     }
 }
 
-/// What a single circuit request compiles: the circuit reference plus the
-/// compiler knobs, each defaulted like the CLI's flags.
+impl From<RequestError> for ProtocolError {
+    fn from(e: RequestError) -> Self {
+        ProtocolError::bad(e.to_string())
+    }
+}
+
+/// What a single circuit request compiles: the circuit plus the compile
+/// settings, each defaulted like the CLI's flags.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompileParams {
-    /// Benchmark name or `gen:<family>:<seed>` ref (mutually exclusive
-    /// with `qasm`).
-    pub benchmark: Option<String>,
-    /// Inline OpenQASM 2.0 source (mutually exclusive with `benchmark`).
-    pub qasm: Option<String>,
-    /// Device spec (`trios_topology::parse_spec` grammar).
-    pub device: String,
-    /// Routing strategy registry name; `None` means `trios`.
-    pub router: Option<String>,
-    /// Toffoli decomposition registry name; `None` = `standard`.
-    pub decomposer: Option<String>,
-    /// Routing seed.
-    pub seed: u64,
+    /// The `benchmark` name or `gen:<family>[:<seed>]` ref, or the inline
+    /// `qasm` source (shown as `<inline qasm>`).
+    pub circuit: CircuitRef,
+    /// `device`, `router`, `decomposer` and `seed`.
+    pub request: CompileRequest,
     /// Return the compiled circuit as OpenQASM in the response.
     pub emit_qasm: bool,
 }
@@ -109,14 +108,14 @@ pub struct EstimateParams {
     /// The compilation to estimate.
     pub compile: CompileParams,
     /// `now`, `future`, or `improve:<f>` (default `now`).
-    pub calibration: String,
+    pub calibration: CalibrationSpec,
 }
 
 /// `sweep` params: the evaluation grid, mirroring `trios sweep` flags.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepParams {
-    /// Benchmark refs (names, `gen:<family>:<seed>`).
-    pub benchmarks: Vec<String>,
+    /// Benchmark refs (names, `gen:<family>[:<seed>]`).
+    pub benchmarks: Vec<CircuitRef>,
     /// Device specs.
     pub devices: Vec<String>,
     /// Router registry names.
@@ -124,9 +123,9 @@ pub struct SweepParams {
     /// Decomposer registry names.
     pub decomposers: Vec<String>,
     /// Calibration specs.
-    pub calibrations: Vec<String>,
+    pub calibrations: Vec<CalibrationSpec>,
     /// Crosstalk policy spec.
-    pub crosstalk: String,
+    pub crosstalk: CrosstalkSpec,
     /// Routing seed.
     pub seed: u64,
     /// Monte Carlo shots per simulable cell.
@@ -167,6 +166,30 @@ impl Method {
     /// stats stay responsive even when the queue is full.
     pub fn is_inline(&self) -> bool {
         matches!(self, Method::Ping | Method::Stats | Method::Shutdown)
+    }
+}
+
+/// The params keys each work method reads.
+const COMPILE_KEYS: &str = "benchmark qasm device router decomposer seed emit-qasm";
+const BATCH_KEYS: &str = "circuits device router decomposer seed";
+const ESTIMATE_KEYS: &str = "benchmark qasm device router decomposer seed emit-qasm calibration";
+const SWEEP_KEYS: &str = "benchmarks devices routers decomposers calibrations crosstalk seed shots";
+
+/// Refuses params that are not an object or hold a key `method` does not
+/// read: skipping what it does not understand would compile the wrong job.
+fn check_keys(method: &str, params: &Value, known: &str) -> Result<(), ProtocolError> {
+    let Value::Object(fields) = params else {
+        return Err(ProtocolError::bad("'params' must be an object"));
+    };
+    match fields
+        .iter()
+        .find(|(key, _)| !known.split(' ').any(|k| k == key))
+    {
+        Some((key, _)) => Err(ProtocolError::bad(format!(
+            "unknown param '{key}' for '{method}' (accepted: {})",
+            known.replace(' ', ", ")
+        ))),
+        None => Ok(()),
     }
 }
 
@@ -219,38 +242,31 @@ fn string_array(params: &Value, key: &str) -> Result<Option<Vec<String>>, Protoc
     }
 }
 
-/// Validates a router name against the standard registry at parse time,
-/// exactly like the CLI's `--router`, so typos fail before any work runs.
-fn check_router(name: &str) -> Result<(), ProtocolError> {
-    let registry = StrategyRegistry::standard();
-    if registry.contains(name) {
-        Ok(())
-    } else {
-        Err(ProtocolError::bad(format!(
-            "'router' must be one of {}, got '{name}'",
-            registry.names().collect::<Vec<_>>().join(", ")
-        )))
+/// The shared compile settings: `device`, `router`, `decomposer`, `seed`.
+fn compile_request(params: &Value) -> Result<CompileRequest, ProtocolError> {
+    let mut compile = CompileRequest::default();
+    if let Some(device) = str_field(params, "device")? {
+        compile.device = device;
     }
-}
-
-/// Validates a decomposer name against the standard registry at parse
-/// time, like [`check_router`]; `key` names the offending param field.
-fn check_decomposer(key: &str, name: &str) -> Result<(), ProtocolError> {
-    let registry = DecomposerRegistry::standard();
-    if registry.contains(name) {
-        Ok(())
-    } else {
-        Err(ProtocolError::bad(format!(
-            "'{key}' must be one of {}, got '{name}'",
-            registry.names().collect::<Vec<_>>().join(", ")
-        )))
-    }
+    let options = &mut compile.options;
+    options.router = str_field(params, "router")?;
+    options.decomposer = str_field(params, "decomposer")?;
+    options.seed = u64_field(params, "seed")?.unwrap_or(0);
+    request::check_routers(options.router.as_deref())?;
+    request::check_decomposers(options.decomposer.as_deref())?;
+    Ok(compile)
 }
 
 fn parse_compile_params(params: &Value) -> Result<CompileParams, ProtocolError> {
-    let benchmark = str_field(params, "benchmark")?;
-    let qasm = str_field(params, "qasm")?;
-    match (&benchmark, &qasm) {
+    check_keys("compile", params, COMPILE_KEYS)?;
+    compile_params(params)
+}
+
+/// The compile params of `compile` and `estimate`, keys already checked.
+fn compile_params(params: &Value) -> Result<CompileParams, ProtocolError> {
+    let circuit = match (str_field(params, "benchmark")?, str_field(params, "qasm")?) {
+        (Some(name), None) => name.parse()?,
+        (None, Some(source)) => CircuitRef::qasm("<inline qasm>", source),
         (None, None) => {
             return Err(ProtocolError::bad(
                 "params need a 'benchmark' name or inline 'qasm' source",
@@ -261,68 +277,46 @@ fn parse_compile_params(params: &Value) -> Result<CompileParams, ProtocolError> 
                 "'benchmark' and 'qasm' are mutually exclusive",
             ))
         }
-        _ => {}
-    }
-    let router = str_field(params, "router")?;
-    if let Some(name) = &router {
-        check_router(name)?;
-    }
-    let decomposer = str_field(params, "decomposer")?;
-    if let Some(name) = &decomposer {
-        check_decomposer("decomposer", name)?;
-    }
+    };
     Ok(CompileParams {
-        benchmark,
-        qasm,
-        device: str_field(params, "device")?.unwrap_or_else(|| "johannesburg".into()),
-        router,
-        decomposer,
-        seed: u64_field(params, "seed")?.unwrap_or(0),
+        circuit,
+        request: compile_request(params)?,
         emit_qasm: bool_field(params, "emit-qasm")?.unwrap_or(false),
     })
 }
 
 fn parse_batch_params(params: &Value) -> Result<Vec<CompileParams>, ProtocolError> {
+    check_keys("compile-batch", params, BATCH_KEYS)?;
     let circuits = string_array(params, "circuits")?
         .ok_or_else(|| ProtocolError::bad("'compile-batch' params need a 'circuits' array"))?;
     if circuits.is_empty() {
         return Err(ProtocolError::bad("'circuits' must not be empty"));
     }
-    // The shared knobs parse once; each circuit ref becomes one entry.
-    let shared = CompileParams {
-        benchmark: None,
-        qasm: None,
-        device: str_field(params, "device")?.unwrap_or_else(|| "johannesburg".into()),
-        router: str_field(params, "router")?,
-        decomposer: str_field(params, "decomposer")?,
-        seed: u64_field(params, "seed")?.unwrap_or(0),
-        emit_qasm: false,
-    };
-    if let Some(name) = &shared.router {
-        check_router(name)?;
-    }
-    if let Some(name) = &shared.decomposer {
-        check_decomposer("decomposer", name)?;
-    }
-    Ok(circuits
-        .into_iter()
-        .map(|benchmark| CompileParams {
-            benchmark: Some(benchmark),
-            ..shared.clone()
+    // The shared settings parse once; each circuit ref becomes one entry.
+    let shared = compile_request(params)?;
+    circuits
+        .iter()
+        .map(|name| {
+            Ok(CompileParams {
+                circuit: name.parse()?,
+                request: shared.clone(),
+                emit_qasm: false,
+            })
         })
-        .collect())
+        .collect()
 }
 
 fn parse_estimate_params(params: &Value) -> Result<EstimateParams, ProtocolError> {
-    let calibration = str_field(params, "calibration")?.unwrap_or_else(|| "now".into());
-    parse_calibration(&calibration)?; // fail at parse time, not mid-queue
+    check_keys("estimate", params, ESTIMATE_KEYS)?;
+    let calibration = str_field(params, "calibration")?;
     Ok(EstimateParams {
-        compile: parse_compile_params(params)?,
-        calibration,
+        compile: compile_params(params)?,
+        calibration: calibration.as_deref().unwrap_or("now").parse()?,
     })
 }
 
 fn parse_sweep_params(params: &Value) -> Result<SweepParams, ProtocolError> {
+    check_keys("sweep", params, SWEEP_KEYS)?;
     let benchmarks = string_array(params, "benchmarks")?
         .ok_or_else(|| ProtocolError::bad("'sweep' params need a 'benchmarks' array"))?;
     if benchmarks.is_empty() {
@@ -330,28 +324,26 @@ fn parse_sweep_params(params: &Value) -> Result<SweepParams, ProtocolError> {
     }
     let routers =
         string_array(params, "routers")?.unwrap_or_else(|| vec!["baseline".into(), "trios".into()]);
-    for router in &routers {
-        check_router(router)?;
-    }
+    request::check_routers(routers.iter().map(String::as_str))?;
     let decomposers =
         string_array(params, "decomposers")?.unwrap_or_else(|| vec!["standard".into()]);
-    for decomposer in &decomposers {
-        check_decomposer("decomposers", decomposer)?;
-    }
+    request::check_decomposers(decomposers.iter().map(String::as_str))?;
     let calibrations =
         string_array(params, "calibrations")?.unwrap_or_else(|| vec!["future".into()]);
-    for calibration in &calibrations {
-        parse_calibration(calibration)?;
-    }
-    let crosstalk = str_field(params, "crosstalk")?.unwrap_or_else(|| "ignore".into());
-    parse_crosstalk(&crosstalk)?;
+    let crosstalk = str_field(params, "crosstalk")?;
     Ok(SweepParams {
-        benchmarks,
+        benchmarks: benchmarks
+            .iter()
+            .map(|name| name.parse())
+            .collect::<Result<_, RequestError>>()?,
         devices: string_array(params, "devices")?.unwrap_or_else(|| vec!["johannesburg".into()]),
         routers,
         decomposers,
-        calibrations,
-        crosstalk,
+        calibrations: calibrations
+            .iter()
+            .map(|spec| spec.parse())
+            .collect::<Result<_, RequestError>>()?,
+        crosstalk: crosstalk.as_deref().unwrap_or("ignore").parse()?,
         seed: u64_field(params, "seed")?.unwrap_or(0),
         shots: u64_field(params, "shots")?.map(|n| n as usize),
     })
@@ -406,142 +398,6 @@ pub fn parse_request(line: &str) -> Result<Request, (u64, ProtocolError)> {
         }
     };
     Ok(Request { id, method })
-}
-
-/// Resolves a benchmark ref or inline QASM to a circuit, mirroring the
-/// CLI's input handling minus file paths — a network server must not read
-/// arbitrary files on request.
-pub fn resolve_circuit(params: &CompileParams) -> Result<trios_core::Circuit, ProtocolError> {
-    if let Some(source) = &params.qasm {
-        return trios_qasm::parse(source)
-            .map_err(|e| ProtocolError::bad(format!("qasm error: {e}")));
-    }
-    let input = params.benchmark.as_deref().expect("parser requires one");
-    if let Some(rest) = input.strip_prefix("gen:") {
-        let (name, seed) = match rest.split_once(':') {
-            Some((name, seed)) => (
-                name,
-                seed.parse::<u64>().map_err(|_| {
-                    ProtocolError::bad(format!(
-                        "gen:<family>:<seed> needs an integer seed, got '{seed}'"
-                    ))
-                })?,
-            ),
-            None => (rest, 0),
-        };
-        let family = Family::parse(name).ok_or_else(|| {
-            ProtocolError::bad(format!(
-                "unknown generator family '{name}' (families: {})",
-                Family::ALL.map(|f| f.name()).join(", ")
-            ))
-        })?;
-        return Ok(family.generate_case(seed).circuit);
-    }
-    if let Some(b) = trios_benchmarks::Benchmark::ALL
-        .into_iter()
-        .find(|b| b.name() == input)
-    {
-        return Ok(b.build());
-    }
-    if let Some(b) = trios_benchmarks::ExtendedBenchmark::ALL
-        .into_iter()
-        .find(|b| b.name() == input)
-    {
-        return Ok(b.build());
-    }
-    Err(ProtocolError::bad(format!(
-        "unknown benchmark '{input}' (paper/extended names, or gen:<family>:<seed>)"
-    )))
-}
-
-/// Resolves a device spec via the grammar shared with the CLI
-/// (`trios_topology::parse_spec`).
-pub fn resolve_device(spec: &str) -> Result<trios_core::Topology, ProtocolError> {
-    trios_core::parse_spec(spec).map_err(|e| ProtocolError::bad(e.to_string()))
-}
-
-/// The configured compiler for one request's knobs — one translation,
-/// like the CLI's, so server and CLI compiles cannot diverge.
-pub fn compiler_for(params: &CompileParams) -> Compiler {
-    let mut builder = Compiler::builder().seed(params.seed);
-    if let Some(router) = &params.router {
-        builder = builder.router(router.clone());
-    }
-    if let Some(decomposer) = &params.decomposer {
-        builder = builder.decomposer(decomposer.clone());
-    }
-    builder.build()
-}
-
-/// Resolves a calibration spec (`now`, `future`, `improve:<f>`).
-pub fn parse_calibration(spec: &str) -> Result<Calibration, ProtocolError> {
-    match spec {
-        "now" => Ok(Calibration::johannesburg_2020_08_19()),
-        "future" => Ok(Calibration::near_future()),
-        other => match other.strip_prefix("improve:") {
-            Some(factor) => {
-                let factor: f64 = factor.parse().map_err(|_| {
-                    ProtocolError::bad(format!("improve:<f> needs a number, got '{other}'"))
-                })?;
-                if factor <= 0.0 {
-                    return Err(ProtocolError::bad(format!(
-                        "improve:<f> needs a positive factor, got '{other}'"
-                    )));
-                }
-                Ok(Calibration::johannesburg_2020_08_19().improved(factor))
-            }
-            None => Err(ProtocolError::bad(format!(
-                "'calibration' is 'now', 'future', or 'improve:<f>', got '{other}'"
-            ))),
-        },
-    }
-}
-
-/// Resolves a crosstalk policy spec (`ignore`, `charge:<p>`, `avoid`).
-pub fn parse_crosstalk(spec: &str) -> Result<CrosstalkPolicy, ProtocolError> {
-    match spec {
-        "ignore" => Ok(CrosstalkPolicy::Ignore),
-        "avoid" => Ok(CrosstalkPolicy::Avoid),
-        other => match other.strip_prefix("charge:") {
-            Some(rate) => {
-                let error_per_conflict: f64 = rate.parse().map_err(|_| {
-                    ProtocolError::bad(format!("charge:<p> needs a number, got '{other}'"))
-                })?;
-                if !(0.0..=1.0).contains(&error_per_conflict) {
-                    return Err(ProtocolError::bad(format!(
-                        "charge:<p> needs a probability, got '{other}'"
-                    )));
-                }
-                Ok(CrosstalkPolicy::Charge { error_per_conflict })
-            }
-            None => Err(ProtocolError::bad(format!(
-                "'crosstalk' is 'ignore', 'charge:<p>', or 'avoid', got '{other}'"
-            ))),
-        },
-    }
-}
-
-/// Resolves a sweep's benchmark refs into measured sweep benchmarks.
-pub fn resolve_sweep_benchmarks(refs: &[String]) -> Result<Vec<SweepBenchmark>, ProtocolError> {
-    refs.iter()
-        .map(|name| {
-            let params = CompileParams {
-                benchmark: Some(name.clone()),
-                qasm: None,
-                device: String::new(),
-                router: None,
-                decomposer: None,
-                seed: 0,
-                emit_qasm: false,
-            };
-            let circuit = resolve_circuit(&params)?;
-            Ok(if circuit.counts().measure > 0 {
-                SweepBenchmark::new(name, circuit)
-            } else {
-                SweepBenchmark::measured(name, circuit)
-            })
-        })
-        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -681,11 +537,9 @@ mod tests {
         let Method::Compile(p) = req.method else {
             panic!("expected compile");
         };
-        assert_eq!(p.benchmark.as_deref(), Some("bv-20"));
-        assert_eq!(p.device, "johannesburg");
-        assert_eq!(p.seed, 0);
-        assert!(p.router.is_none());
-        assert!(p.decomposer.is_none());
+        assert_eq!(p.circuit, "bv-20".parse().unwrap());
+        assert_eq!(p.request, CompileRequest::default());
+        assert_eq!(p.request.device, "johannesburg");
         assert!(!p.emit_qasm);
     }
 
@@ -699,7 +553,7 @@ mod tests {
         let Method::Compile(p) = req.method else {
             panic!("expected compile");
         };
-        assert_eq!(p.decomposer.as_deref(), Some("eight"));
+        assert_eq!(p.request.options.decomposer.as_deref(), Some("eight"));
         // Unknown names are a structured bad-request naming the registry.
         let (id, e) = parse_request(
             r#"{"id": 4, "method": "compile",
@@ -771,11 +625,11 @@ mod tests {
             panic!("expected batch");
         };
         assert_eq!(items.len(), 2);
-        assert_eq!(items[0].benchmark.as_deref(), Some("bv-20"));
-        assert_eq!(items[1].benchmark.as_deref(), Some("gen:qft:3"));
+        assert_eq!(items[0].circuit.to_string(), "bv-20");
+        assert_eq!(items[1].circuit.to_string(), "gen:qft:3");
         for item in &items {
-            assert_eq!(item.device, "line:8");
-            assert_eq!(item.seed, 5);
+            assert_eq!(item.request.device, "line:8");
+            assert_eq!(item.request.options.seed, 5);
         }
         assert!(parse_request(
             r#"{"id": 1, "method": "compile-batch", "params": {"circuits": []}}"#
@@ -808,39 +662,67 @@ mod tests {
         };
         assert_eq!(p.routers, ["baseline", "trios"]);
         assert_eq!(p.decomposers, ["standard"]);
-        assert_eq!(p.calibrations, ["future"]);
-        assert_eq!(p.crosstalk, "ignore");
+        assert_eq!(p.calibrations, ["future".parse().unwrap()]);
+        assert_eq!(p.crosstalk, "ignore".parse().unwrap());
     }
 
     #[test]
-    fn circuits_resolve_from_names_gen_refs_and_inline_qasm() {
-        let by_name = CompileParams {
-            benchmark: Some("cnx_inplace-4".into()),
-            qasm: None,
-            device: "line:6".into(),
-            router: None,
-            decomposer: None,
-            seed: 0,
-            emit_qasm: false,
+    fn params_no_method_reads_are_bad_requests_naming_the_key() {
+        for (method, params, key) in [
+            (
+                "compile",
+                r#"{"benchmark": "cnx_inplace-4", "device": "line:6", "routr": "baseline"}"#,
+                "routr",
+            ),
+            (
+                "compile-batch",
+                r#"{"circuits": ["bv-20"], "emit-qasm": true}"#,
+                "emit-qasm",
+            ),
+            (
+                "estimate",
+                r#"{"benchmark": "bv-20", "calibrations": "now"}"#,
+                "calibrations",
+            ),
+            (
+                "sweep",
+                r#"{"benchmarks": ["bv-20"], "device": "line:20"}"#,
+                "device",
+            ),
+        ] {
+            let line = format!(r#"{{"id": 6, "method": "{method}", "params": {params}}}"#);
+            let (id, e) = parse_request(&line).unwrap_err();
+            assert_eq!((id, e.kind), (6, ErrorKind::BadRequest), "{line}");
+            assert!(e.message.contains(&format!("'{key}'")), "{}", e.message);
+            assert!(e.message.contains(method), "{}", e.message);
+        }
+        let (_, e) =
+            parse_request(r#"{"id": 1, "method": "compile", "params": ["bv-20"]}"#).unwrap_err();
+        assert_eq!(e.kind, ErrorKind::BadRequest);
+        // Every key a method documents is still accepted.
+        let req = parse_request(
+            r#"{"id": 1, "method": "estimate", "params": {"benchmark": "bv-20", "device": "line:20",
+                "router": "baseline", "decomposer": "six", "seed": 2, "emit-qasm": true,
+                "calibration": "improve:2"}}"#,
+        )
+        .unwrap();
+        let Method::Estimate(p) = req.method else {
+            panic!("expected estimate");
         };
-        assert_eq!(resolve_circuit(&by_name).unwrap().num_qubits(), 4);
-        let by_gen = CompileParams {
-            benchmark: Some("gen:qft:3".into()),
-            ..by_name.clone()
-        };
-        assert!(resolve_circuit(&by_gen).is_ok());
-        let inline = CompileParams {
-            benchmark: None,
-            qasm: Some("OPENQASM 2.0;\nqreg q[2];\nh q[0];\ncx q[0], q[1];\n".into()),
-            ..by_name.clone()
-        };
-        assert_eq!(resolve_circuit(&inline).unwrap().num_qubits(), 2);
-        for bad in ["nope", "gen:nope:1", "gen:qft:x"] {
-            let params = CompileParams {
-                benchmark: Some(bad.into()),
-                ..by_name.clone()
-            };
-            assert!(resolve_circuit(&params).is_err(), "{bad}");
+        assert_eq!(p.calibration.to_string(), "improve:2");
+        assert!(p.compile.emit_qasm);
+    }
+
+    #[test]
+    fn nonpositive_improvement_factors_are_bad_requests() {
+        for line in [
+            r#"{"id": 3, "method": "estimate", "params": {"benchmark": "bv-20", "calibration": "improve:NaN"}}"#,
+            r#"{"id": 3, "method": "estimate", "params": {"benchmark": "bv-20", "calibration": "improve:0"}}"#,
+            r#"{"id": 3, "method": "sweep", "params": {"benchmarks": ["bv-20"], "calibrations": ["improve:NaN"]}}"#,
+        ] {
+            let (id, e) = parse_request(line).unwrap_err();
+            assert_eq!((id, e.kind), (3, ErrorKind::BadRequest), "{line}");
+            assert!(e.message.contains("improve:"), "{}", e.message);
         }
     }
 

@@ -27,15 +27,17 @@ use crate::histogram::{LatencyHistogram, LatencySnapshot};
 use crate::protocol::{
     self, json_array, CompileParams, ErrorKind, JsonObj, Method, ProtocolError, Request,
 };
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+use trios_core::request::CircuitRef;
 use trios_core::{
-    run_sweep, CacheStats, CompilationCache, CompiledProgram, ShardedCache, SweepSpec, Topology,
+    run_sweep, CacheStats, CompilationCache, CompiledProgram, ShardedCache, SweepError, SweepSpec,
+    Topology,
 };
 
 /// Tuning knobs of one [`Server`].
@@ -139,9 +141,11 @@ struct Shared {
     queue: Mutex<VecDeque<Job>>,
     job_ready: Condvar,
     shutdown: AtomicBool,
-    /// Read-half clones of live connections, so shutdown can EOF every
-    /// reader while leaving write halves open for draining responses.
-    conns: Mutex<Vec<TcpStream>>,
+    /// Read-half clones of live connections by connection number, so
+    /// shutdown can EOF every reader while leaving write halves open for
+    /// draining responses. A reader removes its own entry as it exits.
+    conns: Mutex<HashMap<u64, TcpStream>>,
+    /// Reader threads not yet known to be finished.
     readers: Mutex<Vec<JoinHandle<()>>>,
     addr: SocketAddr,
     received: AtomicU64,
@@ -180,7 +184,7 @@ impl Server {
             queue: Mutex::new(VecDeque::new()),
             job_ready: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            conns: Mutex::new(Vec::new()),
+            conns: Mutex::new(HashMap::new()),
             readers: Mutex::new(Vec::new()),
             addr,
             received: AtomicU64::new(0),
@@ -285,7 +289,7 @@ impl Shared {
         let _ = TcpStream::connect(self.addr);
         // EOF every reader; write halves stay open so queued responses
         // still drain.
-        for conn in self.conns.lock().expect("conns poisoned").iter() {
+        for conn in self.conns.lock().expect("conns poisoned").values() {
             let _ = conn.shutdown(std::net::Shutdown::Read);
         }
         self.job_ready.notify_all();
@@ -356,22 +360,30 @@ impl Shared {
 // ---------------------------------------------------------------------
 
 fn run_acceptor(listener: &TcpListener, shared: &Arc<Shared>) {
-    for stream in listener.incoming() {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
+    for (conn, stream) in (0u64..).zip(listener.incoming()) {
         let Ok(stream) = stream else { continue };
         let _ = stream.set_nodelay(true);
-        if let Ok(clone) = stream.try_clone() {
-            shared.conns.lock().expect("conns poisoned").push(clone);
+        let Ok(clone) = stream.try_clone() else {
+            continue;
+        };
+        {
+            // Checked under the lock shutdown EOFs readers under, so a
+            // connection accepted meanwhile is refused here or EOF'd there.
+            let mut conns = shared.conns.lock().expect("conns poisoned");
+            if shared.shutdown.load(Ordering::SeqCst) {
+                break;
+            }
+            conns.insert(conn, clone);
         }
         let reader_shared = Arc::clone(shared);
-        let handle = std::thread::spawn(move || run_reader(stream, &reader_shared));
-        shared
-            .readers
-            .lock()
-            .expect("readers poisoned")
-            .push(handle);
+        let handle = std::thread::spawn(move || {
+            run_reader(stream, &reader_shared);
+            let mut conns = reader_shared.conns.lock().expect("conns poisoned");
+            conns.remove(&conn);
+        });
+        let mut readers = shared.readers.lock().expect("readers poisoned");
+        readers.retain(|reader| !reader.is_finished());
+        readers.push(handle);
     }
 }
 
@@ -654,8 +666,7 @@ fn execute(shared: &Arc<Shared>, method: &Method) -> Result<String, ProtocolErro
         }
         Method::Estimate(params) => {
             let (program, result) = compile_one(shared, &params.compile)?;
-            let calibration = protocol::parse_calibration(&params.calibration)?;
-            let estimate = program.estimate_success(&calibration);
+            let estimate = program.estimate_success(&params.calibration.calibration());
             let success = JsonObj::new()
                 .f64("probability", estimate.probability())
                 .f64("p_gates", estimate.p_gates)
@@ -664,13 +675,17 @@ fn execute(shared: &Arc<Shared>, method: &Method) -> Result<String, ProtocolErro
                 .f64("duration_us", estimate.duration_us)
                 .finish();
             Ok(result
-                .str("calibration", &params.calibration)
+                .str("calibration", &params.calibration.to_string())
                 .raw("success", &success)
                 .finish())
         }
         Method::Sweep(params) => {
             let spec = SweepSpec {
-                benchmarks: protocol::resolve_sweep_benchmarks(&params.benchmarks)?,
+                benchmarks: params
+                    .benchmarks
+                    .iter()
+                    .map(CircuitRef::sweep_benchmark)
+                    .collect::<Result<_, _>>()?,
                 devices: params
                     .devices
                     .iter()
@@ -686,9 +701,9 @@ fn execute(shared: &Arc<Shared>, method: &Method) -> Result<String, ProtocolErro
                 calibrations: params
                     .calibrations
                     .iter()
-                    .map(|spec| Ok((spec.clone(), protocol::parse_calibration(spec)?)))
-                    .collect::<Result<Vec<_>, ProtocolError>>()?,
-                crosstalk: protocol::parse_crosstalk(&params.crosstalk)?,
+                    .map(|spec| (spec.to_string(), spec.calibration()))
+                    .collect(),
+                crosstalk: params.crosstalk.policy(),
                 seed: params.seed,
                 // The worker thread is this request's unit of parallelism;
                 // a nested pool per sweep would oversubscribe the host.
@@ -696,8 +711,13 @@ fn execute(shared: &Arc<Shared>, method: &Method) -> Result<String, ProtocolErro
                 cache_size: 64,
                 monte_carlo_shots: params.shots,
             };
+            // Only a cell that fails to compile is a compile error; an
+            // empty or duplicated grid entry or zero shots is the request's.
             let report = run_sweep(&spec).map_err(|e| ProtocolError {
-                kind: ErrorKind::Compile,
+                kind: match e {
+                    SweepError::Compile { .. } => ErrorKind::Compile,
+                    _ => ErrorKind::BadRequest,
+                },
                 message: e.to_string(),
             })?;
             Ok(JsonObj::new().raw("report", &report.to_json()).finish())
@@ -713,9 +733,9 @@ fn compile_one(
     shared: &Arc<Shared>,
     params: &CompileParams,
 ) -> Result<(CompiledProgram, JsonObj), ProtocolError> {
-    let circuit = protocol::resolve_circuit(params)?;
-    let device = shared.devices.resolve(&params.device)?;
-    let compiler = protocol::compiler_for(params);
+    let circuit = params.circuit.circuit()?;
+    let device = shared.devices.resolve(&params.request.device)?;
+    let compiler = params.request.compiler();
     let key = CompilationCache::key(&circuit, &device, compiler.options());
     let (program, cached) = match shared.cache.get(key) {
         Some((program, _report)) => (program, true),
@@ -739,14 +759,11 @@ fn compile_one(
         .f64("duration_us", program.stats.duration_us)
         .finish();
     let mut result = JsonObj::new()
-        .str(
-            "input",
-            params.benchmark.as_deref().unwrap_or("<inline qasm>"),
-        )
+        .str("input", &params.circuit.to_string())
         .str("device", device.name())
         .str("router", compiler.options().router_name())
         .str("decomposer", compiler.options().decomposer_name())
-        .u64("seed", params.seed)
+        .u64("seed", params.request.options.seed)
         .bool("cached", cached)
         .raw("stats", &stats);
     if params.emit_qasm {
@@ -882,6 +899,38 @@ mod tests {
         assert!(table.get("line:6").is_none(), "least recently used is gone");
         server.shutdown();
         server.join();
+    }
+
+    #[test]
+    fn closed_connections_give_back_their_sockets() {
+        let server = test_server();
+        let connections = 50;
+        for _ in 0..connections {
+            let mut client = crate::Client::connect(server.local_addr()).unwrap();
+            client.ping().unwrap();
+        }
+        // Each reader sees its client's EOF on its own thread.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let open = server.shared.conns.lock().unwrap().len();
+            if open == 0 {
+                break;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "{open} closed connections still hold a socket"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        // Accepting another connection drops the finished reader handles.
+        let mut client = crate::Client::connect(server.local_addr()).unwrap();
+        client.ping().unwrap();
+        let readers = server.shared.readers.lock().unwrap().len();
+        assert!(readers < 5, "{readers} reader handles kept");
+        // Shutdown still EOFs the live reader and drains.
+        server.shutdown();
+        server.join();
+        assert!(client.read_line().is_err(), "connection must be closed");
     }
 
     #[test]

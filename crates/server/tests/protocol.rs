@@ -538,3 +538,118 @@ fn timeouts_turn_slow_requests_into_clean_errors() {
     server.shutdown();
     server.join();
 }
+
+/// One request line on a raw connection with a read timeout, so a server
+/// that never answers fails the test instead of hanging it.
+fn call_raw(stream: &mut std::io::BufReader<std::net::TcpStream>, line: &str) -> Value {
+    use std::io::{BufRead, Write};
+    let mut request = line.to_string();
+    request.push('\n');
+    stream.get_mut().write_all(request.as_bytes()).unwrap();
+    let mut reply = String::new();
+    stream
+        .read_line(&mut reply)
+        .unwrap_or_else(|e| panic!("no reply to {line}: {e}"));
+    assert!(
+        !reply.is_empty(),
+        "connection closed instead of answering {line}"
+    );
+    parse(&reply)
+}
+
+#[test]
+fn bad_improvement_factors_answer_bad_request_and_the_connection_keeps_serving() {
+    let server = start(test_config());
+    let stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(5)))
+        .unwrap();
+    let mut stream = std::io::BufReader::new(stream);
+    for (id, line) in [
+        (
+            1,
+            r#"{"id": 1, "method": "estimate", "params": {"benchmark": "cnx_inplace-4", "device": "line:6", "calibration": "improve:NaN"}}"#,
+        ),
+        (
+            2,
+            r#"{"id": 2, "method": "sweep", "params": {"benchmarks": ["cnx_inplace-4"], "devices": ["line:6"], "calibrations": ["improve:NaN"]}}"#,
+        ),
+        (
+            3,
+            r#"{"id": 3, "method": "estimate", "params": {"benchmark": "cnx_inplace-4", "calibration": "improve:0"}}"#,
+        ),
+    ] {
+        let response = call_raw(&mut stream, line);
+        assert_eq!(response.get("id").and_then(Value::as_u64), Some(id));
+        assert_eq!(error_kind(&response).as_deref(), Some("bad-request"));
+        let pong = call_raw(&mut stream, r#"{"id": 9, "method": "ping"}"#);
+        assert_eq!(
+            result_of(&pong).get("pong").and_then(Value::as_bool),
+            Some(true)
+        );
+    }
+    server.shutdown();
+    server.join();
+}
+
+#[test]
+fn params_a_method_does_not_read_and_malformed_grids_are_bad_requests() {
+    let server = start(test_config());
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let message = |response: &Value| -> String {
+        response
+            .get("error")
+            .and_then(|e| e.get("message"))
+            .and_then(Value::as_str)
+            .unwrap()
+            .to_string()
+    };
+    for (method, params, named) in [
+        (
+            "compile",
+            r#"{"benchmark": "cnx_inplace-4", "device": "line:6", "routr": "baseline"}"#,
+            "'routr'",
+        ),
+        (
+            "compile-batch",
+            r#"{"circuits": ["cnx_inplace-4"], "device": "line:6", "emit-qasm": true}"#,
+            "'emit-qasm'",
+        ),
+        (
+            "sweep",
+            r#"{"benchmarks": ["cnx_inplace-4"], "devices": ["line:6"], "shots": 0}"#,
+            "shots",
+        ),
+        (
+            "sweep",
+            r#"{"benchmarks": ["cnx_inplace-4"], "devices": ["line:6", "line:6"]}"#,
+            "'line:6'",
+        ),
+        (
+            "sweep",
+            r#"{"benchmarks": ["cnx_inplace-4"], "devices": []}"#,
+            "'devices'",
+        ),
+    ] {
+        let response = parse(&client.call(method, params).unwrap());
+        assert_eq!(
+            error_kind(&response).as_deref(),
+            Some("bad-request"),
+            "{method} {params}: {response:?}"
+        );
+        assert!(message(&response).contains(named), "{}", message(&response));
+    }
+    // A cell that fails to compile is still a compile error.
+    let response = parse(
+        &client
+            .call(
+                "sweep",
+                r#"{"benchmarks": ["cnx_dirty-11"], "devices": ["line:6"]}"#,
+            )
+            .unwrap(),
+    );
+    assert_eq!(error_kind(&response).as_deref(), Some("compile"));
+    client.ping().unwrap();
+    server.shutdown();
+    server.join();
+}

@@ -2,10 +2,10 @@
 //! original program, verified by statevector replay through the
 //! initial/final layouts (`trios_sim::compiled_equivalent`).
 //!
-//! The fast tests keep the physical register small (device width = circuit
-//! width) so they run in debug builds; the `#[ignore]`d tests widen to the
-//! paper's 20-qubit Johannesburg device and the full Table 1 suite, and
-//! run in the release `--include-ignored` CI job.
+//! Most tests keep the physical register small (device width = circuit
+//! width); two widen to the paper's 20-qubit Johannesburg device and the
+//! full Table 1 suite. All of them run in debug builds too, because the
+//! workspace compiles `trios-sim` at `opt-level = 3` in every profile.
 
 use orchestrated_trios::benchmarks::{self, Benchmark, ExtendedBenchmark};
 use orchestrated_trios::core::{Compiler, PaperConfig};
@@ -100,7 +100,6 @@ fn small_parametric_instances_compile_equivalently() {
 }
 
 #[test]
-#[ignore = "dense 2^16..2^20 simulations: run in the release --include-ignored CI job"]
 fn full_suite_compiles_equivalently_on_compact_devices() {
     // Every suite circuit up to 16 qubits, on a device of its own width.
     let circuits: Vec<Circuit> = Benchmark::ALL
@@ -113,13 +112,12 @@ fn full_suite_compiles_equivalently_on_compact_devices() {
         assert_equivalent(circuit, &line(circuit.num_qubits()), PaperConfig::Trios, 1);
     }
     // One full-width (20-qubit, 2^20 amplitudes) circuit: Bernstein-
-    // Vazirani is shallow enough to finish quickly in release.
+    // Vazirani is shallow enough to finish quickly.
     let bv = Benchmark::Bv20.build();
     assert_equivalent(&bv, &line(bv.num_qubits()), PaperConfig::Trios, 1);
 }
 
 #[test]
-#[ignore = "dense 2^20 simulations: run in the release --include-ignored CI job"]
 fn johannesburg_compilations_are_equivalent() {
     // The paper's actual device: every circuit verifies inside the full
     // 20-qubit physical register, ancillas and all.
