@@ -18,38 +18,9 @@
 //! four decomposers, no file output, with the report's invariants
 //! asserted.
 
-use trios_bench::device;
+use trios_bench::{all_decomposers, decomposer_grid_spec};
 use trios_benchmarks::Benchmark;
-use trios_core::{
-    run_sweep, Calibration, DecomposerRegistry, SweepBenchmark, SweepReport, SweepSpec,
-};
-
-/// The ablation grid over the given benchmarks and decomposer names.
-fn grid_spec(benchmarks: &[Benchmark], decomposers: Vec<String>) -> SweepSpec {
-    SweepSpec {
-        benchmarks: benchmarks
-            .iter()
-            .map(|b| SweepBenchmark::measured(b.name(), b.build()))
-            .collect(),
-        devices: vec![("johannesburg".into(), device())],
-        routers: vec!["baseline".into(), "trios".into()],
-        decomposers,
-        calibrations: vec![(
-            "near-future".into(),
-            Calibration::johannesburg_2020_08_19().improved(20.0),
-        )],
-        ..SweepSpec::new()
-    }
-}
-
-/// Every registered decomposition, in registry order — the grid stays in
-/// sync with `DecomposerRegistry::standard()` automatically.
-fn all_decomposers() -> Vec<String> {
-    DecomposerRegistry::standard()
-        .names()
-        .map(String::from)
-        .collect()
-}
+use trios_core::{run_sweep, SweepReport};
 
 /// CI smoke grid: 2 benchmarks × 2 routers × 4 decomposers, invariants
 /// asserted, nothing written.
@@ -59,7 +30,7 @@ fn run_test_mode() {
         .into_iter()
         .map(String::from)
         .collect();
-    let spec = grid_spec(&benchmarks, decomposers.clone());
+    let spec = decomposer_grid_spec(&benchmarks, decomposers.clone());
     let report = run_sweep(&spec).unwrap();
 
     assert_eq!(
@@ -114,7 +85,7 @@ fn main() {
     }
 
     let suite: Vec<Benchmark> = Benchmark::toffoli_suite().collect();
-    let spec = grid_spec(&suite, all_decomposers());
+    let spec = decomposer_grid_spec(&suite, all_decomposers());
     let report = run_sweep(&spec).unwrap();
     print!("{report}");
 

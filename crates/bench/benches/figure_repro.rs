@@ -14,37 +14,9 @@
 //! Pass `-- --test` (as CI does) for a fast smoke cell: a reduced grid,
 //! no file output, with the report's invariants asserted.
 
-use trios_bench::{device, FIG67_TRIPLETS};
+use trios_bench::{fig6_fig8_spec, FIG67_TRIPLETS};
 use trios_core::sweep::MONTE_CARLO_MAX_QUBITS;
-use trios_core::{
-    run_sweep, Calibration, Circuit, InitialMapping, SweepBenchmark, SweepReport, SweepSpec,
-};
-
-/// The Figure 6/8 grid as a sweep spec over the first `count` published
-/// triplets.
-fn fig6_fig8_spec(count: usize) -> SweepSpec {
-    let benchmarks = FIG67_TRIPLETS[..count]
-        .iter()
-        .map(|&(c1, c2, t)| {
-            let mut circuit = Circuit::with_name(3, format!("toffoli-{c1}-{c2}-{t}"));
-            circuit.ccx(0, 1, 2);
-            let name = circuit.name().to_string();
-            let mut bench = SweepBenchmark::measured(name, circuit);
-            bench.mapping = Some(InitialMapping::Fixed(vec![c1, c2, t]));
-            bench
-        })
-        .collect();
-    SweepSpec {
-        benchmarks,
-        devices: vec![("johannesburg".into(), device())],
-        routers: vec!["baseline".into(), "trios".into()],
-        // The published figures use the connectivity-aware default; the
-        // decomposer axis lives in `decomposer_ablation`.
-        decomposers: vec!["standard".into()],
-        calibrations: vec![("now".into(), Calibration::johannesburg_2020_08_19())],
-        ..SweepSpec::new()
-    }
-}
+use trios_core::{run_sweep, SweepReport};
 
 /// CI smoke cell: a 6-triplet grid, invariants asserted, nothing written.
 fn run_test_mode() {

@@ -4,14 +4,16 @@
 //! Each `benches/*.rs` target (run via `cargo bench -p trios-bench`)
 //! regenerates one table or figure of the paper; this library holds the
 //! pieces they share: the published qubit triplets, experiment runners,
-//! and text-table helpers.
+//! the sweep specs behind the committed `BENCH_sweep.json` and
+//! `BENCH_decomp.json`, and text-table helpers.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+use trios_benchmarks::Benchmark;
 use trios_core::{
     with_measurements, Calibration, Circuit, CompileReport, CompiledProgram, Compiler,
-    InitialMapping, PaperConfig,
+    DecomposerRegistry, InitialMapping, PaperConfig, SweepBenchmark, SweepSpec,
 };
 use trios_topology::{johannesburg, Topology};
 
@@ -54,6 +56,67 @@ pub const FIG67_TRIPLETS: [(usize, usize, usize); 35] = [
     (3, 1, 2),
     (17, 16, 18),
 ];
+
+/// The Figure 6/8 grid as a sweep spec over the first `count` published
+/// triplets (paper §5.1): one Toffoli pinned to each triplet's
+/// Johannesburg qubits "to force routing to occur", all three qubits
+/// measured, baseline and Trios routers, today's calibration. Over all
+/// [`FIG67_TRIPLETS`] it is the grid `figure_repro` writes to
+/// `BENCH_sweep.json`.
+pub fn fig6_fig8_spec(count: usize) -> SweepSpec {
+    let benchmarks = FIG67_TRIPLETS[..count]
+        .iter()
+        .map(|&(c1, c2, t)| {
+            let mut circuit = Circuit::with_name(3, format!("toffoli-{c1}-{c2}-{t}"));
+            circuit.ccx(0, 1, 2);
+            let name = circuit.name().to_string();
+            let mut bench = SweepBenchmark::measured(name, circuit);
+            bench.mapping = Some(InitialMapping::Fixed(vec![c1, c2, t]));
+            bench
+        })
+        .collect();
+    SweepSpec {
+        benchmarks,
+        devices: vec![("johannesburg".into(), device())],
+        routers: vec!["baseline".into(), "trios".into()],
+        // The published figures use the connectivity-aware default; the
+        // decomposer axis lives in `decomposer_grid_spec`.
+        decomposers: vec!["standard".into()],
+        calibrations: vec![("now".into(), Calibration::johannesburg_2020_08_19())],
+        ..SweepSpec::new()
+    }
+}
+
+/// The router × decomposer ablation grid over the given benchmarks and
+/// decomposer names on Johannesburg, estimated under the 20×-improved
+/// near-future calibration. Over [`Benchmark::toffoli_suite`] and
+/// [`all_decomposers`] it is the grid `decomposer_ablation` writes to
+/// `BENCH_decomp.json`.
+pub fn decomposer_grid_spec(benchmarks: &[Benchmark], decomposers: Vec<String>) -> SweepSpec {
+    SweepSpec {
+        benchmarks: benchmarks
+            .iter()
+            .map(|b| SweepBenchmark::measured(b.name(), b.build()))
+            .collect(),
+        devices: vec![("johannesburg".into(), device())],
+        routers: vec!["baseline".into(), "trios".into()],
+        decomposers,
+        calibrations: vec![(
+            "near-future".into(),
+            Calibration::johannesburg_2020_08_19().improved(20.0),
+        )],
+        ..SweepSpec::new()
+    }
+}
+
+/// Every registered decomposition, in registry order, so the ablation
+/// grid stays in sync with `DecomposerRegistry::standard()`.
+pub fn all_decomposers() -> Vec<String> {
+    DecomposerRegistry::standard()
+        .names()
+        .map(String::from)
+        .collect()
+}
 
 /// Geometric mean (inputs must be positive).
 pub fn geomean(values: &[f64]) -> f64 {

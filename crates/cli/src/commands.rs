@@ -273,7 +273,7 @@ fn run_compile_batch(batch: &BatchOptions) -> Result<String, CliError> {
     let cache = CompilationCache::new(batch.cache_size);
     let jobs = batch.effective_jobs();
     let outcome = compiler
-        .compile_batch_parallel_with_cache(&circuits, &device, jobs, Some(&cache))
+        .compile_batch(&circuits, &device, jobs, Some(&cache))
         .map_err(|e| CliError::Batch {
             file: files[e.index].display().to_string(),
             source: e,

@@ -8,8 +8,9 @@ use crate::CompiledProgram;
 use std::fmt;
 use std::time::Duration;
 
-/// Everything a parallel batch compilation returns: the per-circuit
-/// results in **input order**, plus the aggregate [`BatchReport`].
+/// Everything [`Compiler::compile_batch`](crate::Compiler::compile_batch)
+/// returns: the per-circuit results in **input order**, plus the aggregate
+/// [`BatchReport`].
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub struct BatchOutcome {
@@ -184,7 +185,12 @@ impl fmt::Display for BatchReport {
             self.two_qubit_out as isize - self.two_qubit_in as isize,
         )?;
         if self.passes.is_empty() {
-            return write!(f, "passes: none run (all jobs served from cache)");
+            let why = if self.circuits == 0 {
+                "the batch was empty"
+            } else {
+                "all jobs served from cache"
+            };
+            return write!(f, "passes: none run ({why})");
         }
         writeln!(
             f,
@@ -302,6 +308,25 @@ mod tests {
         assert_eq!(report.cache_hit_rate(), None);
         assert_eq!(report.circuits_per_second(), None);
         assert!(report.to_string().contains("0 circuits"));
+    }
+
+    #[test]
+    fn display_says_why_no_pass_ran() {
+        let empty = BatchReport::aggregate(&[], &[], 1, Duration::ZERO);
+        assert!(
+            empty
+                .to_string()
+                .ends_with("passes: none run (the batch was empty)"),
+            "{empty}"
+        );
+        let results = vec![result(vec![record("route", 10, 16, 100)])];
+        let all_hits = BatchReport::aggregate(&results, &[false], 1, Duration::from_micros(5));
+        assert!(
+            all_hits
+                .to_string()
+                .ends_with("passes: none run (all jobs served from cache)"),
+            "{all_hits}"
+        );
     }
 
     #[test]

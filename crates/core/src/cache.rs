@@ -25,7 +25,7 @@ pub type CachedCompilation = (CompiledProgram, CompileReport);
 /// A bounded, least-recently-used cache of finished compilations.
 ///
 /// Interior-mutable and `Sync`: one cache can be shared by the worker
-/// threads of [`Compiler::compile_batch_parallel`](crate::Compiler), and
+/// threads of [`Compiler::compile_batch`](crate::Compiler::compile_batch), and
 /// kept across batches so repeated workload sweeps (the paper's ablation
 /// studies recompile the same benchmarks under many configurations) pay
 /// for each distinct job once.
@@ -47,10 +47,8 @@ pub type CachedCompilation = (CompiledProgram, CompileReport);
 /// let compiler = Compiler::builder().seed(1).build();
 /// let cache = CompilationCache::new(64);
 ///
-/// let cold = compiler
-///     .compile_batch_parallel_with_cache(&[program.clone()], &device, 2, Some(&cache))?;
-/// let warm = compiler
-///     .compile_batch_parallel_with_cache(&[program], &device, 2, Some(&cache))?;
+/// let cold = compiler.compile_batch(&[program.clone()], &device, 2, Some(&cache))?;
+/// let warm = compiler.compile_batch(&[program], &device, 2, Some(&cache))?;
 /// assert_eq!(cold.results[0].0, warm.results[0].0);
 /// assert_eq!(warm.report.cache_hits, 1);
 /// # Ok::<(), trios_core::BatchDiagnostic>(())

@@ -60,8 +60,8 @@ pub fn with_measurements(circuit: &Circuit, qubits: &[usize]) -> Circuit {
 /// Construct with [`Compiler::builder`] (or [`Compiler::new`] from
 /// existing [`CompileOptions`]); compile with [`Compiler::compile`],
 /// [`Compiler::compile_with_report`] (adds per-pass instrumentation), or
-/// [`Compiler::compile_batch`] (many circuits, one device, shared
-/// precomputation).
+/// [`Compiler::compile_batch`] (many circuits, one device, on worker
+/// threads, optionally through a [`CompilationCache`]).
 ///
 /// # Examples
 ///
@@ -183,98 +183,26 @@ impl Compiler {
         self.run_pipeline(&mut manager, circuit, topology)
     }
 
-    /// Compiles many circuits over one device with one reused pass
-    /// pipeline, so per-pipeline setup — in particular the schedule
-    /// pass's gate-duration table, cached inside
-    /// [`SchedulePass`](crate::SchedulePass) after its first run —
-    /// happens once per batch instead of once per circuit. (The topology
-    /// fills each distance row on first use and keeps it, so rows are
-    /// shared by every compilation, batched or not.)
-    ///
-    /// Output is identical to calling [`Compiler::compile`] on each
-    /// circuit in order (each compilation seeds its own RNG from
-    /// [`CompileOptions::seed`]), so batching is a pure throughput
-    /// optimization — the first step toward serving concurrent traffic.
-    ///
-    /// # Errors
-    ///
-    /// Stops at the first circuit that fails, returning its index and
-    /// diagnostic.
-    pub fn compile_batch(
-        &self,
-        circuits: &[Circuit],
-        topology: &Topology,
-    ) -> Result<Vec<CompiledProgram>, BatchDiagnostic> {
-        self.compile_batch_with_reports(circuits, topology)
-            .map(|v| v.into_iter().map(|(program, _)| program).collect())
-    }
-
-    /// Like [`Compiler::compile_batch`] but also returns each circuit's
-    /// [`CompileReport`].
-    ///
-    /// # Errors
-    ///
-    /// Stops at the first circuit that fails, returning its index and
-    /// diagnostic.
-    pub fn compile_batch_with_reports(
-        &self,
-        circuits: &[Circuit],
-        topology: &Topology,
-    ) -> Result<Vec<(CompiledProgram, CompileReport)>, BatchDiagnostic> {
-        let mut manager = self.pass_manager();
-        circuits
-            .iter()
-            .enumerate()
-            .map(|(index, circuit)| {
-                self.run_pipeline(&mut manager, circuit, topology)
-                    .map_err(|diagnostic| BatchDiagnostic { index, diagnostic })
-            })
-            .collect()
-    }
-
-    /// Compiles many circuits concurrently on up to `jobs` workers,
-    /// returning results in **input order**.
+    /// Compiles many circuits over one device on up to `jobs` workers,
+    /// returning each circuit's program and [`CompileReport`] in **input
+    /// order** plus an aggregate [`BatchReport`], and optionally consulting
+    /// (and filling) a shared [`CompilationCache`].
     ///
     /// The calling thread is one of the workers: the batch spawns `jobs −
     /// 1` scoped threads ([`std::thread::scope`]) and runs the last worker
     /// itself, so `jobs = 1` (or a batch of one circuit) compiles inline
     /// and spawns nothing. `jobs = 0` counts as 1, and `jobs` is capped at
-    /// the number of circuits.
+    /// the number of circuits. Each worker claims the next circuit index
+    /// and reuses one pass pipeline for all its circuits, so per-pipeline
+    /// setup — the schedule pass's gate-duration table, cached inside
+    /// [`SchedulePass`](crate::SchedulePass) after its first run — happens
+    /// once per worker instead of once per circuit.
     ///
-    /// Output is byte-identical to [`Compiler::compile_batch`] (and thus
-    /// to per-circuit [`Compiler::compile`]): compilation is deterministic
-    /// per job — stochastic choices are seeded from
-    /// [`CompileOptions::seed`], routing tie-breaks are by lowest qubit
-    /// index — and each result lands in the slot of its input index, so
-    /// worker scheduling cannot reorder or perturb anything.
-    ///
-    /// # Errors
-    ///
-    /// Returns the lowest-index failing circuit's [`BatchDiagnostic`],
-    /// exactly as the sequential batch would.
-    pub fn compile_batch_parallel(
-        &self,
-        circuits: &[Circuit],
-        topology: &Topology,
-        jobs: usize,
-    ) -> Result<Vec<CompiledProgram>, BatchDiagnostic> {
-        self.compile_batch_parallel_with_cache(circuits, topology, jobs, None)
-            .map(|outcome| {
-                outcome
-                    .results
-                    .into_iter()
-                    .map(|(program, _)| program)
-                    .collect()
-            })
-    }
-
-    /// Like [`Compiler::compile_batch_parallel`], but returns per-circuit
-    /// [`CompileReport`]s plus an aggregate [`BatchReport`], and optionally
-    /// consults (and fills) a shared [`CompilationCache`].
-    ///
-    /// Workers are as in [`Compiler::compile_batch_parallel`]: the caller
-    /// plus `jobs − 1` scoped threads, each claiming the next circuit
-    /// index and reusing one pass pipeline for all its circuits.
+    /// Output is byte-identical to calling [`Compiler::compile`] on each
+    /// circuit: compilation is deterministic per job — stochastic choices
+    /// are seeded from [`CompileOptions::seed`], routing tie-breaks are by
+    /// lowest qubit index — and each result lands in the slot of its input
+    /// index, so worker scheduling cannot reorder or perturb anything.
     ///
     /// A cache hit replays the stored program and report without running
     /// any pass; because compilation is deterministic, hits are
@@ -284,11 +212,12 @@ impl Compiler {
     ///
     /// # Errors
     ///
-    /// Returns the lowest-index failing circuit's [`BatchDiagnostic`].
-    /// Workers stop picking up new circuits once any failure is observed;
-    /// circuits before the failing index are still compiled (they were
-    /// claimed earlier), so the reported failure matches sequential order.
-    pub fn compile_batch_parallel_with_cache(
+    /// Returns the lowest-index failing circuit's [`BatchDiagnostic`], at
+    /// every worker count. Workers stop picking up new circuits once any
+    /// failure is observed; circuits before the failing index are still
+    /// compiled (they were claimed earlier), so the reported failure is
+    /// the first in input order.
+    pub fn compile_batch(
         &self,
         circuits: &[Circuit],
         topology: &Topology,
@@ -746,11 +675,16 @@ mod tests {
         }
         let topo = johannesburg();
         let compiler = Compiler::builder().seed(11).build();
-        let sequential = compiler.compile_batch(&circuits, &topo).unwrap();
+        let sequential: Vec<CompiledProgram> = circuits
+            .iter()
+            .map(|c| compiler.compile(c, &topo).unwrap())
+            .collect();
         for jobs in [1, 2, 4, 16] {
-            let parallel = compiler
-                .compile_batch_parallel(&circuits, &topo, jobs)
+            let outcome = compiler
+                .compile_batch(&circuits, &topo, jobs, None)
                 .unwrap();
+            let parallel: Vec<CompiledProgram> =
+                outcome.results.into_iter().map(|(p, _)| p).collect();
             assert_eq!(parallel, sequential, "jobs = {jobs}");
         }
     }
@@ -767,7 +701,7 @@ mod tests {
         let compiler = Compiler::builder().seed(2).build();
         let cache = CompilationCache::new(16);
         let outcome = compiler
-            .compile_batch_parallel_with_cache(&circuits, &topo, 1, Some(&cache))
+            .compile_batch(&circuits, &topo, 1, Some(&cache))
             .unwrap();
         assert_eq!(outcome.results.len(), 3);
         assert_eq!(outcome.report.circuits, 3);
@@ -779,7 +713,7 @@ mod tests {
         assert_eq!(outcome.results[0], outcome.results[2]);
         // A second, warm batch over the same jobs is all hits.
         let warm = compiler
-            .compile_batch_parallel_with_cache(&circuits, &topo, 2, Some(&cache))
+            .compile_batch(&circuits, &topo, 2, Some(&cache))
             .unwrap();
         assert_eq!(warm.report.cache_hits, 3);
         assert_eq!(warm.report.cache_misses, 0);
@@ -794,7 +728,7 @@ mod tests {
         let compiler = Compiler::default();
         for jobs in [1, 2, 4] {
             let err = compiler
-                .compile_batch_parallel(&batch, &johannesburg(), jobs)
+                .compile_batch(&batch, &johannesburg(), jobs, None)
                 .unwrap_err();
             assert_eq!(err.index, 1, "jobs = {jobs}");
         }
@@ -805,16 +739,17 @@ mod tests {
         let compiler = Compiler::default();
         let topo = johannesburg();
         assert!(compiler
-            .compile_batch_parallel(&[], &topo, 4)
+            .compile_batch(&[], &topo, 4, None)
             .unwrap()
+            .results
             .is_empty());
         // jobs = 0 is clamped to one worker rather than hanging.
         let mut c = Circuit::new(3);
         c.ccx(0, 1, 2);
         let out = compiler
-            .compile_batch_parallel(std::slice::from_ref(&c), &topo, 0)
+            .compile_batch(std::slice::from_ref(&c), &topo, 0, None)
             .unwrap();
-        assert_eq!(out[0], compiler.compile(&c, &topo).unwrap());
+        assert_eq!(out.results[0].0, compiler.compile(&c, &topo).unwrap());
     }
 
     #[test]
@@ -823,7 +758,7 @@ mod tests {
         let too_wide = Circuit::new(25);
         let compiler = Compiler::default();
         let err = compiler
-            .compile_batch(&[ok, too_wide], &johannesburg())
+            .compile_batch(&[ok, too_wide], &johannesburg(), 1, None)
             .unwrap_err();
         assert_eq!(err.index, 1);
         assert!(matches!(err.diagnostic, Diagnostic::Routing { .. }));

@@ -569,12 +569,7 @@ pub fn run_fuzz_with_registry(
                     diagnostic.to_string(),
                 ));
             };
-            match compiler.compile_batch_parallel_with_cache(
-                &circuits,
-                topology,
-                jobs,
-                Some(&cache),
-            ) {
+            match compiler.compile_batch(&circuits, topology, jobs, Some(&cache)) {
                 Ok(outcome) => {
                     for (case, (program, _)) in fitting.iter().zip(outcome.results) {
                         compiled.push((case, program));

@@ -38,20 +38,19 @@
 //! Passes publish intermediate results ([`PostRouteCircuit`],
 //! [`SwapTrace`], [`ProgramSchedule`]) into the context's typed artifact
 //! map; failures surface as a structured [`Diagnostic`] naming the pass.
-//! [`Compiler::compile_batch`] compiles many circuits over one device
-//! with shared precomputation.
 //!
-//! # Batch throughput
+//! # Batch compilation
 //!
 //! Whole-suite sweeps (the paper's evaluation compiles every benchmark
-//! against many topologies) go through
-//! [`Compiler::compile_batch_parallel`]: a scoped worker pool, with the
-//! calling thread as one of its workers, that keeps results in input
-//! order and is byte-identical to sequential compilation. [`Compiler::compile_batch_parallel_with_cache`] adds a
-//! shared [`CompilationCache`] — an LRU keyed by the structural hash of
-//! `(circuit, device, options)` with exact hit/miss counters — and
-//! returns a [`BatchReport`] aggregating per-pass wall times and
-//! gate-count deltas across the batch.
+//! against many topologies) go through [`Compiler::compile_batch`]: a
+//! scoped worker pool, with the calling thread as one of its workers,
+//! that keeps results in input order and is byte-identical to compiling
+//! each circuit on its own. An optional shared [`CompilationCache`] — an
+//! LRU keyed by the structural hash of `(circuit, device, options)` with
+//! exact hit/miss counters — answers repeated jobs, and a [`BatchReport`]
+//! aggregates per-pass wall times and gate-count deltas across the batch.
+//! Its throughput is timed by the repository's benchmark, `perfbench`
+//! (the `paper-sweep` and `serve-kiloqubit` workloads), not by this crate.
 //!
 //! [`PaperConfig`] names the exact compiler configurations evaluated in
 //! the paper's figures. Every compiled program carries its initial/final

@@ -18,7 +18,7 @@ use trios_schedule::{schedule_asap, GateDurations};
 /// Passes are `Send + Sync` so a [`PassManager`](crate::PassManager) —
 /// and any pipeline assembled from custom passes — can be moved into, or
 /// shared with, the worker threads of
-/// [`Compiler::compile_batch_parallel`](crate::Compiler::compile_batch_parallel).
+/// [`Compiler::compile_batch`](crate::Compiler::compile_batch).
 /// Pass state must therefore be self-contained (all the built-in passes
 /// are plain data plus lazily-built tables).
 pub trait Pass: Send + Sync {

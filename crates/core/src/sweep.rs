@@ -6,7 +6,7 @@
 //! machine-checkable [`SweepReport`].
 //!
 //! A [`SweepSpec`] names the grid; [`run_sweep`] expands it into jobs,
-//! executes them over [`Compiler::compile_batch_parallel_with_cache`]
+//! executes them over [`Compiler::compile_batch`]
 //! with one [`CompilationCache`] warm across every cell, estimates each
 //! compiled program's success probability (optionally with a crosstalk
 //! model), optionally cross-validates the analytic model with a Monte
@@ -772,7 +772,7 @@ pub fn run_sweep(spec: &SweepSpec) -> Result<SweepReport, SweepError> {
                         .map(|&bi| spec.benchmarks[bi].circuit.clone())
                         .collect();
                     let outcome = compiler
-                        .compile_batch_parallel_with_cache(&circuits, topology, jobs, Some(&cache))
+                        .compile_batch(&circuits, topology, jobs, Some(&cache))
                         .map_err(|e| SweepError::Compile {
                             benchmark: spec.benchmarks[indices[e.index]].name.clone(),
                             device: device_name.clone(),

@@ -312,6 +312,82 @@ fn repeated_requests_hit_the_shared_cache_across_connections() {
     server.join();
 }
 
+/// Replays each client's slice of `compile` params on its own connection
+/// and thread; returns the wall time and the number of cached replies.
+fn replay(addr: std::net::SocketAddr, requests: &[Vec<String>]) -> (std::time::Duration, usize) {
+    let started = std::time::Instant::now();
+    let cached = std::thread::scope(|scope| {
+        let handles: Vec<_> = requests
+            .iter()
+            .map(|slice| {
+                scope.spawn(move || {
+                    let mut client = Client::connect(addr).unwrap();
+                    slice
+                        .iter()
+                        .filter(|params| {
+                            let response = parse(&client.call("compile", params).unwrap());
+                            result_of(&response).get("cached").and_then(Value::as_bool)
+                                == Some(true)
+                        })
+                        .count()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).sum()
+    });
+    (started.elapsed(), cached)
+}
+
+#[test]
+fn cold_replay_misses_and_its_warm_repeat_hits_every_request_faster() {
+    // Two clients, four distinct generated circuits each: families round
+    // robin, gen seeds never reused, and the routing seed varies too, since
+    // families like qft are deterministic per width.
+    const FAMILIES: [&str; 4] = ["qft", "toffoli-ripple", "clifford-t", "layered"];
+    let (clients, per_client) = (2, 4);
+    let requests: Vec<Vec<String>> = (0..clients)
+        .map(|c| {
+            (0..per_client)
+                .map(|i| {
+                    let n = c * per_client + i;
+                    format!(
+                        r#"{{"benchmark": "gen:{}:{}", "device": "line:8", "seed": {n}}}"#,
+                        FAMILIES[n % FAMILIES.len()],
+                        n / FAMILIES.len()
+                    )
+                })
+                .collect()
+        })
+        .collect();
+    let server = start(ServerConfig {
+        workers: 4,
+        ..test_config()
+    });
+
+    let addr = server.local_addr();
+    let (cold, cached_cold) = replay(addr, &requests);
+    assert_eq!(cached_cold, 0, "cold requests are all distinct");
+    let (warm, cached_warm) = replay(addr, &requests);
+    assert_eq!(
+        cached_warm,
+        clients * per_client,
+        "warm requests must all hit the shared cache"
+    );
+    assert_eq!(server.snapshot().served, 2 * (clients * per_client) as u64);
+    // Other tests share the CPUs, and being preempted only ever slows a
+    // replay down, so the fastest of three warm replays stands for warm.
+    let warm = (0..2)
+        .map(|_| replay(addr, &requests).0)
+        .fold(warm, Ord::min);
+    assert!(
+        warm < cold,
+        "the warm replay must beat the cold one ({warm:?} vs {cold:?})"
+    );
+
+    server.shutdown();
+    server.join();
+}
+
 #[test]
 fn decomposers_never_share_cache_hits_and_unknown_names_error() {
     let server = start(test_config());

@@ -28,12 +28,12 @@ fn batch_matches_sequential_compiles_across_devices() {
         let topo = device.build();
         for config in [PaperConfig::QiskitBaseline, PaperConfig::Trios] {
             let compiler = Compiler::builder().seed(3).config(config).build();
-            let batched = compiler.compile_batch(&circuits, &topo).unwrap();
-            assert_eq!(batched.len(), circuits.len());
+            let batched = compiler.compile_batch(&circuits, &topo, 1, None).unwrap();
+            assert_eq!(batched.results.len(), circuits.len());
             for (i, circuit) in circuits.iter().enumerate() {
                 let sequential = compiler.compile(circuit, &topo).unwrap();
                 assert_eq!(
-                    batched[i], sequential,
+                    batched.results[i].0, sequential,
                     "circuit {i} diverged on {device:?} ({config:?})"
                 );
             }
@@ -47,8 +47,9 @@ fn batch_reports_match_single_reports() {
     let topo = PaperDevice::Johannesburg.build();
     let compiler = Compiler::builder().seed(8).build();
     let batched = compiler
-        .compile_batch_with_reports(&circuits, &topo)
-        .unwrap();
+        .compile_batch(&circuits, &topo, 1, None)
+        .unwrap()
+        .results;
     for (i, circuit) in circuits.iter().enumerate() {
         let (program, report) = compiler.compile_with_report(circuit, &topo).unwrap();
         assert_eq!(batched[i].0, program);
@@ -73,18 +74,23 @@ fn batch_reports_match_single_reports() {
 fn batch_is_empty_safe_and_order_preserving() {
     let topo = PaperDevice::Grid.build();
     let compiler = Compiler::default();
-    assert!(compiler.compile_batch(&[], &topo).unwrap().is_empty());
-
-    // Mixed widths keep their order.
     let mut small = Circuit::new(2);
     small.cx(0, 1);
     let mut large = Circuit::new(6);
     large.ccx(0, 2, 4);
-    let out = compiler
-        .compile_batch(&[small.clone(), large.clone()], &topo)
-        .unwrap();
-    assert_eq!(out[0], compiler.compile(&small, &topo).unwrap());
-    assert_eq!(out[1], compiler.compile(&large, &topo).unwrap());
+    for jobs in [1, 4] {
+        let empty = compiler.compile_batch(&[], &topo, jobs, None).unwrap();
+        assert!(empty.results.is_empty(), "jobs = {jobs}");
+        assert_eq!(empty.report.circuits, 0, "jobs = {jobs}");
+
+        // Mixed widths keep their order.
+        let out = compiler
+            .compile_batch(&[small.clone(), large.clone()], &topo, jobs, None)
+            .unwrap();
+        assert_eq!(out.results.len(), 2, "jobs = {jobs}");
+        assert_eq!(out.results[0].0, compiler.compile(&small, &topo).unwrap());
+        assert_eq!(out.results[1].0, compiler.compile(&large, &topo).unwrap());
+    }
 }
 
 #[test]
@@ -93,9 +99,16 @@ fn batch_surfaces_failing_circuit_index() {
     let compiler = Compiler::default();
     let ok = Circuit::new(3);
     let too_wide = Circuit::new(64);
-    let err = compiler
-        .compile_batch(&[ok.clone(), ok, too_wide], &topo)
-        .unwrap_err();
-    assert_eq!(err.index, 2);
-    assert!(matches!(err.diagnostic, Diagnostic::Routing { .. }));
+    // Two failing circuits: every worker count reports the lower index.
+    let batch = [ok.clone(), ok.clone(), too_wide.clone(), ok, too_wide];
+    for jobs in [1, 2, 4] {
+        let err = compiler
+            .compile_batch(&batch, &topo, jobs, None)
+            .unwrap_err();
+        assert_eq!(err.index, 2, "jobs = {jobs}");
+        assert!(
+            matches!(err.diagnostic, Diagnostic::Routing { .. }),
+            "jobs = {jobs}"
+        );
+    }
 }

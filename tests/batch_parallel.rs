@@ -1,12 +1,16 @@
 //! Property tests for the parallel batch-compilation subsystem:
 //!
-//! * `compile_batch_parallel` is byte-identical to the sequential
-//!   `compile_batch` — any worker count, any device, any seed;
+//! * `Compiler::compile_batch` is byte-identical to compiling each circuit
+//!   on its own with `Compiler::compile` — any worker count, any device,
+//!   any seed, and the same first failure;
 //! * cache hits replay results byte-identical to cold compiles, and a
 //!   repeated batch over a warm cache is answered entirely from it.
 
 use proptest::prelude::*;
-use trios_core::{CompilationCache, CompileReport, CompiledProgram, Compiler, PaperConfig};
+use trios_core::{
+    BatchOutcome, CompilationCache, CompileReport, CompiledProgram, Compiler, Diagnostic,
+    PaperConfig,
+};
 use trios_ir::Circuit;
 use trios_topology::{clusters, grid, line, ring, Topology};
 
@@ -22,6 +26,11 @@ fn reports_match(a: &CompileReport, b: &CompileReport) -> bool {
                 && x.depth_before == y.depth_before
                 && x.depth_after == y.depth_after
         })
+}
+
+/// A batch's compiled programs in input order, reports dropped.
+fn programs(outcome: BatchOutcome) -> Vec<CompiledProgram> {
+    outcome.results.into_iter().map(|(p, _)| p).collect()
 }
 
 fn results_match(
@@ -112,11 +121,20 @@ proptest! {
         let topo = device(device_choice);
         let config = if trios { PaperConfig::Trios } else { PaperConfig::QiskitBaseline };
         let compiler = Compiler::builder().seed(seed).config(config).build();
-        let sequential = compiler.compile_batch(&circuits, &topo);
-        let parallel = compiler.compile_batch_parallel(&circuits, &topo, jobs);
+        // The reference: each circuit compiled on its own, stopping at the
+        // first failure as the batch does.
+        let sequential: Result<Vec<CompiledProgram>, (usize, Diagnostic)> = circuits
+            .iter()
+            .enumerate()
+            .map(|(index, c)| compiler.compile(c, &topo).map_err(|d| (index, d)))
+            .collect();
+        let parallel = compiler.compile_batch(&circuits, &topo, jobs, None);
         match (sequential, parallel) {
-            (Ok(s), Ok(p)) => prop_assert_eq!(s, p),
-            (Err(s), Err(p)) => prop_assert_eq!(s.index, p.index),
+            (Ok(s), Ok(p)) => prop_assert_eq!(s, programs(p)),
+            (Err((index, diagnostic)), Err(p)) => {
+                prop_assert_eq!(index, p.index);
+                prop_assert_eq!(diagnostic, p.diagnostic);
+            }
             (s, p) => prop_assert!(
                 false,
                 "sequential and parallel disagree on success: {:?} vs {:?}",
@@ -137,7 +155,7 @@ proptest! {
         let compiler = Compiler::builder().seed(seed).build();
         // Cold reference: no cache at all.
         let cold = compiler
-            .compile_batch_parallel_with_cache(&circuits, &topo, jobs, None)
+            .compile_batch(&circuits, &topo, jobs, None)
             .unwrap();
         prop_assert_eq!(cold.report.cache_hits, 0);
         prop_assert_eq!(cold.report.cache_misses, circuits.len() as u64);
@@ -146,10 +164,10 @@ proptest! {
         // duplicate structures); second run must be answered from cache.
         let cache = CompilationCache::new(64);
         let first = compiler
-            .compile_batch_parallel_with_cache(&circuits, &topo, jobs, Some(&cache))
+            .compile_batch(&circuits, &topo, jobs, Some(&cache))
             .unwrap();
         let warm = compiler
-            .compile_batch_parallel_with_cache(&circuits, &topo, jobs, Some(&cache))
+            .compile_batch(&circuits, &topo, jobs, Some(&cache))
             .unwrap();
         prop_assert_eq!(warm.report.cache_hits, circuits.len() as u64);
         prop_assert_eq!(warm.report.cache_misses, 0);
@@ -180,29 +198,29 @@ fn paper_suite_parallel_and_cached_matches_sequential() {
         .collect();
     let topo = johannesburg();
     let compiler = Compiler::builder().seed(0).build();
-    let sequential = compiler.compile_batch(&circuits, &topo).unwrap();
+    let sequential: Vec<CompiledProgram> = circuits
+        .iter()
+        .map(|c| compiler.compile(c, &topo).unwrap())
+        .collect();
     for jobs in [2, 4] {
         let parallel = compiler
-            .compile_batch_parallel(&circuits, &topo, jobs)
+            .compile_batch(&circuits, &topo, jobs, None)
             .unwrap();
-        assert_eq!(parallel, sequential, "jobs = {jobs}");
+        assert_eq!(programs(parallel), sequential, "jobs = {jobs}");
     }
     // Repeated batch over one cache: the second run must exceed a 90% hit
     // rate (it is in fact 100%: every job was inserted by the first run).
     let cache = CompilationCache::new(64);
     compiler
-        .compile_batch_parallel_with_cache(&circuits, &topo, 2, Some(&cache))
+        .compile_batch(&circuits, &topo, 2, Some(&cache))
         .unwrap();
     let warm = compiler
-        .compile_batch_parallel_with_cache(&circuits, &topo, 2, Some(&cache))
+        .compile_batch(&circuits, &topo, 2, Some(&cache))
         .unwrap();
     let rate = warm.report.cache_hit_rate().unwrap();
     assert!(rate > 0.9, "warm hit rate {rate} not > 0.9");
     assert_eq!(
-        warm.results
-            .iter()
-            .map(|(p, _)| p.clone())
-            .collect::<Vec<_>>(),
+        programs(warm),
         sequential,
         "cached results must equal sequential compilation"
     );
@@ -261,14 +279,9 @@ fn one_job_batch_compiles_every_circuit_on_the_calling_thread() {
     let topo = line(8);
     let caller = std::thread::current().id();
 
-    compiler
-        .compile_batch_parallel_with_cache(&circuits, &topo, 1, None)
-        .unwrap();
-    compiler
-        .compile_batch_parallel(&circuits, &topo, 1)
-        .unwrap();
+    compiler.compile_batch(&circuits, &topo, 1, None).unwrap();
     let seen = seen.lock().unwrap();
-    assert_eq!(seen.len(), 2 * circuits.len(), "one route per circuit");
+    assert_eq!(seen.len(), circuits.len(), "one route per circuit");
     assert!(
         seen.iter().all(|id| *id == caller),
         "a one-job batch left the calling thread: {seen:?}"

@@ -58,7 +58,7 @@ fn fixed_seed_fuzz_is_clean_over_every_router_and_family() {
 
 #[test]
 fn every_family_verifies_at_full_johannesburg_width() {
-    // The acceptance criterion of the sparse backend: every paper
+    // The acceptance test of the sparse backend: every paper
     // benchmark family — including the non-Clifford ones that the
     // stabilizer cannot touch and the dense backend cannot fit — is
     // equivalence-checked at the full 20-qubit Johannesburg width, with
@@ -96,7 +96,7 @@ fn every_family_verifies_at_full_johannesburg_width() {
 
 #[test]
 fn full_johannesburg_clifford_fuzz_passes_through_the_stabilizer_backend() {
-    // The acceptance criterion of the simulator refactor: routed-vs-input
+    // The acceptance test of the simulator refactor: routed-vs-input
     // equivalence on the full 20-qubit Johannesburg device — impossible
     // under the old 8-qubit dense wall — for every registered router.
     let spec = FuzzSpec {

@@ -511,11 +511,11 @@ fn generated_circuits_with_distinct_seeds_never_false_hit_the_cache() {
     let compiler = Compiler::new(options);
     let cache = CompilationCache::new(circuits.len());
     let cold = compiler
-        .compile_batch_parallel_with_cache(&circuits, &topo, 4, Some(&cache))
+        .compile_batch(&circuits, &topo, 4, Some(&cache))
         .unwrap();
     assert_eq!(cold.report.cache_hits, 0, "distinct cases must all miss");
     let warm = compiler
-        .compile_batch_parallel_with_cache(&circuits, &topo, 4, Some(&cache))
+        .compile_batch(&circuits, &topo, 4, Some(&cache))
         .unwrap();
     assert_eq!(warm.report.cache_hits as usize, circuits.len());
     assert_eq!(warm.results, cold.results);

@@ -99,7 +99,7 @@ fn warm_cache_never_serves_one_strategy_for_another() {
     for router in routers {
         let compiler = Compiler::builder().seed(0).router(router).build();
         let outcome = compiler
-            .compile_batch_parallel_with_cache(&batch, &topo, 2, Some(&cache))
+            .compile_batch(&batch, &topo, 2, Some(&cache))
             .unwrap();
         assert_eq!(
             outcome.report.cache_hits, 0,
@@ -111,7 +111,7 @@ fn warm_cache_never_serves_one_strategy_for_another() {
     for (router, cold_result) in routers.iter().zip(&cold) {
         let compiler = Compiler::builder().seed(0).router(*router).build();
         let outcome = compiler
-            .compile_batch_parallel_with_cache(&batch, &topo, 2, Some(&cache))
+            .compile_batch(&batch, &topo, 2, Some(&cache))
             .unwrap();
         assert_eq!(outcome.report.cache_hits, 1, "{router} warm hit");
         assert_eq!(&outcome.results[0], cold_result, "{router} replay");
