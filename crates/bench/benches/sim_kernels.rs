@@ -15,8 +15,8 @@
 //!   demonstrating the broken 8-qubit verification wall.
 //! * **sparse crossover** — [`trios_sim::SparseState`] on the
 //!   toffoli-ripple shape at 8–200 qubits, against the dense backend
-//!   where dense can still fit: sparse pays a constant-factor hash-map
-//!   tax at small widths and is the only statevector option past ~26.
+//!   where dense can still fit: dense wins only at the smallest widths,
+//!   and sparse is the only statevector option past the dense cap.
 //!
 //! Run with `cargo bench -p trios-bench --bench sim_kernels`.
 //! Pass `-- --test` (as CI does) for a fast smoke run: a reduced width,

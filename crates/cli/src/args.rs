@@ -72,8 +72,6 @@ pub struct FuzzOptions {
     pub devices: String,
     /// Worker threads (`0` = one per available core).
     pub jobs: usize,
-    /// Compilation-cache capacity (`0` disables).
-    pub cache_size: usize,
     /// Minimize failing cases to QASM reproducers.
     pub shrink: bool,
     /// Equivalence backend policy: `auto`, `dense`, `stabilizer`, or
@@ -95,7 +93,6 @@ impl Default for FuzzOptions {
             decomposer: "standard".into(),
             devices: "line:8,grid:4x2".into(),
             jobs: 0,
-            cache_size: 256,
             shrink: false,
             backend: "auto".into(),
             max_dense_qubits: 8,
@@ -399,10 +396,6 @@ fn parse_fuzz_args(rest: &[&String]) -> Result<FuzzOptions, CliError> {
             "--jobs" | "-j" => {
                 let v = flag_value(rest, &mut i, "--jobs")?;
                 options.jobs = flag_int("--jobs", v)?;
-            }
-            "--cache-size" => {
-                let v = flag_value(rest, &mut i, "--cache-size")?;
-                options.cache_size = flag_int("--cache-size", v)?;
             }
             "--shrink" => options.shrink = true,
             "--backend" => {
@@ -873,8 +866,6 @@ mod tests {
             "line:8",
             "--jobs",
             "2",
-            "--cache-size",
-            "64",
             "--shrink",
             "--backend",
             "stabilizer",
@@ -893,7 +884,6 @@ mod tests {
         assert_eq!(o.decomposer, "relative-phase");
         assert_eq!(o.devices, "line:8");
         assert_eq!(o.jobs, 2);
-        assert_eq!(o.cache_size, 64);
         assert!(o.shrink);
         assert_eq!(o.backend, "stabilizer");
         assert_eq!(o.max_dense_qubits, 12);
@@ -903,6 +893,8 @@ mod tests {
         assert!(parse_args(&args(&["fuzz", "--routers", "sabre"])).is_err());
         assert!(parse_args(&args(&["fuzz", "--decomposer", "margolus"])).is_err());
         assert!(parse_args(&args(&["fuzz", "--wat"])).is_err());
+        // The harness compiles without a cache, so it takes no cache size.
+        assert!(parse_args(&args(&["fuzz", "--cache-size", "8"])).is_err());
         assert!(parse_args(&args(&["fuzz", "--cases"])).is_err());
         // Backend names are validated at parse time too.
         assert!(parse_args(&args(&["fuzz", "--backend", "statevector"])).is_err());

@@ -31,7 +31,10 @@ COMMANDS:
     compile-batch <dir> [flags]  compile every .qasm under a directory, in
                                  parallel with a compilation cache
     estimate <input> [flags]     compile, then estimate success probability
-    verify <input> [flags]       compile, then statevector-check semantics
+    verify <input> [flags]       compile, then simulate both programs to check
+                                 semantics at full device width: stabilizer
+                                 for Clifford pairs, dense statevector up to
+                                 24 qubits, sparse statevector past that
     sweep [flags]                run a benchmark × device × router ×
                                  calibration evaluation grid (the paper's
                                  Figure 6/8/9/11 comparison)
@@ -45,7 +48,7 @@ COMMANDS:
                                  admission control, and live stats
     help                         this text
 
-FLAGS (compile / estimate):
+FLAGS (compile / estimate / verify):
     --device, -d <spec>          johannesburg | heavy-hex | grid | line |
                                  clusters | line:N | ring:N | full:N |
                                  grid:CxR | clusters:KxS | alltoall:N |
@@ -109,7 +112,7 @@ FLAGS (fuzz):
     --max-terms <n>              sparse nonzero-amplitude budget; cells
                                  that outgrow it are recorded as skipped
                                  (default 1048576)
-    --jobs, -j / --seed, -s / --cache-size    as for compile-batch
+    --jobs, -j / --seed, -s      as for compile-batch
 
 FLAGS (serve):
     --addr, -a <host:port>       bind address        (default 127.0.0.1:7878)
@@ -165,32 +168,40 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         Command::Verify(options) => {
             // The program checked is the one compiled.
             let (circuit, device) = resolve(&options)?;
-            if device.num_qubits() > trios_sim::MAX_QUBITS {
-                return Err(CliError::Usage(format!(
-                    "device has {} qubits; dense verification caps at {}",
-                    device.num_qubits(),
-                    trios_sim::MAX_QUBITS
-                )));
-            }
             let (compiled, mut out) = compile_input(&options, &circuit, &device)?;
-            let ok = trios_sim::compiled_equivalent(
-                &circuit,
-                &compiled.circuit,
-                &compiled.initial_layout.to_mapping(),
-                &compiled.final_layout.to_mapping(),
-                2,
-                options.compile.options.seed.wrapping_add(1),
-                1e-7,
+            let sim = trios_sim::auto_backend(
+                device.num_qubits(),
+                &[&circuit, &compiled.circuit],
+                trios_sim::MAX_QUBITS,
+                trios_sim::DEFAULT_MAX_TERMS,
             )
-            .map_err(|e| CliError::Usage(e.to_string()))?;
+            .ok_or_else(|| {
+                CliError::Usage(format!(
+                    "no simulator backend can check this program: it is non-Clifford and \
+                     touches more than {} qubits",
+                    trios_sim::SPARSE_MAX_QUBITS
+                ))
+            })?;
+            let backend = sim.capability().name;
+            let ok = sim
+                .compiled_equivalent(
+                    &circuit,
+                    &compiled.circuit,
+                    &compiled.initial_layout.to_mapping(),
+                    &compiled.final_layout.to_mapping(),
+                    2,
+                    options.compile.options.seed.wrapping_add(1),
+                )
+                .map_err(|e| {
+                    CliError::Usage(format!("{backend} verification failed to run: {e}"))
+                })?;
             let _ = writeln!(
                 out,
-                "
-semantics:       {}",
+                "\nsemantics:       {}",
                 if ok {
-                    "VERIFIED (statevector replay through initial/final layouts)"
+                    format!("VERIFIED ({backend} backend: replay through initial/final layouts)")
                 } else {
-                    "FAILED — compiled circuit does not implement the program"
+                    format!("FAILED ({backend} backend) — compiled circuit does not implement the program")
                 }
             );
             if !ok {
@@ -499,7 +510,6 @@ fn run_fuzz_command(options: &FuzzOptions) -> Result<String, CliError> {
         decomposer: options.decomposer.clone(),
         devices,
         jobs: options.jobs,
-        cache_size: options.cache_size,
         shrink: options.shrink,
         backend: options.backend.parse().map_err(CliError::Usage)?,
         max_sim_qubits: options.max_dense_qubits,
@@ -1557,9 +1567,26 @@ mod tests {
     }
 
     #[test]
-    fn verify_rejects_oversimulatable_devices() {
-        let err = run(&args(&["verify", "bv-20", "--device", "full:25"])).unwrap_err();
-        assert!(err.to_string().contains("caps at"));
+    fn verify_checks_at_full_device_width() {
+        // Past the dense cap: a Clifford program goes to the stabilizer, a
+        // Toffoli network on a kiloqubit device to the sparse backend.
+        for (input, device, backend) in [
+            ("bv-20", "full:25", "stabilizer"),
+            ("gen:toffoli-ripple:7", "heavy-hex:1121", "sparse"),
+        ] {
+            let out = run(&args(&["verify", input, "--device", device])).unwrap();
+            assert!(
+                out.contains(&format!("VERIFIED ({backend} backend")),
+                "{input} on {device}:\n{out}"
+            );
+        }
+        // A program with no qubits verifies rather than panicking.
+        let dir = std::env::temp_dir().join("trios-cli-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("empty.qasm");
+        std::fs::write(&path, "OPENQASM 2.0;\n").unwrap();
+        let out = run(&args(&["verify", path.to_str().unwrap(), "-d", "line:4"])).unwrap();
+        assert!(out.contains("VERIFIED"), "{out}");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! * **semantics** — a [`trios_sim::Simulator`] backend replays random
 //!   states through the initial/final layouts: stabilizer tableau for
 //!   Clifford circuits at any width, dense statevector on devices up to
-//!   [`FuzzSpec::max_sim_qubits`] wide, and the sparse term-map backend
+//!   [`FuzzSpec::max_sim_qubits`] wide, and the sparse term-list backend
 //!   for non-Clifford circuits on anything wider (full Johannesburg,
 //!   127-qubit-class heavy-hex grids) while the amplitude count stays
 //!   under [`FuzzSpec::max_terms`]. A cell whose equivalence cannot run
@@ -26,10 +26,11 @@
 //!   `mean_gather_distance` is finite and non-negative, the scheduled
 //!   duration is finite and non-negative.
 //!
-//! Compilation goes through the cached parallel batch compiler, so a
-//! fuzz run shares work exactly like a production sweep; results are
-//! **byte-identical across worker counts** (the report carries no
-//! timings and cells are visited in deterministic grid order).
+//! Compilation goes through the parallel batch compiler, one compile per
+//! cell (generated cases rarely repeat, so a cache would only hold
+//! copies); results are **byte-identical across worker counts** (the
+//! report carries no timings and cells are visited in deterministic grid
+//! order).
 //!
 //! When [`FuzzSpec::shrink`] is set, each failing case is minimized by
 //! greedy gate removal and qubit compaction — every candidate is
@@ -52,7 +53,6 @@
 //! # Ok::<(), trios_core::fuzz::FuzzError>(())
 //! ```
 
-use crate::cache::CompilationCache;
 use crate::{BatchDiagnostic, CompileStats, CompiledProgram, Compiler, Diagnostic};
 use std::error::Error;
 use std::fmt;
@@ -88,9 +88,6 @@ pub struct FuzzSpec {
     /// Worker threads for batch compilation (`0` = one per core). The
     /// report is identical regardless of this knob.
     pub jobs: usize,
-    /// Compilation-cache capacity shared across the whole run (`0`
-    /// disables).
-    pub cache_size: usize,
     /// Minimize failing cases to a QASM reproducer.
     pub shrink: bool,
     /// Widest device that gets the *dense* statevector-equivalence
@@ -131,7 +128,6 @@ impl FuzzSpec {
                 ("grid:4x2".to_string(), grid(4, 2)),
             ],
             jobs: 0,
-            cache_size: 256,
             shrink: false,
             max_sim_qubits: 8,
             trials: 2,
@@ -319,7 +315,7 @@ pub struct FuzzReport {
     pub equivalence_dense: usize,
     /// Equivalence checks that ran on the stabilizer tableau backend.
     pub equivalence_stabilizer: usize,
-    /// Equivalence checks that ran on the sparse term-map backend.
+    /// Equivalence checks that ran on the sparse term-list backend.
     pub equivalence_sparse: usize,
     /// Cells skipped because the case was wider than the device (never
     /// compiled; not in [`FuzzReport::cells`]).
@@ -481,7 +477,6 @@ pub fn run_fuzz_with_registry(
     }
 
     let suite = generate_suite(&spec.families, spec.cases, spec.seed);
-    let cache = CompilationCache::new(spec.cache_size);
     let jobs = if spec.jobs > 0 {
         spec.jobs
     } else {
@@ -550,12 +545,11 @@ pub fn run_fuzz_with_registry(
                 .strategies(registry.clone())
                 .build();
 
-            // Compile the whole device×router slab through the cached
-            // parallel batch compiler. The batch stops at its first
-            // failure, so on an error the slab falls back to one
-            // per-circuit compile each — a failing slab means more
-            // failures are likely, and the fallback keeps total work
-            // linear in the slab size even with the cache disabled.
+            // Compile the whole device×router slab through the parallel
+            // batch compiler. The batch stops at its first failure, so on
+            // an error the slab falls back to one per-circuit compile
+            // each — a failing slab means more failures are likely, and
+            // the fallback keeps total work linear in the slab size.
             let mut compiled: Vec<(&GeneratedCircuit, CompiledProgram)> = Vec::new();
             let mut record_compile_failure = |case, diagnostic: Diagnostic| {
                 failures.push(build_failure(
@@ -569,7 +563,7 @@ pub fn run_fuzz_with_registry(
                     diagnostic.to_string(),
                 ));
             };
-            match compiler.compile_batch(&circuits, topology, jobs, Some(&cache)) {
+            match compiler.compile_batch(&circuits, topology, jobs, None) {
                 Ok(outcome) => {
                     for (case, (program, _)) in fitting.iter().zip(outcome.results) {
                         compiled.push((case, program));

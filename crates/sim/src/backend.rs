@@ -6,7 +6,7 @@
 //! |---|---|---|---|
 //! | [`DenseSimulator`] | statevector ([`State`]) | ≤ [`MAX_QUBITS`] | any unitary |
 //! | [`StabilizerSimulator`] | CHP tableau ([`Tableau`]) | hundreds of qubits | Clifford |
-//! | [`SparseSimulator`] | term map ([`SparseState`]) | ≤ [`SPARSE_MAX_QUBITS`] (more via compaction) | any unitary, ≤ `max_terms` amplitudes |
+//! | [`SparseSimulator`] | term list ([`SparseState`]) | ≤ [`SPARSE_MAX_QUBITS`] (more via compaction) | any unitary, ≤ `max_terms` amplitudes |
 //!
 //! The fuzz harness asks [`auto_backend`] to pick per cell: stabilizer
 //! whenever the pair is all-Clifford (exact and effectively free at any
@@ -19,6 +19,7 @@
 //! [`SparseState`]: crate::SparseState
 //! [`SPARSE_MAX_QUBITS`]: crate::SPARSE_MAX_QUBITS
 
+use crate::equivalence::check_layout;
 use crate::sparse::SparseSimulator;
 use crate::state::SplitMix64;
 use crate::tableau::first_non_clifford;
@@ -48,7 +49,7 @@ pub enum Backend {
     Dense,
     /// Stabilizer tableau only.
     Stabilizer,
-    /// Sparse term-map statevector only.
+    /// Sparse term-list statevector only.
     Sparse,
 }
 
@@ -214,10 +215,14 @@ impl StabilizerSimulator {
 }
 
 /// A seeded random Clifford word (H/S/CX) on `n` qubits, used to prepare
-/// random stabilizer states for equivalence trials.
+/// random stabilizer states for equivalence trials. Empty when `n` is
+/// zero.
 fn random_clifford_prep(n: usize, seed: u64) -> Circuit {
     let mut rng = SplitMix64::new(seed);
     let mut c = Circuit::new(n);
+    if n == 0 {
+        return c;
+    }
     let gates = 3 * n + 2;
     for _ in 0..gates {
         let q = (rng.next_u64() % n as u64) as usize;
@@ -291,18 +296,7 @@ impl Simulator for StabilizerSimulator {
         let n_log = original.num_qubits();
         let n_phys = compiled.num_qubits();
         for layout in [initial_layout, final_layout] {
-            if layout.len() != n_log {
-                return Err(SimError::WidthMismatch {
-                    expected: n_log,
-                    actual: layout.len(),
-                });
-            }
-            if layout.iter().any(|&p| p >= n_phys) {
-                return Err(SimError::WidthMismatch {
-                    expected: n_phys,
-                    actual: layout.iter().copied().max().unwrap_or(0) + 1,
-                });
-            }
+            check_layout(layout, n_log, n_phys)?;
         }
         self.supports_circuit(original)?;
         self.supports_circuit(compiled)?;
@@ -491,6 +485,43 @@ mod tests {
         // Non-Clifford past the dense cap: sparse, not a skip.
         let sparse = auto_backend(20, &[&cliff, &t_circ], 8, budget).unwrap();
         assert_eq!(sparse.capability().name, "sparse");
+    }
+
+    #[test]
+    fn degenerate_layouts_and_empty_pairs_get_typed_answers_from_every_backend() {
+        // CX(0,1) on three physical qubits; a layout naming one physical
+        // qubit twice is an error, and a zero-qubit program is trivially
+        // implemented by an empty physical circuit.
+        let mut original = Circuit::new(2);
+        original.cx(0, 1);
+        let mut compiled = Circuit::new(3);
+        compiled.cx(0, 1);
+        let (empty, empty_compiled) = (Circuit::new(0), Circuit::new(3));
+        for sim in [
+            Box::new(DenseSimulator::default()) as Box<dyn Simulator>,
+            Box::new(StabilizerSimulator::new()),
+            Box::new(SparseSimulator::default()),
+        ] {
+            let name = sim.capability().name;
+            let run = |original, compiled, initial: &[usize], fin: &[usize]| {
+                sim.compiled_equivalent(original, compiled, initial, fin, 2, 7)
+            };
+            assert_eq!(
+                run(&original, &compiled, &[1, 1], &[0, 1]),
+                Err(SimError::DuplicateLayoutEntry { qubit: 1 }),
+                "{name} backend, duplicate initial entry"
+            );
+            assert_eq!(
+                run(&original, &compiled, &[0, 1], &[2, 2]),
+                Err(SimError::DuplicateLayoutEntry { qubit: 2 }),
+                "{name} backend, duplicate final entry"
+            );
+            assert_eq!(
+                run(&empty, &empty_compiled, &[], &[]),
+                Ok(true),
+                "{name} backend, empty pair"
+            );
+        }
     }
 
     #[test]

@@ -111,8 +111,9 @@ pub fn circuits_equivalent_sampled(
 /// # Errors
 ///
 /// Returns [`SimError::WidthMismatch`] if a layout's length differs from
-/// the logical width or maps outside the physical register, and
-/// [`SimError::TooManyQubits`] for oversized registers.
+/// the logical width or maps outside the physical register,
+/// [`SimError::DuplicateLayoutEntry`] if a layout names one physical
+/// qubit twice, and [`SimError::TooManyQubits`] for oversized registers.
 pub fn compiled_equivalent(
     original: &Circuit,
     compiled: &Circuit,
@@ -125,18 +126,7 @@ pub fn compiled_equivalent(
     let n_log = original.num_qubits();
     let n_phys = compiled.num_qubits();
     for layout in [initial_layout, final_layout] {
-        if layout.len() != n_log {
-            return Err(SimError::WidthMismatch {
-                expected: n_log,
-                actual: layout.len(),
-            });
-        }
-        if layout.iter().any(|&p| p >= n_phys) {
-            return Err(SimError::WidthMismatch {
-                expected: n_phys,
-                actual: layout.iter().copied().max().unwrap_or(0) + 1,
-            });
-        }
+        check_layout(layout, n_log, n_phys)?;
     }
 
     for t in 0..trials {
@@ -156,6 +146,36 @@ pub fn compiled_equivalent(
         }
     }
     Ok(true)
+}
+
+/// Checks that `layout` places `n_log` logical qubits on distinct
+/// physical qubits of an `n_phys`-qubit register, as every backend's
+/// layout replay requires.
+///
+/// # Errors
+///
+/// [`SimError::WidthMismatch`] for a wrong length or an out-of-range
+/// entry, [`SimError::DuplicateLayoutEntry`] for a repeated one.
+pub(crate) fn check_layout(layout: &[usize], n_log: usize, n_phys: usize) -> Result<(), SimError> {
+    if layout.len() != n_log {
+        return Err(SimError::WidthMismatch {
+            expected: n_log,
+            actual: layout.len(),
+        });
+    }
+    if let Some(&p) = layout.iter().max().filter(|&&p| p >= n_phys) {
+        return Err(SimError::WidthMismatch {
+            expected: n_phys,
+            actual: p + 1,
+        });
+    }
+    let mut used = vec![false; n_phys];
+    for &p in layout {
+        if std::mem::replace(&mut used[p], true) {
+            return Err(SimError::DuplicateLayoutEntry { qubit: p });
+        }
+    }
+    Ok(())
 }
 
 /// Places a logical state into a wider physical register according to

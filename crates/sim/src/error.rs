@@ -33,6 +33,11 @@ pub enum SimError {
         /// Backend that rejected it.
         backend: &'static str,
     },
+    /// A layout places two logical qubits on one physical qubit.
+    DuplicateLayoutEntry {
+        /// The physical qubit named more than once.
+        qubit: usize,
+    },
     /// The sparse state grew past its nonzero-amplitude budget; the
     /// circuit is too entangling for sparse simulation at this budget.
     StateTooDense {
@@ -59,6 +64,9 @@ impl fmt::Display for SimError {
             }
             SimError::UnsupportedGate { gate, backend } => {
                 write!(f, "gate {gate} is not supported by the {backend} backend")
+            }
+            SimError::DuplicateLayoutEntry { qubit } => {
+                write!(f, "layout places two qubits on physical qubit {qubit}")
             }
             SimError::StateTooDense { terms, max_terms } => write!(
                 f,

@@ -1,4 +1,4 @@
-//! Sparse statevector simulation: a hash map over nonzero amplitudes.
+//! Sparse statevector simulation: a list of nonzero amplitudes.
 //!
 //! The dense backend caps out at [`MAX_QUBITS`](crate::MAX_QUBITS) because
 //! it materializes all 2^n amplitudes; the stabilizer backend scales to
@@ -6,27 +6,39 @@
 //! ripple-carry adders, Toffoli networks, CnX ladders — are non-Clifford
 //! yet *low-entanglement*: pushed through from a basis-ish input they keep
 //! a tiny number of nonzero amplitudes at any register width. This module
-//! exploits that: [`SparseState`] stores only the nonzero terms, keyed by
-//! basis index, and [`SparseSimulator`] verifies compiled circuits exactly
-//! at full device width (Johannesburg's 20 qubits, 127-qubit heavy-hex)
-//! as long as the term count stays under a [`max_terms`] budget. When a
-//! circuit *does* entangle past the budget the simulator reports
-//! [`SimError::StateTooDense`] instead of thrashing — never a wrong
-//! verdict.
+//! exploits that: [`SparseState`] stores only the nonzero terms, each with
+//! its basis index, and [`SparseSimulator`] verifies compiled circuits
+//! exactly at full device width (Johannesburg's 20 qubits, 127-qubit
+//! heavy-hex) as long as the term count stays under a [`max_terms`]
+//! budget. When a circuit *does* entangle past the budget the simulator
+//! reports [`SimError::StateTooDense`] instead of thrashing — never a
+//! wrong verdict.
+//!
+//! The terms are a list of distinct basis indices, so most gates work in
+//! place: a permutation (X, CX, CCX, SWAP, CSWAP) rewrites indices — a
+//! bijection cannot make two of them collide — and a phase or diagonal
+//! gate scales amplitudes. Only superposing gates (H, `u2`/`u3`,
+//! rotations, controlled powers) build new terms, pairing each index with
+//! its partner across the target qubit through an index the state keeps
+//! and reuses from gate to gate.
 //!
 //! Keys are 256-bit basis indices (`[u64; 4]`), hashed with a vendored
-//! Fx-style multiply hasher so map behaviour is fully deterministic for a
+//! Fx-style multiply hasher so behaviour is fully deterministic for a
 //! given seed; registers wider than [`SPARSE_MAX_QUBITS`] are handled by
 //! compacting onto the qubits a cell actually touches (routed circuits on
 //! kiloqubit devices use a small fraction of the register).
 //!
 //! [`max_terms`]: SparseState::max_terms
 
+use crate::equivalence::check_layout;
 use crate::state::SplitMix64;
 use crate::{single_qubit_matrix, xpow_matrix, Capability, Mat2, SimError, Simulator, C64};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use trios_ir::{Circuit, Gate, Instruction, Qubit};
+
+#[cfg(test)]
+mod reference;
 
 /// Widest register a [`SparseState`] can hold directly (the basis-index
 /// key is 4×64 bits). [`SparseSimulator`] stretches past this for routed
@@ -103,18 +115,21 @@ impl Hasher for FxHasher {
 }
 
 type FxBuildHasher = BuildHasherDefault<FxHasher>;
-type TermMap = HashMap<Key, C64, FxBuildHasher>;
+type KeyIndex<V> = HashMap<Key, V, FxBuildHasher>;
 
-fn term_map(capacity: usize) -> TermMap {
-    TermMap::with_capacity_and_hasher(capacity, FxBuildHasher::default())
-}
-
-/// A statevector stored as a map from basis index to nonzero amplitude.
+/// A statevector stored as a list of distinct basis indices with their
+/// nonzero amplitudes, in no particular order.
 #[derive(Debug, Clone)]
 pub struct SparseState {
     num_qubits: usize,
-    terms: TermMap,
+    terms: Vec<(Key, C64)>,
     max_terms: usize,
+    /// Scratch of the superposing gates, kept so its capacity is reused:
+    /// the pair list holds each touched |…0…⟩ index with the amplitudes
+    /// of it and its |…1…⟩ partner, and the pair index maps a |…0…⟩
+    /// index to its slot in the list.
+    pairs: Vec<(Key, C64, C64)>,
+    pair_index: KeyIndex<usize>,
 }
 
 impl SparseState {
@@ -131,12 +146,12 @@ impl SparseState {
                 max: SPARSE_MAX_QUBITS,
             });
         }
-        let mut terms = term_map(1);
-        terms.insert(ZERO_KEY, C64::ONE);
         Ok(SparseState {
             num_qubits,
-            terms,
+            terms: vec![(ZERO_KEY, C64::ONE)],
             max_terms: DEFAULT_MAX_TERMS,
+            pairs: Vec::new(),
+            pair_index: KeyIndex::default(),
         })
     }
 
@@ -168,14 +183,17 @@ impl SparseState {
     pub fn amplitude(&self, index: u64) -> C64 {
         let mut key = ZERO_KEY;
         key[0] = index;
-        self.terms.get(&key).copied().unwrap_or(C64::ZERO)
+        self.terms
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map_or(C64::ZERO, |&(_, amp)| amp)
     }
 
     /// The ℓ² norm (1 for any valid quantum state, up to pruning residue).
     pub fn norm(&self) -> f64 {
         self.terms
-            .values()
-            .map(|a| a.norm_sqr())
+            .iter()
+            .map(|(_, a)| a.norm_sqr())
             .sum::<f64>()
             .sqrt()
     }
@@ -197,7 +215,7 @@ impl SparseState {
             });
         }
         let mut amps = vec![C64::ZERO; 1usize << self.num_qubits];
-        for (key, &amp) in &self.terms {
+        for &(key, amp) in &self.terms {
             amps[key[0] as usize] = amp;
         }
         Ok(amps)
@@ -236,35 +254,20 @@ impl SparseState {
     ///
     /// # Errors
     ///
-    /// [`SimError::WidthMismatch`] for a short or out-of-range map, plus
-    /// anything [`SparseState::try_apply`] reports.
+    /// [`SimError::WidthMismatch`] unless `map` has one in-range entry per
+    /// circuit qubit, [`SimError::DuplicateLayoutEntry`] if two entries
+    /// name one qubit, plus anything [`SparseState::try_apply`] reports.
     pub fn apply_circuit_mapped(
         &mut self,
         circuit: &Circuit,
         map: &[usize],
     ) -> Result<(), SimError> {
-        if map.len() < circuit.num_qubits() {
-            return Err(SimError::WidthMismatch {
-                expected: circuit.num_qubits(),
-                actual: map.len(),
-            });
-        }
-        if map.iter().any(|&p| p >= self.num_qubits) {
-            return Err(SimError::WidthMismatch {
-                expected: self.num_qubits,
-                actual: map.iter().copied().max().unwrap_or(0) + 1,
-            });
-        }
+        check_layout(map, circuit.num_qubits(), self.num_qubits)?;
         for instr in circuit.iter() {
             if instr.gate().is_measurement() {
                 continue;
             }
-            let mapped: Vec<Qubit> = instr
-                .qubits()
-                .iter()
-                .map(|q| Qubit::new(map[q.index()]))
-                .collect();
-            self.try_apply(&Instruction::new(instr.gate(), &mapped))?;
+            self.try_apply(&instr.map_qubits(|q| Qubit::new(map[q.index()])))?;
         }
         Ok(())
     }
@@ -272,9 +275,9 @@ impl SparseState {
     /// Applies one unitary instruction.
     ///
     /// Diagonal and permutation gates (the bulk of routed Toffoli
-    /// networks) never grow the term count; superposing gates (H, Y, √X,
-    /// rotations, controlled powers) at most double it and are followed by
-    /// a budget check.
+    /// networks) work in place and never grow the term count; superposing
+    /// gates (H, Y, √X, rotations, controlled powers) at most double it
+    /// and are followed by a budget check.
     ///
     /// # Errors
     ///
@@ -384,7 +387,7 @@ impl SparseState {
             }
             Gate::Cxpow(t) => {
                 let m = xpow_matrix(t);
-                self.apply_controlled_1q(q(0), q(1), &m)
+                self.apply_paired(Some(q(0)), q(1), &m)
             }
             g => match single_qubit_matrix(g) {
                 Some(m) => self.apply_1q(q(0), &m),
@@ -396,94 +399,78 @@ impl SparseState {
         }
     }
 
-    /// Rewrites every basis index through the bijection `f` (X/CX/CCX/
-    /// SWAP/CSWAP). Term count is preserved exactly.
+    /// Rewrites every basis index in place through the bijection `f`
+    /// (X/CX/CCX/SWAP/CSWAP on distinct qubits): distinct indices stay
+    /// distinct, and the term count is preserved exactly.
     fn permute(&mut self, f: impl Fn(Key) -> Key) {
-        let mut out = term_map(self.terms.len());
-        for (key, amp) in self.terms.drain() {
-            out.insert(f(key), amp);
+        for (key, _) in &mut self.terms {
+            *key = f(*key);
         }
-        self.terms = out;
     }
 
     /// Multiplies the amplitude of every basis state with all of `qubits`
     /// set by `phase` (Z/S/T/U1/CZ/CP/CCZ). Term count is preserved.
     fn phase_where(&mut self, qubits: &[usize], phase: C64) {
-        for (key, amp) in self.terms.iter_mut() {
+        for (key, amp) in &mut self.terms {
             if qubits.iter().all(|&q| key_bit(key, q)) {
                 *amp *= phase;
             }
         }
     }
 
-    /// General single-qubit gate: walks each touched |…0…⟩/|…1…⟩ pair
-    /// once and rebuilds the map. A diagonal matrix short-circuits to an
-    /// in-place scale.
+    /// General single-qubit gate. A diagonal matrix scales in place;
+    /// anything else goes through [`SparseState::apply_paired`].
     fn apply_1q(&mut self, q: usize, m: &Mat2) -> Result<(), SimError> {
         if m[0][1].norm_sqr() < PRUNE_NORM_SQR && m[1][0].norm_sqr() < PRUNE_NORM_SQR {
             let (m00, m11) = (m[0][0], m[1][1]);
-            for (key, amp) in self.terms.iter_mut() {
+            for (key, amp) in &mut self.terms {
                 *amp *= if key_bit(key, q) { m11 } else { m00 };
             }
             return Ok(());
         }
-        let mut out = term_map(self.terms.len().saturating_mul(2));
-        for (&key, &amp) in &self.terms {
-            let set = key_bit(&key, q);
-            let lo = if set { key_flip(key, q) } else { key };
-            if set && self.terms.contains_key(&lo) {
-                continue; // this pair is handled from its |…0…⟩ member
-            }
-            let hi = key_flip(lo, q);
-            let (a0, a1) = if set {
-                (C64::ZERO, amp)
-            } else {
-                (amp, self.terms.get(&hi).copied().unwrap_or(C64::ZERO))
-            };
-            let n0 = m[0][0] * a0 + m[0][1] * a1;
-            let n1 = m[1][0] * a0 + m[1][1] * a1;
-            if n0.norm_sqr() >= PRUNE_NORM_SQR {
-                out.insert(lo, n0);
-            }
-            if n1.norm_sqr() >= PRUNE_NORM_SQR {
-                out.insert(hi, n1);
-            }
-        }
-        self.terms = out;
-        self.check_budget()
+        self.apply_paired(None, q, m)
     }
 
-    /// Controlled general single-qubit gate on target `t`: terms with the
-    /// control clear pass through; the control-set subspace gets the pair
-    /// walk of [`SparseState::apply_1q`].
-    fn apply_controlled_1q(&mut self, c: usize, t: usize, m: &Mat2) -> Result<(), SimError> {
-        let mut out = term_map(self.terms.len().saturating_mul(2));
-        for (&key, &amp) in &self.terms {
-            if !key_bit(&key, c) {
-                out.insert(key, amp);
+    /// Applies `m` to target `t` on the subspace where `control` (if any)
+    /// is set. Terms with the control clear stay where they are; every
+    /// other term joins its |…0…⟩/|…1…⟩ pair across `t`, an absent member
+    /// counting as amplitude zero, and each pair is replaced by its
+    /// image, dropping amplitudes below the pruning threshold.
+    fn apply_paired(&mut self, control: Option<usize>, t: usize, m: &Mat2) -> Result<(), SimError> {
+        self.pairs.clear();
+        self.pair_index.clear();
+        let mut kept = 0;
+        for i in 0..self.terms.len() {
+            let (key, amp) = self.terms[i];
+            if control.is_some_and(|c| !key_bit(&key, c)) {
+                self.terms[kept] = (key, amp);
+                kept += 1;
                 continue;
             }
             let set = key_bit(&key, t);
             let lo = if set { key_flip(key, t) } else { key };
-            if set && self.terms.contains_key(&lo) {
-                continue; // lo also has the control set: handled there
-            }
-            let hi = key_flip(lo, t);
-            let (a0, a1) = if set {
-                (C64::ZERO, amp)
+            let pairs = &mut self.pairs;
+            let slot = *self.pair_index.entry(lo).or_insert_with(|| {
+                pairs.push((lo, C64::ZERO, C64::ZERO));
+                pairs.len() - 1
+            });
+            if set {
+                pairs[slot].2 = amp;
             } else {
-                (amp, self.terms.get(&hi).copied().unwrap_or(C64::ZERO))
-            };
+                pairs[slot].1 = amp;
+            }
+        }
+        self.terms.truncate(kept);
+        for &(lo, a0, a1) in &self.pairs {
             let n0 = m[0][0] * a0 + m[0][1] * a1;
             let n1 = m[1][0] * a0 + m[1][1] * a1;
             if n0.norm_sqr() >= PRUNE_NORM_SQR {
-                out.insert(lo, n0);
+                self.terms.push((lo, n0));
             }
             if n1.norm_sqr() >= PRUNE_NORM_SQR {
-                out.insert(hi, n1);
+                self.terms.push((key_flip(lo, t), n1));
             }
         }
-        self.terms = out;
         self.check_budget()
     }
 
@@ -501,19 +488,19 @@ impl SparseState {
     /// `true` when the two states are equal up to a global phase, with
     /// per-amplitude tolerance `eps`. The reference phase comes from
     /// `other`'s largest amplitude (ties broken by smallest basis index),
-    /// so the verdict does not depend on hash-map iteration order.
+    /// so the verdict does not depend on the order terms are stored in.
     pub fn approx_eq_up_to_phase(&self, other: &SparseState, eps: f64) -> bool {
         if self.num_qubits != other.num_qubits {
             return false;
         }
         let mut reference: Option<(&Key, C64)> = None;
-        for (key, &amp) in &other.terms {
+        for (key, amp) in &other.terms {
             reference = match reference {
-                None => Some((key, amp)),
+                None => Some((key, *amp)),
                 Some((bk, ba)) => {
                     let d = amp.norm_sqr() - ba.norm_sqr();
                     if d > 0.0 || (d == 0.0 && key < bk) {
-                        Some((key, amp))
+                        Some((key, *amp))
                     } else {
                         Some((bk, ba))
                     }
@@ -523,25 +510,38 @@ impl SparseState {
         let Some((rk, ra)) = reference else {
             // `other` is (numerically) the zero vector: equal only if we
             // are too.
-            return self.terms.values().all(|a| a.abs() < eps);
+            return self.terms.iter().all(|(_, a)| a.abs() < eps);
         };
-        let ours = self.terms.get(rk).copied().unwrap_or(C64::ZERO);
+        let ours = self
+            .terms
+            .iter()
+            .find(|(k, _)| k == rk)
+            .map_or(C64::ZERO, |&(_, amp)| amp);
         let phase = ours / ra;
         if (phase.abs() - 1.0).abs() > eps {
             return false;
         }
-        for (key, &amp) in &self.terms {
-            let theirs = other.terms.get(key).copied().unwrap_or(C64::ZERO);
-            if !(amp - theirs * phase).abs().is_finite() || (amp - theirs * phase).abs() > eps {
+        // `other`'s terms by basis index, each flagged once `self` is
+        // found to hold the same index.
+        let mut theirs: KeyIndex<(C64, bool)> =
+            KeyIndex::with_capacity_and_hasher(other.terms.len(), FxBuildHasher::default());
+        for &(key, amp) in &other.terms {
+            theirs.insert(key, (amp, false));
+        }
+        for (key, amp) in &self.terms {
+            let theirs = match theirs.get_mut(key) {
+                Some((amp, seen)) => {
+                    *seen = true;
+                    *amp
+                }
+                None => C64::ZERO,
+            };
+            let diff = (*amp - theirs * phase).abs();
+            if !diff.is_finite() || diff > eps {
                 return false;
             }
         }
-        for (key, &amp) in &other.terms {
-            if !self.terms.contains_key(key) && amp.abs() > eps {
-                return false;
-            }
-        }
-        true
+        !theirs.values().any(|&(amp, seen)| !seen && amp.abs() > eps)
     }
 }
 
@@ -698,18 +698,7 @@ impl Simulator for SparseSimulator {
         let n_log = original.num_qubits();
         let n_phys = compiled.num_qubits();
         for layout in [initial_layout, final_layout] {
-            if layout.len() != n_log {
-                return Err(SimError::WidthMismatch {
-                    expected: n_log,
-                    actual: layout.len(),
-                });
-            }
-            if layout.iter().any(|&p| p >= n_phys) {
-                return Err(SimError::WidthMismatch {
-                    expected: n_phys,
-                    actual: layout.iter().copied().max().unwrap_or(0) + 1,
-                });
-            }
+            check_layout(layout, n_log, n_phys)?;
         }
         if n_log > SPARSE_MAX_QUBITS {
             return Err(SimError::TooManyQubits {
@@ -801,9 +790,13 @@ const MAX_PREP_SUPERPOSED: usize = 8;
 /// H on the first `min(n, 8)` qubits, then a random word of S/T/CX — all
 /// term-count-preserving, so the result has ≤ 256 terms but rich relative
 /// phases (a basis state alone cannot distinguish e.g. CZ from identity).
+/// Empty when `n` is zero.
 fn random_sparse_prep(n: usize, seed: u64) -> Circuit {
     let mut rng = SplitMix64::new(seed);
     let mut c = Circuit::new(n);
+    if n == 0 {
+        return c;
+    }
     for q in 0..n {
         if rng.next_u64() & 1 == 1 {
             c.x(q);
@@ -814,7 +807,7 @@ fn random_sparse_prep(n: usize, seed: u64) -> Circuit {
     }
     let words = 3 * n + 2;
     for _ in 0..words {
-        let q = (rng.next_u64() % n.max(1) as u64) as usize;
+        let q = (rng.next_u64() % n as u64) as usize;
         match rng.next_u64() % 8 {
             0 | 1 => {
                 c.s(q);
@@ -842,8 +835,10 @@ fn random_sparse_prep(n: usize, seed: u64) -> Circuit {
 
 #[cfg(test)]
 mod tests {
+    use super::reference::{self, MapState};
     use super::*;
     use crate::State;
+    use proptest::prelude::*;
 
     fn assert_matches_dense(circuit: &Circuit, eps: f64) {
         let mut sparse = SparseState::zero(circuit.num_qubits()).unwrap();
@@ -1106,5 +1101,164 @@ mod tests {
             narrow.apply_circuit(&wide),
             Err(SimError::WidthMismatch { .. })
         ));
+    }
+
+    /// Gate kind `kind` (every unitary gate and the measurement) with
+    /// angles drawn from `angles`; `pick` below 4 snaps the first angle to
+    /// 0, π/2, π or −π/4, whose matrices are diagonal or exact.
+    fn gate_of(kind: u8, pick: usize, angles: (f64, f64, f64)) -> Gate {
+        use std::f64::consts::{FRAC_PI_2, FRAC_PI_4, PI};
+        let x = [0.0, FRAC_PI_2, PI, -FRAC_PI_4]
+            .get(pick)
+            .copied()
+            .unwrap_or(angles.0);
+        let (y, z) = (angles.1, angles.2);
+        match kind {
+            0 => Gate::I,
+            1 => Gate::H,
+            2 => Gate::X,
+            3 => Gate::Y,
+            4 => Gate::Z,
+            5 => Gate::S,
+            6 => Gate::Sdg,
+            7 => Gate::T,
+            8 => Gate::Tdg,
+            9 => Gate::Sx,
+            10 => Gate::Sxdg,
+            11 => Gate::Rx(x),
+            12 => Gate::Ry(x),
+            13 => Gate::Rz(x),
+            14 => Gate::U1(x),
+            15 => Gate::U2(x, y),
+            16 => Gate::U3(x, y, z),
+            17 => Gate::Xpow(x),
+            18 => Gate::Cxpow(x),
+            19 => Gate::Cx,
+            20 => Gate::Cz,
+            21 => Gate::Cp(x),
+            22 => Gate::Swap,
+            23 => Gate::Ccx,
+            24 => Gate::Ccz,
+            25 => Gate::Cswap,
+            _ => Gate::Measure,
+        }
+    }
+
+    type RawGate = (u8, (usize, usize, usize), (usize, (f64, f64, f64)));
+
+    /// Folds raw draws onto `n` qubits with distinct operands; a
+    /// three-qubit gate on two qubits is dropped.
+    fn build(n: usize, raw: &[RawGate]) -> Circuit {
+        let mut c = Circuit::new(n);
+        for &(kind, (r0, r1, r2), (pick, angles)) in raw {
+            let gate = gate_of(kind, pick, angles);
+            let a = r0 % n;
+            let b = (a + 1 + r1 % (n - 1)) % n;
+            let third = (0..n).map(|k| (r2 + k) % n).find(|&q| q != a && q != b);
+            let Some(qs) = [Some(a), Some(b), third]
+                .into_iter()
+                .take(gate.arity())
+                .collect::<Option<Vec<usize>>>()
+            else {
+                continue;
+            };
+            c.apply(gate, &qs);
+        }
+        c
+    }
+
+    /// The first `n` entries of a seeded shuffle of `0..n_phys`.
+    fn injective_map(n: usize, n_phys: usize, seed: u64) -> Vec<usize> {
+        let mut rng = SplitMix64::new(seed);
+        let mut all: Vec<usize> = (0..n_phys).collect();
+        for i in (1..n_phys).rev() {
+            all.swap(i, (rng.next_u64() % (i as u64 + 1)) as usize);
+        }
+        all.truncate(n);
+        all
+    }
+
+    /// Every term as (basis index, re bits, im bits), sorted by index.
+    fn bits(terms: impl Iterator<Item = (Key, C64)>) -> Vec<(Key, u64, u64)> {
+        let mut out: Vec<_> = terms
+            .map(|(key, amp)| (key, amp.re.to_bits(), amp.im.to_bits()))
+            .collect();
+        out.sort_unstable_by_key(|&(key, _, _)| key);
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The term-list kernel against the map kernel it replaced, on
+        /// random circuits over every gate kind: bit-equal amplitudes per
+        /// basis index, the same budget errors, applied directly and
+        /// through a layout, and the same compiled-equivalence verdicts
+        /// through routing SWAPs, with and without a stray phase.
+        #[test]
+        fn term_list_kernel_is_bit_equal_to_the_map_kernel(
+            n in 2usize..13,
+            raw in proptest::collection::vec(
+                (0u8..27, (0usize..12, 0usize..12, 0usize..12), (0usize..8, (-3.2f64..3.2, -3.2f64..3.2, -3.2f64..3.2))),
+                0..40,
+            ),
+            budget in (0u32..13, 0usize..4096),
+            extra in 0usize..4,
+            layout_seed in any::<u64>(),
+            tamper in 0u8..3,
+        ) {
+            let circuit = build(n, &raw);
+            let budget = (1usize << budget.0) + budget.1 % (1usize << budget.0);
+
+            let mut new = SparseState::zero(n).unwrap().with_max_terms(budget);
+            let mut old = MapState::zero(n, budget);
+            prop_assert_eq!(new.apply_circuit(&circuit), old.apply_circuit(&circuit));
+            prop_assert_eq!(bits(new.terms.iter().copied()), bits(old.terms()));
+
+            let n_phys = n + extra;
+            let map = injective_map(n, n_phys, layout_seed);
+            let mut new = SparseState::zero(n_phys).unwrap().with_max_terms(budget);
+            let mut old = MapState::zero(n_phys, budget);
+            prop_assert_eq!(
+                new.apply_circuit_mapped(&circuit, &map),
+                old.apply_circuit_mapped(&circuit, &map)
+            );
+            prop_assert_eq!(bits(new.terms.iter().copied()), bits(old.terms()));
+
+            // A routed stand-in: SWAPs move the logical qubits, then the
+            // circuit runs through the layout they leave.
+            let mut compiled = Circuit::new(n_phys);
+            let mut layout = map.clone();
+            let mut rng = SplitMix64::new(layout_seed ^ 0x5eed);
+            for _ in 0..3 {
+                let (a, b) = (layout[0], (rng.next_u64() % n_phys as u64) as usize);
+                if a != b {
+                    compiled.swap(a, b);
+                    for p in &mut layout {
+                        if *p == a {
+                            *p = b;
+                        } else if *p == b {
+                            *p = a;
+                        }
+                    }
+                }
+            }
+            compiled.append(&circuit.remapped(n_phys, &layout).unwrap());
+            match tamper {
+                0 => {
+                    compiled.t(layout[n - 1]);
+                }
+                1 => {
+                    compiled.cx(layout[0], layout[1]);
+                }
+                _ => {}
+            }
+            let sim = SparseSimulator::with_max_terms(budget);
+            let seed = layout_seed % 1000;
+            prop_assert_eq!(
+                sim.compiled_equivalent(&circuit, &compiled, &map, &layout, 2, seed),
+                reference::compiled_equivalent(&sim, &circuit, &compiled, &map, &layout, 2, seed)
+            );
+        }
     }
 }

@@ -18,6 +18,7 @@
 //! output, where runs of named Clifford gates have been merged into
 //! single `u3` matrices.
 
+use crate::equivalence::check_layout;
 use crate::{mat2_adjoint, mat2_mul, single_qubit_matrix, Mat2, SimError, C64};
 use trios_ir::{Circuit, Gate, Instruction};
 
@@ -282,36 +283,21 @@ impl Tableau {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::WidthMismatch`] if the map is shorter than the
-    /// circuit or points outside the register, and propagates
+    /// Returns [`SimError::WidthMismatch`] unless the map has one
+    /// in-range entry per circuit qubit, [`SimError::DuplicateLayoutEntry`]
+    /// if two entries name one qubit, and propagates
     /// [`SimError::UnsupportedGate`].
     pub fn apply_circuit_mapped(
         &mut self,
         circuit: &Circuit,
         map: &[usize],
     ) -> Result<(), SimError> {
-        if map.len() < circuit.num_qubits() {
-            return Err(SimError::WidthMismatch {
-                expected: circuit.num_qubits(),
-                actual: map.len(),
-            });
-        }
-        if map.iter().any(|&p| p >= self.n) {
-            return Err(SimError::WidthMismatch {
-                expected: self.n,
-                actual: map.iter().copied().max().unwrap_or(0) + 1,
-            });
-        }
+        check_layout(map, circuit.num_qubits(), self.n)?;
         for instr in circuit.iter() {
             if instr.gate().is_measurement() {
                 continue;
             }
-            let mapped: Vec<trios_ir::Qubit> = instr
-                .qubits()
-                .iter()
-                .map(|q| trios_ir::Qubit::new(map[q.index()]))
-                .collect();
-            self.apply(&Instruction::new(instr.gate(), &mapped))?;
+            self.apply(&instr.map_qubits(|q| trios_ir::Qubit::new(map[q.index()])))?;
         }
         Ok(())
     }
