@@ -182,6 +182,15 @@ struct SparsePoint {
 
 fn run_sparse(n: usize) -> SparsePoint {
     let circuit = ripple(n);
+    // One untimed run of each backend first, so that no width's timing
+    // pays the process's cold start alone.
+    SparseState::zero(n)
+        .unwrap()
+        .apply_circuit(&circuit)
+        .unwrap();
+    if n <= 20 {
+        State::basis(n, 0).unwrap().apply_circuit(&circuit).unwrap();
+    }
 
     let started = Instant::now();
     let mut sparse = SparseState::zero(n).unwrap();

@@ -693,9 +693,12 @@ fn reprice_cell(
 ///
 /// Cells sharing a device and router are compiled as one batch over the
 /// parallel batch compiler; one [`CompilationCache`] is shared across the
-/// whole sweep, so repeated circuits (and repeated sweeps over one spec)
-/// compile once. Calibration never affects compilation, so each compiled
-/// program is estimated under every calibration without recompiling.
+/// cells of this call, so a circuit that recurs within the sweep (such as
+/// a cost-model-only decomposer's cell, which compiles with the standard
+/// lowering) compiles once. The cache is dropped when the call returns:
+/// running the same spec again compiles everything again. Calibration
+/// never affects compilation, so each compiled program is estimated under
+/// every calibration without recompiling.
 ///
 /// # Errors
 ///

@@ -45,6 +45,28 @@ pub enum QasmError {
         /// Description of the reference.
         reference: String,
     },
+    /// A gate applied to one qubit more than once, as in `cx q[0], q[0];`.
+    RepeatedQubit {
+        /// 1-based line number.
+        line: usize,
+        /// The gate name.
+        name: String,
+        /// The repeated operand, spelled `register[index]`.
+        qubit: String,
+    },
+    /// A register declaration past the width cap,
+    /// [`MAX_QUBITS`](crate::MAX_QUBITS): the quantum registers together,
+    /// or one classical register, would be wider.
+    TooWide {
+        /// 1-based line number of the declaration.
+        line: usize,
+        /// The register declared.
+        register: String,
+        /// `true` for a `qreg`, `false` for a `creg`.
+        quantum: bool,
+        /// The cap.
+        max: usize,
+    },
 }
 
 impl fmt::Display for QasmError {
@@ -73,6 +95,31 @@ impl fmt::Display for QasmError {
             QasmError::BadReference { line, reference } => {
                 write!(f, "line {line}: invalid reference {reference}")
             }
+            QasmError::RepeatedQubit { line, name, qubit } => {
+                write!(
+                    f,
+                    "line {line}: gate '{name}' names qubit {qubit} more than once"
+                )
+            }
+            QasmError::TooWide {
+                line,
+                register,
+                quantum: true,
+                max,
+            } => write!(
+                f,
+                "line {line}: qreg '{register}' takes the quantum registers past the \
+                 {max}-qubit cap"
+            ),
+            QasmError::TooWide {
+                line,
+                register,
+                quantum: false,
+                max,
+            } => write!(
+                f,
+                "line {line}: creg '{register}' is past the {max}-bit cap"
+            ),
         }
     }
 }

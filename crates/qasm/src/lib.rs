@@ -16,6 +16,22 @@
 //! (see the crate tests, which round-trip the entire benchmark suite and
 //! compiled outputs).
 //!
+//! # Limits
+//!
+//! [`parse`] takes untrusted text (the CLI reads `.qasm` files, the server
+//! takes inline source) and answers every input with a circuit or a
+//! [`QasmError`], never a panic. To that end it refuses:
+//!
+//! * quantum registers wider than [`MAX_QUBITS`] qubits together, and any
+//!   classical register wider than [`MAX_QUBITS`] bits
+//!   ([`QasmError::TooWide`]);
+//! * a gate applied to one qubit twice, such as `cx q[0], q[0];`
+//!   ([`QasmError::RepeatedQubit`]);
+//! * parameter expressions nesting parentheses or unary minus more than
+//!   256 deep;
+//! * classical control (`if`); `gate` bodies are skipped, not expanded, so
+//!   applying a gate declared in-file is a [`QasmError::UnknownGate`].
+//!
 //! # Examples
 //!
 //! ```
@@ -43,6 +59,12 @@ mod parser;
 pub use emitter::emit;
 pub use error::QasmError;
 pub use parser::parse;
+
+/// The most qubits a program's quantum registers may declare together,
+/// and the most bits one classical register may hold. It equals the
+/// device-spec cap `trios_topology::MAX_SPEC_QUBITS`: no device this
+/// compiler builds is wider.
+pub const MAX_QUBITS: usize = 4096;
 
 // Re-exported for doc examples and downstream convenience.
 pub use trios_ir::Circuit;

@@ -27,8 +27,31 @@ use std::fmt;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Layout {
-    log_to_phys: Vec<usize>,
-    phys_to_log: Vec<Option<usize>>,
+    /// `log_to_phys[l]`: the physical slot of logical `l`.
+    log_to_phys: Vec<u32>,
+    /// `phys_to_log[p]`: the logical occupant of slot `p`, or [`EMPTY`].
+    /// Four bytes a slot instead of sixteen for `Option<usize>`, which
+    /// matters for the compiled programs a server caches: each keeps two
+    /// layouts as wide as its device.
+    phys_to_log: Vec<u32>,
+}
+
+/// The `phys_to_log` entry of a slot that holds no program data. Every
+/// qubit index of a layout is below it (see [`check_width`]).
+const EMPTY: u32 = u32::MAX;
+
+/// Panics unless every slot index of an `n_physical`-slot layout is
+/// below [`EMPTY`]; [`trios_ir::Qubit`] indices are `u32` too.
+fn check_width(n_physical: usize) {
+    assert!(
+        n_physical <= EMPTY as usize,
+        "{n_physical} physical qubits exceed the layout's u32 range"
+    );
+}
+
+/// A `phys_to_log` entry as the public API spells it.
+fn occupant(entry: u32) -> Option<usize> {
+    (entry != EMPTY).then_some(entry as usize)
 }
 
 impl Layout {
@@ -36,17 +59,17 @@ impl Layout {
     ///
     /// # Panics
     ///
-    /// Panics if `n_logical > n_physical`.
+    /// Panics if `n_logical > n_physical`, or if `n_physical` exceeds
+    /// `u32::MAX`.
     pub fn trivial(n_logical: usize, n_physical: usize) -> Self {
         assert!(
             n_logical <= n_physical,
             "cannot place {n_logical} logical qubits on {n_physical} physical qubits"
         );
-        let log_to_phys: Vec<usize> = (0..n_logical).collect();
-        let mut phys_to_log = vec![None; n_physical];
-        for (l, &p) in log_to_phys.iter().enumerate() {
-            phys_to_log[p] = Some(l);
-        }
+        check_width(n_physical);
+        let log_to_phys: Vec<u32> = (0..n_logical as u32).collect();
+        let mut phys_to_log = vec![EMPTY; n_physical];
+        phys_to_log[..n_logical].copy_from_slice(&log_to_phys);
         let layout = Layout {
             log_to_phys,
             phys_to_log,
@@ -61,6 +84,10 @@ impl Layout {
     ///
     /// Returns [`RouteError::InvalidLayout`] if the mapping is not an
     /// injection into `0..n_physical`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_physical` exceeds `u32::MAX`.
     pub fn from_mapping(mapping: &[usize], n_physical: usize) -> Result<Self, RouteError> {
         if mapping.len() > n_physical {
             return Err(RouteError::InvalidLayout {
@@ -71,22 +98,23 @@ impl Layout {
                 ),
             });
         }
-        let mut phys_to_log = vec![None; n_physical];
+        check_width(n_physical);
+        let mut phys_to_log = vec![EMPTY; n_physical];
         for (l, &p) in mapping.iter().enumerate() {
             if p >= n_physical {
                 return Err(RouteError::InvalidLayout {
                     reason: format!("logical {l} maps to out-of-range physical {p}"),
                 });
             }
-            if let Some(prev) = phys_to_log[p] {
+            if let Some(prev) = occupant(phys_to_log[p]) {
                 return Err(RouteError::InvalidLayout {
                     reason: format!("logical {prev} and {l} both map to physical {p}"),
                 });
             }
-            phys_to_log[p] = Some(l);
+            phys_to_log[p] = l as u32;
         }
         let layout = Layout {
-            log_to_phys: mapping.to_vec(),
+            log_to_phys: mapping.iter().map(|&p| p as u32).collect(),
             phys_to_log,
         };
         layout.debug_check_bijective();
@@ -100,17 +128,18 @@ impl Layout {
         #[cfg(debug_assertions)]
         {
             for (l, &p) in self.log_to_phys.iter().enumerate() {
+                let p = p as usize;
                 debug_assert!(
                     p < self.phys_to_log.len(),
                     "logical {l} maps to out-of-bounds physical {p}"
                 );
                 debug_assert_eq!(
-                    self.phys_to_log[p],
+                    occupant(self.phys_to_log[p]),
                     Some(l),
                     "physical {p} does not map back to logical {l}"
                 );
             }
-            let occupied = self.phys_to_log.iter().flatten().count();
+            let occupied = self.phys_to_log.iter().filter(|&&l| l != EMPTY).count();
             debug_assert_eq!(
                 occupied,
                 self.log_to_phys.len(),
@@ -135,7 +164,7 @@ impl Layout {
     ///
     /// Panics if `l` is out of range.
     pub fn physical(&self, l: usize) -> usize {
-        self.log_to_phys[l]
+        self.log_to_phys[l] as usize
     }
 
     /// Logical occupant of physical slot `p`, or `None` if the slot holds
@@ -145,7 +174,7 @@ impl Layout {
     ///
     /// Panics if `p` is out of range.
     pub fn logical(&self, p: usize) -> Option<usize> {
-        self.phys_to_log[p]
+        occupant(self.phys_to_log[p])
     }
 
     /// Applies a SWAP between physical slots `p1` and `p2` (either or both
@@ -160,15 +189,12 @@ impl Layout {
             "swap {p1}-{p2} out of bounds for {} physical slots",
             self.phys_to_log.len()
         );
-        let l1 = self.phys_to_log[p1];
-        let l2 = self.phys_to_log[p2];
-        self.phys_to_log[p1] = l2;
-        self.phys_to_log[p2] = l1;
-        if let Some(l) = l1 {
-            self.log_to_phys[l] = p2;
+        self.phys_to_log.swap(p1, p2);
+        if let Some(l) = occupant(self.phys_to_log[p1]) {
+            self.log_to_phys[l] = p1 as u32;
         }
-        if let Some(l) = l2 {
-            self.log_to_phys[l] = p1;
+        if let Some(l) = occupant(self.phys_to_log[p2]) {
+            self.log_to_phys[l] = p2 as u32;
         }
         self.debug_check_bijective();
     }
@@ -176,7 +202,7 @@ impl Layout {
     /// The logical→physical assignment as a vector (`result[l] = p`), the
     /// format `trios_sim::compiled_equivalent` consumes.
     pub fn to_mapping(&self) -> Vec<usize> {
-        self.log_to_phys.clone()
+        self.log_to_phys.iter().map(|&p| p as usize).collect()
     }
 }
 

@@ -729,3 +729,66 @@ fn params_a_method_does_not_read_and_malformed_grids_are_bad_requests() {
     server.shutdown();
     server.join();
 }
+
+#[test]
+fn hostile_qasm_answers_bad_request_and_every_worker_survives() {
+    // Two workers: were the first two requests to panic them, the valid
+    // last one would get no reply (and the third asks for a register
+    // whose compile would abort the whole process).
+    let server = start(test_config());
+    let stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .unwrap();
+    let mut stream = std::io::BufReader::new(stream);
+    let sources = [
+        "OPENQASM 2.0;\nqreg q[2];\ncx q[0], q[0];\n",
+        "OPENQASM 2.0;\nqreg q[3];\nccx q[0], q[1], q[0];\n",
+        "OPENQASM 2.0;\nqreg q[1000000000000000];\n",
+        "OPENQASM 2.0;\nqreg q[2];\ncx q[0], q[1];\n",
+    ];
+    // All four go out before any reply is read.
+    let mut lines = String::new();
+    for (id, source) in sources.iter().enumerate() {
+        let qasm = serde_json::to_string(source).unwrap();
+        lines.push_str(&format!(
+            "{{\"id\":{id},\"method\":\"compile\",\"params\":{{\"qasm\":{qasm},\"device\":\"line:6\"}}}}\n"
+        ));
+    }
+    use std::io::{BufRead, Write};
+    stream.get_mut().write_all(lines.as_bytes()).unwrap();
+    let mut replies = std::collections::BTreeMap::new();
+    for _ in 0..sources.len() {
+        let mut line = String::new();
+        stream
+            .read_line(&mut line)
+            .unwrap_or_else(|e| panic!("only {} of 4 replies: {e}", replies.len()));
+        let response = parse(&line);
+        replies.insert(
+            response.get("id").and_then(Value::as_u64).unwrap(),
+            response,
+        );
+    }
+    for (id, needle) in [
+        (0, "q[0] more than once"),
+        (1, "q[0] more than once"),
+        (2, "4096-qubit cap"),
+    ] {
+        let response = &replies[&id];
+        assert_eq!(error_kind(response).as_deref(), Some("bad-request"));
+        let message = response
+            .get("error")
+            .and_then(|e| e.get("message"))
+            .and_then(Value::as_str)
+            .unwrap();
+        assert!(message.contains(needle), "{message}");
+    }
+    let two_qubit_gates = result_of(&replies[&3])
+        .get("stats")
+        .and_then(|s| s.get("two_qubit_gates"))
+        .and_then(Value::as_u64);
+    assert_eq!(two_qubit_gates, Some(1));
+    assert_eq!(server.snapshot().failed, 3);
+    server.shutdown();
+    server.join();
+}

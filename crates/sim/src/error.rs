@@ -33,6 +33,15 @@ pub enum SimError {
         /// Backend that rejected it.
         backend: &'static str,
     },
+    /// An instruction names one qubit twice, as
+    /// [`Instruction::map_qubits`](trios_ir::Instruction::map_qubits) can
+    /// build.
+    RepeatedOperand {
+        /// Display form of the gate.
+        gate: String,
+        /// The qubit named more than once.
+        qubit: usize,
+    },
     /// A layout places two logical qubits on one physical qubit.
     DuplicateLayoutEntry {
         /// The physical qubit named more than once.
@@ -64,6 +73,9 @@ impl fmt::Display for SimError {
             }
             SimError::UnsupportedGate { gate, backend } => {
                 write!(f, "gate {gate} is not supported by the {backend} backend")
+            }
+            SimError::RepeatedOperand { gate, qubit } => {
+                write!(f, "gate {gate} names qubit {qubit} more than once")
             }
             SimError::DuplicateLayoutEntry { qubit } => {
                 write!(f, "layout places two qubits on physical qubit {qubit}")

@@ -282,15 +282,23 @@ impl SparseState {
     /// # Errors
     ///
     /// [`SimError::WidthMismatch`] for out-of-range qubits,
+    /// [`SimError::RepeatedOperand`] for a qubit named twice (the in-place
+    /// kernels would merge basis indices),
     /// [`SimError::UnsupportedGate`] for measurements or gates without a
     /// matrix, [`SimError::StateTooDense`] past the term budget.
     pub fn try_apply(&mut self, instr: &Instruction) -> Result<(), SimError> {
         let qs = instr.qubits();
-        for q in qs {
+        for (i, q) in qs.iter().enumerate() {
             if q.index() >= self.num_qubits {
                 return Err(SimError::WidthMismatch {
                     expected: self.num_qubits,
                     actual: q.index() + 1,
+                });
+            }
+            if qs[..i].contains(q) {
+                return Err(SimError::RepeatedOperand {
+                    gate: instr.gate().to_string(),
+                    qubit: q.index(),
                 });
             }
         }
@@ -882,6 +890,31 @@ mod tests {
             .cxpow(0.5, 2, 0)
             .h(3);
         assert_matches_dense(&c, 1e-12);
+    }
+
+    #[test]
+    fn repeated_operands_are_refused_and_leave_the_state_alone() {
+        // `map_qubits` skips the distinctness check of `Instruction::new`.
+        let cx = Instruction::new(Gate::Cx, &[Qubit::new(0), Qubit::new(1)]);
+        let doubled = cx.map_qubits(|_| Qubit::new(1));
+        let mut state = SparseState::zero(3).unwrap();
+        state
+            .try_apply(&Instruction::new(Gate::H, &[Qubit::new(1)]))
+            .unwrap();
+        state
+            .try_apply(&Instruction::new(Gate::H, &[Qubit::new(2)]))
+            .unwrap();
+        assert_eq!(state.num_terms(), 4);
+        let before = state.dense_amplitudes().unwrap();
+        assert_eq!(
+            state.try_apply(&doubled),
+            Err(SimError::RepeatedOperand {
+                gate: "cx".into(),
+                qubit: 1
+            })
+        );
+        assert_eq!(state.num_terms(), 4);
+        assert_eq!(state.dense_amplitudes().unwrap(), before);
     }
 
     #[test]

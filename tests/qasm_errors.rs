@@ -180,3 +180,117 @@ fn error_displays_are_informative() {
         assert!(message.contains(needle), "{source:?} -> {message}");
     }
 }
+
+#[test]
+fn hostile_programs_are_typed_errors() {
+    // Unchecked, a repeated operand and a gate body closed before it
+    // opens panic the parser, and a register past the cap parses into a
+    // circuit whose compile asks for petabytes and aborts the process.
+    let repeated = parse("OPENQASM 2.0;\nqreg q[2];\ncx q[0], q[0];").unwrap_err();
+    assert_eq!(
+        repeated,
+        QasmError::RepeatedQubit {
+            line: 3,
+            name: "cx".into(),
+            qubit: "q[0]".into(),
+        }
+    );
+    // Operands name their register: flattened indices are not shown.
+    let err = parse("OPENQASM 2.0;\nqreg a[2];\nqreg b[3];\nccx b[0], a[1], b[0];").unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        "line 4: gate 'ccx' names qubit b[0] more than once"
+    );
+    let unopened = parse("OPENQASM 2.0;\ngate foo a } h a;").unwrap_err();
+    assert_eq!(
+        unopened,
+        QasmError::Unexpected {
+            line: 2,
+            found: "'}'".into(),
+            expected: "'{' opening the gate body".into(),
+        }
+    );
+    for size in ["1000000000000000", "1e300", "4097"] {
+        let err = parse(&format!("OPENQASM 2.0;\nqreg q[{size}];")).unwrap_err();
+        assert_eq!(
+            err,
+            QasmError::TooWide {
+                line: 2,
+                register: "q".into(),
+                quantum: true,
+                max: 4096,
+            },
+            "qreg q[{size}]"
+        );
+        assert!(err.to_string().contains("4096-qubit cap"), "{err}");
+    }
+}
+
+#[test]
+fn the_width_cap_is_the_device_cap_and_counts_every_register() {
+    assert_eq!(
+        orchestrated_trios::qasm::MAX_QUBITS,
+        orchestrated_trios::topology::MAX_SPEC_QUBITS
+    );
+    let full = parse("OPENQASM 2.0;\nqreg q[4096];\ncreg c[4096];\nh q;").unwrap();
+    assert_eq!((full.num_qubits(), full.len()), (4096, 4096));
+    // The quantum registers are capped together, classical ones singly.
+    assert!(matches!(
+        parse("OPENQASM 2.0;\nqreg a[4000];\nqreg b[97];"),
+        Err(QasmError::TooWide {
+            line: 3,
+            quantum: true,
+            ..
+        })
+    ));
+    assert!(parse("OPENQASM 2.0;\ncreg c[4096];\ncreg d[4096];").is_ok());
+    let err = parse("OPENQASM 2.0;\ncreg c[4097];").unwrap_err();
+    assert!(matches!(err, QasmError::TooWide { quantum: false, .. }));
+    assert!(err.to_string().contains("4096-bit cap"), "{err}");
+}
+
+#[test]
+fn deeply_nested_parameters_are_an_error_not_a_stack_overflow() {
+    let depth = 100_000;
+    let source = format!(
+        "OPENQASM 2.0;\nqreg q[1];\nrz({}1{}) q[0];",
+        "(".repeat(depth),
+        ")".repeat(depth)
+    );
+    let err = parse(&source).unwrap_err();
+    assert!(
+        matches!(&err, QasmError::Unexpected { line: 3, expected, .. } if expected.contains("256 deep")),
+        "{err}"
+    );
+    let negated = format!(
+        "OPENQASM 2.0;\nqreg q[1];\nrz({}pi) q[0];",
+        "-".repeat(depth)
+    );
+    assert!(matches!(
+        parse(&negated),
+        Err(QasmError::Unexpected { line: 3, .. })
+    ));
+}
+
+#[test]
+fn shrunk_finds_of_the_byte_mutation_fuzz_are_typed_errors() {
+    // Shrunk from the parser's byte-mutation test, where the reference
+    // parser panics on both. First, the emitted `ccz` declaration with
+    // its `{` deleted.
+    let source = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\n\
+                  gate ccz a, b, c  h c; ccx a, b, c; h c; }\nqreg q[3];\n";
+    assert_eq!(
+        parse(source).unwrap_err(),
+        QasmError::Unexpected {
+            line: 3,
+            found: "'}'".into(),
+            expected: "'{' opening the gate body".into(),
+        }
+    );
+    // An emitted Toffoli with one index digit replaced.
+    let source = "OPENQASM 2.0;\nqreg q[6];\nccx q[4], q[5], q[4];\n";
+    assert_eq!(
+        parse(source).unwrap_err().to_string(),
+        "line 3: gate 'ccx' names qubit q[4] more than once"
+    );
+}
