@@ -193,10 +193,9 @@ impl Compiler {
     /// itself, so `jobs = 1` (or a batch of one circuit) compiles inline
     /// and spawns nothing. `jobs = 0` counts as 1, and `jobs` is capped at
     /// the number of circuits. Each worker claims the next circuit index
-    /// and reuses one pass pipeline for all its circuits, so per-pipeline
-    /// setup — the schedule pass's gate-duration table, cached inside
-    /// [`SchedulePass`](crate::SchedulePass) after its first run — happens
-    /// once per worker instead of once per circuit.
+    /// and reuses one pass pipeline for all its circuits, so the pipeline
+    /// — its passes and the strategy registries they resolve names in —
+    /// is built once per worker instead of once per circuit.
     ///
     /// Output is byte-identical to calling [`Compiler::compile`] on each
     /// circuit: compilation is deterministic per job — stochastic choices
@@ -231,9 +230,9 @@ impl Compiler {
         let next = AtomicUsize::new(0);
         let failed = AtomicBool::new(false);
         let worker = || {
-            // One pipeline per worker, reused across its circuits, so
-            // per-pipeline setup (the schedule pass's duration table)
-            // happens once per worker, not once per circuit.
+            // One pipeline per worker, reused across its circuits, so the
+            // passes and their registries are built once per worker, not
+            // once per circuit.
             let mut manager = self.pass_manager();
             loop {
                 if failed.load(Ordering::Relaxed) {
@@ -317,7 +316,7 @@ impl Compiler {
         // and depth; rescan only when the pipeline ran no passes.
         let (counts, depth) = match records.last() {
             Some(last) => (last.gates_after, last.depth_after),
-            None => (cx.circuit.counts(), cx.circuit.depth()),
+            None => cx.circuit.counts_and_depth(),
         };
         let mut stats = CompileStats::new(cx.swap_count, counts, depth, duration_us);
         stats.mean_gather_distance = cx

@@ -120,17 +120,16 @@ impl PassManager {
     /// Stops at, and returns, the first failing pass's [`Diagnostic`].
     pub fn run(&mut self, cx: &mut CompileContext<'_>) -> Result<Vec<PassRecord>, Diagnostic> {
         let mut records = Vec::with_capacity(self.passes.len());
-        // Each pass's exit counts are the next pass's entry counts, so
-        // the circuit is scanned once per pass boundary, not twice.
-        let mut gates = cx.circuit.counts();
-        let mut depth = cx.circuit.depth();
+        // Each pass's exit counts are the next pass's entry counts, and
+        // one scan yields both counts and depth, so every pass boundary
+        // is scanned once.
+        let (mut gates, mut depth) = cx.circuit.counts_and_depth();
         for pass in &mut self.passes {
             let (gates_before, depth_before) = (gates, depth);
             let start = Instant::now();
             pass.run(cx)?;
             let wall_time = start.elapsed();
-            gates = cx.circuit.counts();
-            depth = cx.circuit.depth();
+            (gates, depth) = cx.circuit.counts_and_depth();
             records.push(PassRecord {
                 pass: pass.name(),
                 wall_time,

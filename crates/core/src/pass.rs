@@ -337,26 +337,21 @@ impl Pass for ValidatePass {
     }
 }
 
-/// ASAP-schedules the final circuit under Johannesburg gate times and
-/// publishes the [`ProgramSchedule`] artifact (the paper's duration
-/// metric Δ).
-#[derive(Debug, Default, Clone)]
-pub struct SchedulePass {
-    durations: Option<GateDurations>,
-}
+/// ASAP-schedules the final circuit under Johannesburg gate times
+/// ([`SchedulePass::DURATIONS`]) and publishes the [`ProgramSchedule`]
+/// artifact (the paper's duration metric Δ).
+#[derive(Debug, Default, Clone, Copy)]
+pub struct SchedulePass;
 
 impl SchedulePass {
+    /// The gate durations every compile is scheduled under, so every
+    /// [`CompileStats::duration_us`](crate::CompileStats::duration_us) is
+    /// the ASAP Δ under this table.
+    pub const DURATIONS: GateDurations = GateDurations::johannesburg();
+
     /// Schedules with the paper's Johannesburg gate times.
     pub fn new() -> Self {
-        SchedulePass::default()
-    }
-
-    /// Schedules with a shared, precomputed duration table — used by
-    /// batch compilation to build the table once per batch.
-    pub fn with_durations(durations: GateDurations) -> Self {
-        SchedulePass {
-            durations: Some(durations),
-        }
+        SchedulePass
     }
 }
 
@@ -366,10 +361,7 @@ impl Pass for SchedulePass {
     }
 
     fn run(&mut self, cx: &mut CompileContext<'_>) -> Result<(), Diagnostic> {
-        let durations = self
-            .durations
-            .get_or_insert_with(GateDurations::johannesburg);
-        let schedule = schedule_asap(&cx.circuit, durations);
+        let schedule = schedule_asap(&cx.circuit, &Self::DURATIONS);
         if schedule.total_duration_us() < 0.0 {
             return Err(Diagnostic::validation(
                 self.name(),

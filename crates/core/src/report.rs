@@ -20,7 +20,8 @@ pub struct CompileStats {
     pub measurements: usize,
     /// Gate-layer depth of the final circuit.
     pub depth: usize,
-    /// ASAP-scheduled duration Δ (µs) under Johannesburg gate times.
+    /// ASAP-scheduled duration Δ (µs) under Johannesburg gate times
+    /// ([`SchedulePass::DURATIONS`](crate::SchedulePass::DURATIONS)).
     pub duration_us: f64,
     /// Mean gather distance over the trios the router gathered — the
     /// paper's per-Toffoli communication metric, averaged. `None` when the

@@ -7,10 +7,11 @@
 //!
 //! A [`SweepSpec`] names the grid; [`run_sweep`] expands it into jobs,
 //! executes them over [`Compiler::compile_batch`]
-//! with one [`CompilationCache`] warm across every cell, estimates each
-//! compiled program's success probability (optionally with a crosstalk
-//! model), optionally cross-validates the analytic model with a Monte
-//! Carlo trajectory simulation on small cells, and collects everything —
+//! with one [`CompilationCache`] across every cell when a job recurs,
+//! estimates each compiled program's success probability from its
+//! compile's gate counts and Δ (optionally with a crosstalk model),
+//! optionally cross-validates the analytic model with a Monte Carlo
+//! trajectory simulation on small cells, and collects everything —
 //! per-cell [`SweepCell`] breakdowns, trios/baseline ratio rows, and
 //! per-router geometric means (the paper's headline ~2× geomean claim) —
 //! into a [`SweepReport`].
@@ -55,15 +56,16 @@
 //! ```
 
 use crate::cache::CompilationCache;
-use crate::{Compiler, Diagnostic};
+use crate::{Compiler, Diagnostic, SchedulePass};
+use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
 use std::fmt::Write as _;
 use std::time::Instant;
 use trios_ir::Circuit;
 use trios_noise::{
-    analytic_error_free_probability, estimate_success_with_crosstalk, monte_carlo_fidelity,
-    Calibration, CrosstalkPolicy, MonteCarloOptions,
+    analytic_error_free_probability, estimate_from_counts, estimate_success_with_crosstalk,
+    monte_carlo_fidelity, Calibration, CrosstalkPolicy, MonteCarloOptions,
 };
 use trios_passes::DecomposerRegistry;
 use trios_route::{InitialMapping, StrategyRegistry};
@@ -144,7 +146,8 @@ pub struct SweepSpec {
     /// Results are independent of this knob.
     pub jobs: usize,
     /// Compilation-cache capacity in entries (`0` disables; the cache is
-    /// shared across every cell of the sweep).
+    /// shared across every cell of the sweep, and kept only when a job
+    /// recurs; see [`run_sweep`]).
     pub cache_size: usize,
     /// `Some(shots)` runs the Monte Carlo cross-check with that many
     /// trajectories on every cell whose compiled circuit has at most
@@ -689,16 +692,115 @@ fn reprice_cell(
     cell.two_qubit_delta = two_adj as isize - cell.two_qubit_in as isize;
 }
 
+/// One batch call of a sweep, made on every device: the benchmarks of one
+/// mapping group, compiled with one router and one decomposer.
+struct Batch {
+    /// Index into [`SweepSpec::routers`].
+    router: usize,
+    /// Index into [`SweepSpec::decomposers`].
+    decomposer: usize,
+    /// Index into the sweep's mapping groups.
+    group: usize,
+    /// `false` for a cost-model-only decomposer, whose cells compile with
+    /// the standard lowering and are re-priced afterwards.
+    executable: bool,
+    /// The decomposer's per-trio cost.
+    cost: trios_passes::LoweringCost,
+    compiler: Compiler,
+}
+
+/// `true` if some job of the sweep has the cache key of an earlier one,
+/// so that a [`CompilationCache`] could answer it. A key hashes the
+/// circuit, the topology and the compiler's options, the router among
+/// them.
+fn some_job_recurs(spec: &SweepSpec, batches: &[Batch], groups: &[Vec<usize>]) -> bool {
+    let mut seen = HashSet::new();
+    for (_, topology) in &spec.devices {
+        for batch in batches {
+            for &bi in &groups[batch.group] {
+                let circuit = &spec.benchmarks[bi].circuit;
+                let key = CompilationCache::key(circuit, topology, batch.compiler.options());
+                if !seen.insert(key) {
+                    return true;
+                }
+            }
+        }
+    }
+    false
+}
+
+/// The benchmark indices of each mapping group — benchmarks sharing a
+/// mapping override share one compiler, and therefore one batch call —
+/// and the batches of one device, in run order.
+fn plan_batches(spec: &SweepSpec, registry: &DecomposerRegistry) -> (Vec<Vec<usize>>, Vec<Batch>) {
+    let mut mappings: Vec<Option<InitialMapping>> = Vec::new();
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for (bi, bench) in spec.benchmarks.iter().enumerate() {
+        match mappings.iter().position(|m| *m == bench.mapping) {
+            Some(gi) => groups[gi].push(bi),
+            None => {
+                mappings.push(bench.mapping.clone());
+                groups.push(vec![bi]);
+            }
+        }
+    }
+    let mut batches = Vec::new();
+    for (ri, router) in spec.routers.iter().enumerate() {
+        for (xi, decomposer_name) in spec.decomposers.iter().enumerate() {
+            let strategy = registry
+                .get(decomposer_name)
+                .expect("decomposer names are validated");
+            let executable = strategy.executable();
+            // Cost-model-only strategies (qutrit) compile with the
+            // standard lowering — routing, swaps, and scheduling stay
+            // realistic — and re-price the trios afterwards.
+            let compiled_decomposer = if executable {
+                decomposer_name.as_str()
+            } else {
+                "standard"
+            };
+            for (gi, mapping) in mappings.iter().enumerate() {
+                let mut builder = Compiler::builder()
+                    .router(router.clone())
+                    .decomposer(compiled_decomposer)
+                    .seed(spec.seed);
+                if let Some(mapping) = mapping {
+                    builder = builder.mapping(mapping.clone());
+                }
+                batches.push(Batch {
+                    router: ri,
+                    decomposer: xi,
+                    group: gi,
+                    executable,
+                    cost: strategy.trio_cost(),
+                    compiler: builder.build(),
+                });
+            }
+        }
+    }
+    (groups, batches)
+}
+
 /// Runs the sweep described by `spec`.
 ///
-/// Cells sharing a device and router are compiled as one batch over the
-/// parallel batch compiler; one [`CompilationCache`] is shared across the
-/// cells of this call, so a circuit that recurs within the sweep (such as
-/// a cost-model-only decomposer's cell, which compiles with the standard
-/// lowering) compiles once. The cache is dropped when the call returns:
-/// running the same spec again compiles everything again. Calibration
-/// never affects compilation, so each compiled program is estimated under
-/// every calibration without recompiling.
+/// The benchmarks sharing a mapping override are compiled as one batch
+/// over the parallel batch compiler, once per device, router and
+/// decomposer. When some job recurs — a cost-model-only decomposer's
+/// cell, which compiles with the standard lowering, one circuit under two
+/// benchmark names, or one topology under two device names — one
+/// [`CompilationCache`] of capacity [`SweepSpec::cache_size`] is shared
+/// across the cells of this call, so that job compiles once. A sweep in
+/// which no job recurs, such as the paper's grid, keeps no cache and so
+/// no copy of its compiled programs. The cache is dropped when the call
+/// returns: running the same spec again compiles everything again.
+///
+/// Calibration never affects compilation, so each compiled program is
+/// estimated under every calibration without recompiling. Under
+/// [`CrosstalkPolicy::Ignore`] with the gate durations the schedule pass
+/// uses ([`SchedulePass::DURATIONS`]), it is also estimated without
+/// rescanning: its gate counts come from its compile's last pass record
+/// and its Δ is [`CompileStats::duration_us`](crate::CompileStats::duration_us).
+/// Any other calibration or policy estimates the compiled circuit.
 ///
 /// # Errors
 ///
@@ -715,7 +817,6 @@ pub fn run_sweep(spec: &SweepSpec) -> Result<SweepReport, SweepError> {
             .map(|n| n.get())
             .unwrap_or(1)
     };
-    let cache = CompilationCache::new(spec.cache_size);
     let (mut cache_hits, mut cache_misses) = (0u64, 0u64);
 
     // Collect (sort key, cell, compiled circuit, calibration) so the
@@ -736,117 +837,109 @@ pub fn run_sweep(spec: &SweepSpec) -> Result<SweepReport, SweepError> {
         .expect("standard decomposer is registered")
         .trio_cost();
 
+    let (groups, batches) = plan_batches(spec, &decomposer_registry);
+    let group_circuits: Vec<Vec<Circuit>> = groups
+        .iter()
+        .map(|indices| {
+            indices
+                .iter()
+                .map(|&bi| spec.benchmarks[bi].circuit.clone())
+                .collect()
+        })
+        .collect();
+    let cache = (spec.cache_size > 0 && some_job_recurs(spec, &batches, &groups))
+        .then(|| CompilationCache::new(spec.cache_size));
+
     for (di, (device_name, topology)) in spec.devices.iter().enumerate() {
-        for (ri, router) in spec.routers.iter().enumerate() {
-            for (xi, decomposer_name) in spec.decomposers.iter().enumerate() {
-                let strategy = decomposer_registry
-                    .get(decomposer_name)
-                    .expect("decomposer names are validated");
-                let executable = strategy.executable();
-                let cost = strategy.trio_cost();
-                // Cost-model-only strategies (qutrit) compile with the
-                // standard lowering — routing, swaps, and scheduling stay
-                // realistic — and re-price the trios afterwards.
-                let compiled_decomposer = if executable {
-                    decomposer_name.as_str()
-                } else {
-                    "standard"
-                };
-                // Benchmarks sharing a mapping override share one compiler,
-                // and therefore one batch call.
-                let mut groups: Vec<(Option<InitialMapping>, Vec<usize>)> = Vec::new();
-                for (bi, bench) in spec.benchmarks.iter().enumerate() {
-                    match groups.iter_mut().find(|(m, _)| *m == bench.mapping) {
-                        Some((_, indices)) => indices.push(bi),
-                        None => groups.push((bench.mapping.clone(), vec![bi])),
+        for batch in &batches {
+            let router = &spec.routers[batch.router];
+            let indices = &groups[batch.group];
+            let outcome = batch
+                .compiler
+                .compile_batch(&group_circuits[batch.group], topology, jobs, cache.as_ref())
+                .map_err(|e| SweepError::Compile {
+                    benchmark: spec.benchmarks[indices[e.index]].name.clone(),
+                    device: device_name.clone(),
+                    router: router.clone(),
+                    diagnostic: Box::new(e.diagnostic),
+                })?;
+            cache_hits += outcome.report.cache_hits;
+            cache_misses += outcome.report.cache_misses;
+            for (&bi, (program, report)) in indices.iter().zip(&outcome.results) {
+                let bench = &spec.benchmarks[bi];
+                let (gates_in, two_qubit_in, three_qubit_in, depth_in) = report
+                    .passes
+                    .first()
+                    .map(|p| {
+                        (
+                            p.gates_before.total,
+                            p.gates_before.two_qubit,
+                            p.gates_before.three_qubit,
+                            p.depth_before,
+                        )
+                    })
+                    .unwrap_or_default();
+                // The last pass record counted the compiled circuit.
+                let counts = report
+                    .passes
+                    .last()
+                    .map_or_else(|| program.circuit.counts(), |p| p.gates_after);
+                for (ci, (cal_name, calibration)) in spec.calibrations.iter().enumerate() {
+                    // Every compile is scheduled under
+                    // `SchedulePass::DURATIONS`, so `duration_us` is the
+                    // program's ASAP Δ under that table.
+                    let estimate = if spec.crosstalk == CrosstalkPolicy::Ignore
+                        && calibration.durations == SchedulePass::DURATIONS
+                    {
+                        estimate_from_counts(&counts, program.stats.duration_us, calibration)
+                    } else {
+                        estimate_success_with_crosstalk(
+                            &program.circuit,
+                            calibration,
+                            topology,
+                            spec.crosstalk,
+                        )
+                    };
+                    let mut cell = SweepCell {
+                        benchmark: bench.name.clone(),
+                        device: device_name.clone(),
+                        router: router.clone(),
+                        decomposer: spec.decomposers[batch.decomposer].clone(),
+                        calibration: cal_name.clone(),
+                        probability: estimate.probability(),
+                        p_gates: estimate.p_gates,
+                        p_readout: estimate.p_readout,
+                        p_coherence: estimate.p_coherence,
+                        duration_us: estimate.duration_us,
+                        two_qubit_gates: program.stats.two_qubit_gates,
+                        one_qubit_gates: program.stats.one_qubit_gates,
+                        measurements: program.stats.measurements,
+                        swap_count: program.stats.swap_count,
+                        depth: program.stats.depth,
+                        gates_in,
+                        two_qubit_in,
+                        two_qubit_delta: program.stats.two_qubit_gates as isize
+                            - two_qubit_in as isize,
+                        depth_delta: program.stats.depth as isize - depth_in as isize,
+                        mean_gather_distance: program.stats.mean_gather_distance,
+                        compile_time_s: report.total_time.as_secs_f64(),
+                        monte_carlo: None,
+                    };
+                    if !batch.executable {
+                        reprice_cell(&mut cell, three_qubit_in, batch.cost, standard_cost);
                     }
-                }
-                for (mapping, indices) in groups {
-                    let mut builder = Compiler::builder()
-                        .router(router.clone())
-                        .decomposer(compiled_decomposer)
-                        .seed(spec.seed);
-                    if let Some(mapping) = mapping {
-                        builder = builder.mapping(mapping);
-                    }
-                    let compiler = builder.build();
-                    let circuits: Vec<Circuit> = indices
-                        .iter()
-                        .map(|&bi| spec.benchmarks[bi].circuit.clone())
-                        .collect();
-                    let outcome = compiler
-                        .compile_batch(&circuits, topology, jobs, Some(&cache))
-                        .map_err(|e| SweepError::Compile {
-                            benchmark: spec.benchmarks[indices[e.index]].name.clone(),
-                            device: device_name.clone(),
-                            router: router.clone(),
-                            diagnostic: Box::new(e.diagnostic),
-                        })?;
-                    cache_hits += outcome.report.cache_hits;
-                    cache_misses += outcome.report.cache_misses;
-                    for (&bi, (program, report)) in indices.iter().zip(&outcome.results) {
-                        let bench = &spec.benchmarks[bi];
-                        let (gates_in, two_qubit_in, three_qubit_in, depth_in) = report
-                            .passes
-                            .first()
-                            .map(|p| {
-                                (
-                                    p.gates_before.total,
-                                    p.gates_before.two_qubit,
-                                    p.gates_before.three_qubit,
-                                    p.depth_before,
-                                )
-                            })
-                            .unwrap_or_default();
-                        for (ci, (cal_name, calibration)) in spec.calibrations.iter().enumerate() {
-                            let estimate = estimate_success_with_crosstalk(
-                                &program.circuit,
-                                calibration,
-                                topology,
-                                spec.crosstalk,
-                            );
-                            let mut cell = SweepCell {
-                                benchmark: bench.name.clone(),
-                                device: device_name.clone(),
-                                router: router.clone(),
-                                decomposer: decomposer_name.clone(),
-                                calibration: cal_name.clone(),
-                                probability: estimate.probability(),
-                                p_gates: estimate.p_gates,
-                                p_readout: estimate.p_readout,
-                                p_coherence: estimate.p_coherence,
-                                duration_us: estimate.duration_us,
-                                two_qubit_gates: program.stats.two_qubit_gates,
-                                one_qubit_gates: program.stats.one_qubit_gates,
-                                measurements: program.stats.measurements,
-                                swap_count: program.stats.swap_count,
-                                depth: program.stats.depth,
-                                gates_in,
-                                two_qubit_in,
-                                two_qubit_delta: program.stats.two_qubit_gates as isize
-                                    - two_qubit_in as isize,
-                                depth_delta: program.stats.depth as isize - depth_in as isize,
-                                mean_gather_distance: program.stats.mean_gather_distance,
-                                compile_time_s: report.total_time.as_secs_f64(),
-                                monte_carlo: None,
-                            };
-                            if !executable {
-                                reprice_cell(&mut cell, three_qubit_in, cost, standard_cost);
-                            }
-                            // Cost-model cells carry re-priced numbers the
-                            // compiled circuit does not match, so they are
-                            // never cross-checked by simulation.
-                            let simulable = executable
-                                && spec.monte_carlo_shots.is_some()
-                                && program.circuit.num_qubits() <= MONTE_CARLO_MAX_QUBITS;
-                            keyed.push((
-                                (bi, di, ri, xi, ci),
-                                cell,
-                                simulable.then(|| program.circuit.clone()),
-                                *calibration,
-                            ));
-                        }
-                    }
+                    // Cost-model cells carry re-priced numbers the
+                    // compiled circuit does not match, so they are
+                    // never cross-checked by simulation.
+                    let simulable = batch.executable
+                        && spec.monte_carlo_shots.is_some()
+                        && program.circuit.num_qubits() <= MONTE_CARLO_MAX_QUBITS;
+                    keyed.push((
+                        (bi, di, batch.router, batch.decomposer, ci),
+                        cell,
+                        simulable.then(|| program.circuit.clone()),
+                        *calibration,
+                    ));
                 }
             }
         }
@@ -1542,6 +1635,26 @@ mod tests {
             .iter()
             .filter(|c| c.decomposer == "standard")
             .all(|c| c.monte_carlo.is_some()));
+    }
+
+    #[test]
+    fn a_sweep_keeps_a_cache_only_when_a_job_recurs() {
+        let recurs = |spec: &SweepSpec| {
+            let (groups, batches) = plan_batches(spec, &DecomposerRegistry::standard());
+            some_job_recurs(spec, &batches, &groups)
+        };
+        // Distinct benchmarks, devices and routers: no job recurs.
+        let mut spec = small_spec();
+        spec.devices
+            .push(("ring-6".into(), trios_topology::ring(6)));
+        assert!(!recurs(&spec));
+        // A qutrit cell compiles as its standard twin.
+        spec.decomposers = vec!["standard".into(), "qutrit".into()];
+        assert!(recurs(&spec));
+        // One topology under two device names.
+        let mut spec = small_spec();
+        spec.devices.push(("line-6-again".into(), line(6)));
+        assert!(recurs(&spec));
     }
 
     #[test]

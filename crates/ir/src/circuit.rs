@@ -380,6 +380,14 @@ impl Circuit {
         counts
     }
 
+    /// [`Circuit::counts`] and [`Circuit::depth`] from one scan of the
+    /// instructions.
+    pub fn counts_and_depth(&self) -> (GateCounts, usize) {
+        let mut counts = GateCounts::default();
+        let depth = self.walk_layers(|instr| counts.record(instr.gate()));
+        (counts, depth)
+    }
+
     /// Number of two-qubit gates (the paper's primary static metric).
     pub fn two_qubit_gate_count(&self) -> usize {
         self.counts().two_qubit
@@ -388,9 +396,16 @@ impl Circuit {
     /// Circuit depth in gate layers: the longest chain of instructions that
     /// share qubits. Measurements count as a layer.
     pub fn depth(&self) -> usize {
+        self.walk_layers(|_| {})
+    }
+
+    /// Places each instruction one layer after the latest layer of its
+    /// operands, hands it to `visit`, and returns the depth.
+    fn walk_layers(&self, mut visit: impl FnMut(&Instruction)) -> usize {
         let mut level = vec![0usize; self.num_qubits];
         let mut depth = 0;
         for instr in self.iter() {
+            visit(instr);
             let start = instr
                 .qubits()
                 .iter()
@@ -551,6 +566,11 @@ mod tests {
         c.h(0).h(2).cx(0, 1).cx(2, 3).cx(1, 2);
         assert_eq!(c.depth(), 3);
         assert_eq!(Circuit::new(5).depth(), 0);
+        assert_eq!(c.counts_and_depth(), (c.counts(), 3));
+        assert_eq!(
+            Circuit::new(5).counts_and_depth(),
+            (GateCounts::default(), 0)
+        );
     }
 
     #[test]

@@ -2,8 +2,8 @@
 
 use crate::Calibration;
 use std::fmt;
-use trios_ir::{Circuit, Gate};
-use trios_schedule::schedule_asap;
+use trios_ir::{Circuit, Gate, GateCounts};
+use trios_schedule::{asap_total_us, schedule_asap};
 
 /// Breakdown of a success-probability estimate.
 ///
@@ -55,49 +55,56 @@ impl fmt::Display for SuccessEstimate {
     }
 }
 
-/// Estimates the success probability of `circuit` under `calibration`.
+/// Estimates the success probability of `circuit` under `calibration`:
+/// [`estimate_from_counts`] over [`Circuit::counts`] and the ASAP
+/// duration Δ under the calibration's gate durations
+/// ([`asap_total_us`]).
 ///
 /// The circuit is typically fully lowered; structural gates that remain
-/// are costed by their standard expansions (SWAP = 3 two-qubit gates,
-/// Toffoli = 6 two-qubit + 2 one-qubit gates) so the estimate stays
-/// meaningful at every pipeline stage.
+/// are costed by their standard expansions (see [`estimate_from_counts`])
+/// so the estimate stays meaningful at every pipeline stage.
 pub fn estimate_success(circuit: &Circuit, calibration: &Calibration) -> SuccessEstimate {
-    let mut n1 = 0usize;
-    let mut n2 = 0usize;
-    let mut nm = 0usize;
-    for instr in circuit.iter() {
-        match instr.gate() {
-            Gate::Measure => nm += 1,
-            Gate::Swap => n2 += 3,
-            Gate::Ccx => {
-                n2 += 6;
-                n1 += 2;
-            }
-            Gate::Ccz => {
-                // CCZ lowers to a CCX conjugated by Hadamards on the
-                // target, so its cost is the Toffoli's plus two 1q gates.
-                n2 += 6;
-                n1 += 4;
-            }
-            Gate::Cswap => {
-                n2 += 8;
-                n1 += 2;
-            }
-            g if g.arity() == 1 => n1 += 1,
-            _ => n2 += 1,
-        }
-    }
-    let schedule = schedule_asap(circuit, &calibration.durations);
-    let delta = schedule.total_duration_us();
+    estimate_from_counts(
+        &circuit.counts(),
+        asap_total_us(circuit, &calibration.durations),
+        calibration,
+    )
+}
+
+/// The §2.6 estimate of a circuit with gate counts `counts` and program
+/// duration `duration_us` (Δ, µs):
+///
+/// ```text
+/// n1 = one_qubit + 2·ccx + 4·ccz + 2·cswap
+/// n2 = two_qubit_equivalent()        (SWAP = 3, CCX = CCZ = 6, CSWAP = 8)
+/// nm = measure
+/// P  = (1 − e1)^n1 · (1 − e2)^n2 · (1 − e_readout)^nm · exp(−Δ/T1 − Δ/T2)
+/// ```
+///
+/// Each structural gate is costed by its standard expansion: a Toffoli
+/// is 6 two-qubit and 2 one-qubit gates, a CCZ the Toffoli plus the two
+/// Hadamards on its target, and a Fredkin its 8-CNOT form plus 2
+/// one-qubit gates. [`estimate_success`] is this function over
+/// [`Circuit::counts`] and the ASAP Δ; a caller that already holds both
+/// (a compile's last pass record and its scheduled duration) skips the
+/// rescan.
+pub fn estimate_from_counts(
+    counts: &GateCounts,
+    duration_us: f64,
+    calibration: &Calibration,
+) -> SuccessEstimate {
+    let n1 = counts.one_qubit + 2 * counts.ccx + 4 * counts.ccz + 2 * counts.cswap;
+    let n2 = counts.two_qubit_equivalent();
+    let nm = counts.measure;
     let p_gates = (1.0 - calibration.one_qubit_error).powi(n1 as i32)
         * (1.0 - calibration.two_qubit_error).powi(n2 as i32);
     let p_readout = (1.0 - calibration.readout_error).powi(nm as i32);
-    let p_coherence = (-delta / calibration.t1_us - delta / calibration.t2_us).exp();
+    let p_coherence = (-duration_us / calibration.t1_us - duration_us / calibration.t2_us).exp();
     SuccessEstimate {
         p_gates,
         p_readout,
         p_coherence,
-        duration_us: delta,
+        duration_us,
         one_qubit_gates: n1,
         two_qubit_gates: n2,
         measurements: nm,
@@ -232,8 +239,7 @@ pub fn estimate_success_with_edge_errors(
             g => panic!("estimate_success_with_edge_errors needs a routed circuit, got {g:?}"),
         }
     }
-    let schedule = schedule_asap(circuit, &calibration.durations);
-    let delta = schedule.total_duration_us();
+    let delta = asap_total_us(circuit, &calibration.durations);
     let p_readout = (1.0 - calibration.readout_error).powi(nm as i32);
     let p_coherence = (-delta / calibration.t1_us - delta / calibration.t2_us).exp();
     SuccessEstimate {
@@ -321,6 +327,36 @@ mod tests {
         );
         assert_eq!(ez.one_qubit_gates, ex.one_qubit_gates + 2);
         assert!(ez.p_gates <= ex.p_gates);
+    }
+
+    #[test]
+    fn counts_and_delta_give_the_circuit_estimate_bit_for_bit() {
+        // Every gate kind the counter classifies, structural gates and
+        // measurements included.
+        let mut c = Circuit::new(4);
+        c.h(0)
+            .t(1)
+            .rz(0.3, 2)
+            .cx(0, 1)
+            .cz(1, 2)
+            .cp(0.7, 2, 3)
+            .swap(0, 3)
+            .ccx(0, 1, 2)
+            .ccz(1, 2, 3)
+            .cswap(0, 2, 3)
+            .measure_all();
+        for calibration in [cal(), cal().improved(20.0), cal().improved(5.0)] {
+            let whole = estimate_success(&c, &calibration);
+            let delta = schedule_asap(&c, &calibration.durations).total_duration_us();
+            let parts = estimate_from_counts(&c.counts(), delta, &calibration);
+            assert_eq!(parts, whole);
+            assert_eq!(parts.probability().to_bits(), whole.probability().to_bits());
+        }
+        let counts = c.counts();
+        let e = estimate_success(&c, &cal());
+        assert_eq!(e.two_qubit_gates, 3 + 3 + 6 + 6 + 8);
+        assert_eq!(e.one_qubit_gates, 3 + 2 + 4 + 2);
+        assert_eq!(e.measurements, counts.measure);
     }
 
     #[test]

@@ -30,8 +30,8 @@ mod montecarlo;
 
 pub use calibration::Calibration;
 pub use estimate::{
-    estimate_success, estimate_success_with_crosstalk, estimate_success_with_edge_errors,
-    CrosstalkPolicy, SuccessEstimate,
+    estimate_from_counts, estimate_success, estimate_success_with_crosstalk,
+    estimate_success_with_edge_errors, CrosstalkPolicy, SuccessEstimate,
 };
 pub use montecarlo::{
     analytic_error_free_probability, monte_carlo_fidelity, MonteCarloError, MonteCarloOptions,

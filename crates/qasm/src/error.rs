@@ -67,6 +67,15 @@ pub enum QasmError {
         /// The cap.
         max: usize,
     },
+    /// A broadcast, such as `h q;` over a whole register, that would take
+    /// the program past [`MAX_INSTRUCTIONS`](crate::MAX_INSTRUCTIONS)
+    /// instructions.
+    TooManyInstructions {
+        /// 1-based line number of the broadcast.
+        line: usize,
+        /// The cap.
+        max: usize,
+    },
 }
 
 impl fmt::Display for QasmError {
@@ -119,6 +128,10 @@ impl fmt::Display for QasmError {
             } => write!(
                 f,
                 "line {line}: creg '{register}' is past the {max}-bit cap"
+            ),
+            QasmError::TooManyInstructions { line, max } => write!(
+                f,
+                "line {line}: broadcast takes the program past the {max}-instruction cap"
             ),
         }
     }

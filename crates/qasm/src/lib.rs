@@ -25,6 +25,9 @@
 //! * quantum registers wider than [`MAX_QUBITS`] qubits together, and any
 //!   classical register wider than [`MAX_QUBITS`] bits
 //!   ([`QasmError::TooWide`]);
+//! * a broadcast (a one-qubit gate or `measure` applied to a whole
+//!   register) that would take the program past [`MAX_INSTRUCTIONS`]
+//!   instructions ([`QasmError::TooManyInstructions`]);
 //! * a gate applied to one qubit twice, such as `cx q[0], q[0];`
 //!   ([`QasmError::RepeatedQubit`]);
 //! * parameter expressions nesting parentheses or unary minus more than
@@ -65,6 +68,14 @@ pub use parser::parse;
 /// device-spec cap `trios_topology::MAX_SPEC_QUBITS`: no device this
 /// compiler builds is wider.
 pub const MAX_QUBITS: usize = 4096;
+
+/// The most instructions broadcasts may take a program to. A broadcast
+/// yields one instruction per qubit of its register, so a few bytes such
+/// as `h q;` can ask for thousands; one that would take the program past
+/// this cap is a [`QasmError::TooManyInstructions`]. A statement naming
+/// its qubits yields one instruction, so those are bounded by the
+/// source's length instead.
+pub const MAX_INSTRUCTIONS: usize = 1 << 20;
 
 // Re-exported for doc examples and downstream convenience.
 pub use trios_ir::Circuit;

@@ -4,7 +4,7 @@
 //! parser looks one token ahead: nothing is copied per token, and a
 //! statement's parameters and operands sit in fixed three-slot arrays.
 
-use crate::{QasmError, MAX_QUBITS};
+use crate::{QasmError, MAX_INSTRUCTIONS, MAX_QUBITS};
 use std::f64::consts::PI;
 use std::fmt;
 use trios_ir::{Circuit, Gate, Instruction, Qubit};
@@ -36,17 +36,19 @@ const MAX_RESERVED: usize = 1 << 16;
 ///
 /// Limits: the quantum registers may declare at most [`MAX_QUBITS`]
 /// qubits together and each classical register at most [`MAX_QUBITS`]
-/// bits, and a parameter expression nests parentheses and unary minus at
-/// most 256 deep.
+/// bits, a broadcast may not take the program past [`MAX_INSTRUCTIONS`]
+/// instructions, and a parameter expression nests parentheses and unary
+/// minus at most 256 deep.
 ///
 /// # Errors
 ///
 /// Returns a [`QasmError`] describing the line and cause: unsupported
 /// version, syntax errors, unknown gates, arity mismatches, references
 /// to undeclared registers / out-of-range indices, a gate applied to one
-/// qubit twice, or registers past the width cap. A lexical error (a
-/// character no token starts with, a malformed number, an unterminated
-/// string) anywhere in the file is reported ahead of any other error.
+/// qubit twice, registers past the width cap, or broadcasts past the
+/// instruction cap. A lexical error (a character no token starts with, a
+/// malformed number, an unterminated string) anywhere in the file is
+/// reported ahead of any other error.
 pub fn parse(source: &str) -> Result<Circuit, QasmError> {
     let mut parser = Parser::new(source)?;
     parser
@@ -223,6 +225,24 @@ struct Register<'a> {
     name: &'a str,
     offset: usize,
     size: usize,
+}
+
+/// Appends `gate` on each qubit of `register`, unless that would take
+/// the program past [`MAX_INSTRUCTIONS`] instructions.
+fn broadcast(
+    out: &mut Vec<Instruction>,
+    gate: Gate,
+    register: std::ops::Range<usize>,
+    line: usize,
+) -> Result<(), QasmError> {
+    if out.len() + register.len() > MAX_INSTRUCTIONS {
+        return Err(QasmError::TooManyInstructions {
+            line,
+            max: MAX_INSTRUCTIONS,
+        });
+    }
+    out.extend(register.map(|q| Instruction::new(gate, &[Qubit::new(q)])));
+    Ok(())
 }
 
 /// A parsed qubit argument: one qubit or a whole register (broadcast).
@@ -487,6 +507,7 @@ impl<'a> Parser<'a> {
     }
 
     fn measure_stmt(&mut self, out: &mut Vec<Instruction>) -> Result<(), QasmError> {
+        let line = self.line;
         let qarg = self.qubit_arg()?;
         match self.next()? {
             Some(Tok::Arrow) => {}
@@ -515,13 +536,12 @@ impl<'a> Parser<'a> {
             self.expect_punct(b']')?;
         }
         self.expect_punct(b';')?;
-        let (first, count) = match qarg {
-            QubitArg::One(q) => (q, 1),
-            QubitArg::Whole(offset, size) => (offset, size),
-        };
-        out.extend(
-            (first..first + count).map(|q| Instruction::new(Gate::Measure, &[Qubit::new(q)])),
-        );
+        match qarg {
+            QubitArg::One(q) => out.push(Instruction::new(Gate::Measure, &[Qubit::new(q)])),
+            QubitArg::Whole(offset, size) => {
+                broadcast(out, Gate::Measure, offset..offset + size, line)?
+            }
+        }
         Ok(())
     }
 
@@ -564,8 +584,7 @@ impl<'a> Parser<'a> {
         let gate = build_gate(name, &params, line, &self.declared_gates)?;
         match whole {
             Some(register) if operands.len == 1 && gate.arity() == 1 => {
-                out.extend(register.map(|q| Instruction::new(gate, &[Qubit::new(q)])));
-                return Ok(());
+                return broadcast(out, gate, register, line);
             }
             Some(_) => {
                 return Err(QasmError::Unexpected {
@@ -1058,7 +1077,8 @@ mod tests {
 
         /// The fuzz check for hostile text: mutated programs never panic
         /// the parser, and it answers exactly as the reference does
-        /// wherever the reference neither panics nor passes the width cap.
+        /// wherever the reference neither panics nor passes the width or
+        /// instruction cap.
         #[test]
         fn byte_mutations_parse_like_the_reference(
             pick in any::<Index>(),
@@ -1066,7 +1086,10 @@ mod tests {
         ) {
             let source = mutate(&corpus()[pick.index(corpus().len())], &edits);
             let parsed = parse(&source);
-            if matches!(parsed, Err(QasmError::TooWide { .. })) {
+            if matches!(
+                parsed,
+                Err(QasmError::TooWide { .. } | QasmError::TooManyInstructions { .. })
+            ) {
                 return Ok(());
             }
             match reference_outcome(&source) {

@@ -55,8 +55,35 @@ impl Schedule {
 /// disjoint qubits run in parallel (paper §2.3: "gates can often run in
 /// parallel").
 pub fn schedule_asap(circuit: &Circuit, durations: &GateDurations) -> Schedule {
-    let mut qubit_free = vec![0.0f64; circuit.num_qubits()];
     let mut ops = Vec::with_capacity(circuit.len());
+    let total = walk_asap(circuit, durations, |instr, start, duration| {
+        ops.push(ScheduledOp {
+            instruction: *instr,
+            start_us: start,
+            duration_us: duration,
+        })
+    });
+    Schedule {
+        ops,
+        total_duration_us: total,
+    }
+}
+
+/// The total duration Δ of [`schedule_asap`] without building the
+/// [`Schedule`]: one clock per qubit, nothing per instruction. Both run
+/// the same walk, so the totals are equal bit for bit.
+pub fn asap_total_us(circuit: &Circuit, durations: &GateDurations) -> f64 {
+    walk_asap(circuit, durations, |_, _, _| {})
+}
+
+/// Starts each instruction when its last operand is free, hands
+/// `(instruction, start, duration)` to `visit`, and returns the total.
+fn walk_asap(
+    circuit: &Circuit,
+    durations: &GateDurations,
+    mut visit: impl FnMut(&Instruction, f64, f64),
+) -> f64 {
+    let mut qubit_free = vec![0.0f64; circuit.num_qubits()];
     let mut total = 0.0f64;
     for instr in circuit.iter() {
         let start = instr
@@ -70,16 +97,9 @@ pub fn schedule_asap(circuit: &Circuit, durations: &GateDurations) -> Schedule {
             qubit_free[q.index()] = end;
         }
         total = total.max(end);
-        ops.push(ScheduledOp {
-            instruction: *instr,
-            start_us: start,
-            duration_us: duration,
-        });
+        visit(instr, start, duration);
     }
-    Schedule {
-        ops,
-        total_duration_us: total,
-    }
+    total
 }
 
 #[cfg(test)]
@@ -143,5 +163,24 @@ mod tests {
         c.h(0).measure(0);
         let s = schedule_asap(&c, &durations());
         assert!((s.total_duration_us() - (D1 + 3.5)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn total_alone_matches_the_schedule() {
+        let mut c = Circuit::new(4);
+        c.h(0)
+            .cx(0, 1)
+            .swap(1, 2)
+            .ccx(0, 2, 3)
+            .h(3)
+            .measure(1)
+            .measure(3);
+        assert_eq!(
+            asap_total_us(&c, &durations()).to_bits(),
+            schedule_asap(&c, &durations())
+                .total_duration_us()
+                .to_bits()
+        );
+        assert_eq!(asap_total_us(&Circuit::new(3), &durations()), 0.0);
     }
 }

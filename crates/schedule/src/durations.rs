@@ -26,7 +26,7 @@ impl Default for GateDurations {
 
 impl GateDurations {
     /// The paper's Johannesburg gate times (§5.2).
-    pub fn johannesburg() -> Self {
+    pub const fn johannesburg() -> Self {
         GateDurations {
             one_qubit_us: 0.07,
             two_qubit_us: 0.559,

@@ -32,6 +32,6 @@ mod crosstalk;
 mod durations;
 
 pub use alap::{alap_idle_us, asap_idle_us, idle_report, schedule_alap, IdleReport};
-pub use asap::{schedule_asap, Schedule, ScheduledOp};
+pub use asap::{asap_total_us, schedule_asap, Schedule, ScheduledOp};
 pub use crosstalk::{crosstalk_conflicts, schedule_crosstalk_aware, schedule_crosstalk_aware_alap};
 pub use durations::GateDurations;

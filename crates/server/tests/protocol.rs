@@ -731,6 +731,43 @@ fn params_a_method_does_not_read_and_malformed_grids_are_bad_requests() {
 }
 
 #[test]
+fn a_broadcast_past_the_instruction_cap_is_a_bad_request_and_the_next_compile_succeeds() {
+    // 1.3 KB of source that broadcasts to 257 × 4096 instructions, one
+    // broadcast past the parser's cap.
+    let source = format!("OPENQASM 2.0;\nqreg q[4096];\n{}", "h q;\n".repeat(257));
+    let server = start(test_config());
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let params = format!(
+        "{{\"qasm\": {}, \"device\": \"line:6\"}}",
+        serde_json::to_string(&source).unwrap()
+    );
+    let response = parse(&client.call("compile", &params).unwrap());
+    assert_eq!(error_kind(&response).as_deref(), Some("bad-request"));
+    let message = response
+        .get("error")
+        .and_then(|e| e.get("message"))
+        .and_then(Value::as_str)
+        .unwrap();
+    assert!(message.contains("instruction cap"), "{message}");
+    let valid = serde_json::to_string("OPENQASM 2.0;\nqreg q[2];\ncx q[0], q[1];\n").unwrap();
+    let response = parse(
+        &client
+            .call(
+                "compile",
+                &format!("{{\"qasm\": {valid}, \"device\": \"line:6\"}}"),
+            )
+            .unwrap(),
+    );
+    let two_qubit_gates = result_of(&response)
+        .get("stats")
+        .and_then(|s| s.get("two_qubit_gates"))
+        .and_then(Value::as_u64);
+    assert_eq!(two_qubit_gates, Some(1));
+    server.shutdown();
+    server.join();
+}
+
+#[test]
 fn hostile_qasm_answers_bad_request_and_every_worker_survives() {
     // Two workers: were the first two requests to panic them, the valid
     // last one would get no reply (and the third asks for a register

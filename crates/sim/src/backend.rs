@@ -490,12 +490,15 @@ mod tests {
     #[test]
     fn degenerate_layouts_and_empty_pairs_get_typed_answers_from_every_backend() {
         // CX(0,1) on three physical qubits; a layout naming one physical
-        // qubit twice is an error, and a zero-qubit program is trivially
-        // implemented by an empty physical circuit.
+        // qubit twice is an error, a zero-qubit program is trivially
+        // implemented by an empty physical circuit, and a compiled
+        // `cx q1, q1` (which `map_qubits` can build) is an error.
         let mut original = Circuit::new(2);
         original.cx(0, 1);
         let mut compiled = Circuit::new(3);
         compiled.cx(0, 1);
+        let mut doubled = Circuit::new(3);
+        doubled.push(compiled.instructions()[0].map_qubits(|_| trios_ir::Qubit::new(1)));
         let (empty, empty_compiled) = (Circuit::new(0), Circuit::new(3));
         for sim in [
             Box::new(DenseSimulator::default()) as Box<dyn Simulator>,
@@ -520,6 +523,14 @@ mod tests {
                 run(&empty, &empty_compiled, &[], &[]),
                 Ok(true),
                 "{name} backend, empty pair"
+            );
+            assert_eq!(
+                run(&original, &doubled, &[0, 1], &[0, 1]),
+                Err(SimError::RepeatedOperand {
+                    gate: "cx".into(),
+                    qubit: 1
+                }),
+                "{name} backend, repeated operand"
             );
         }
     }

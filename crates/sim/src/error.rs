@@ -2,6 +2,7 @@
 
 use std::error::Error;
 use std::fmt;
+use trios_ir::Instruction;
 
 /// Reasons a simulation request can fail.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,6 +56,24 @@ pub enum SimError {
         /// The configured budget.
         max_terms: usize,
     },
+}
+
+/// [`SimError::RepeatedOperand`] if `instr` names one qubit twice: the
+/// dense and stabilizer backends check it once per instruction, before
+/// dispatching to kernels that assume distinct operands. (The sparse
+/// backend makes the same check inside its per-operand width check.)
+pub(crate) fn distinct_operands(instr: &Instruction) -> Result<(), SimError> {
+    if instr.operands().are_distinct() {
+        return Ok(());
+    }
+    let qs = instr.qubits();
+    let repeated = (1..qs.len())
+        .find(|&i| qs[..i].contains(&qs[i]))
+        .map_or(0, |i| qs[i].index());
+    Err(SimError::RepeatedOperand {
+        gate: instr.gate().to_string(),
+        qubit: repeated,
+    })
 }
 
 impl fmt::Display for SimError {

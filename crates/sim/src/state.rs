@@ -1,5 +1,6 @@
 //! Dense statevector simulation.
 
+use crate::error::distinct_operands;
 use crate::{single_qubit_matrix, SimError, C64};
 use std::ops::Range;
 use trios_ir::{Circuit, Gate, Instruction};
@@ -288,6 +289,8 @@ impl State {
     ///
     /// # Errors
     ///
+    /// [`SimError::RepeatedOperand`] for a qubit named twice (as
+    /// [`Instruction::map_qubits`] can build), and
     /// [`SimError::UnsupportedGate`] for measurements and any gate
     /// without a unitary action on this backend.
     ///
@@ -300,6 +303,7 @@ impl State {
     /// qubit.
     pub fn try_apply(&mut self, instr: &Instruction) -> Result<(), SimError> {
         self.check_operands(instr);
+        distinct_operands(instr)?;
         let qs = instr.qubits();
         match instr.gate() {
             Gate::Measure => {

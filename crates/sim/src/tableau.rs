@@ -19,6 +19,7 @@
 //! single `u3` matrices.
 
 use crate::equivalence::check_layout;
+use crate::error::distinct_operands;
 use crate::{mat2_adjoint, mat2_mul, single_qubit_matrix, Mat2, SimError, C64};
 use trios_ir::{Circuit, Gate, Instruction};
 
@@ -213,8 +214,10 @@ impl Tableau {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::UnsupportedGate`] for non-Clifford gates
-    /// (including measurement — use [`Tableau::measure`] for that).
+    /// Returns [`SimError::RepeatedOperand`] for a qubit named twice (as
+    /// [`Instruction::map_qubits`] can build), and
+    /// [`SimError::UnsupportedGate`] for non-Clifford gates (including
+    /// measurement — use [`Tableau::measure`] for that).
     ///
     /// # Panics
     ///
@@ -230,6 +233,7 @@ impl Tableau {
                 instr.gate()
             );
         }
+        distinct_operands(instr)?;
         match instr.gate() {
             Gate::I => {}
             Gate::Cx => self.cx(qs[0].index(), qs[1].index()),

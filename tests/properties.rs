@@ -2,15 +2,18 @@
 //! must compile to legal, semantics-preserving circuits under both
 //! routers, for every decomposition strategy, with and without the
 //! lookahead router and the commutation-aware optimizer — and their
-//! compiled outputs must survive an OpenQASM round trip.
+//! compiled outputs must survive an OpenQASM round trip. The one-scan
+//! shortcuts behind the pass manager and the sweep's estimates must
+//! equal the scans they replace.
 
 use proptest::prelude::*;
 use trios_core::{
     CachedCompilation, CompilationCache, CompileOptions, CompileReport, CompileStats,
     CompiledProgram, Compiler, DirectionPolicy, ShardedCache,
 };
-use trios_ir::{Circuit, Instruction};
+use trios_ir::{Circuit, Gate, Instruction, Qubit};
 use trios_route::{check_legal, Layout, LookaheadConfig, ToffoliPolicy};
+use trios_schedule::{asap_total_us, schedule_asap, GateDurations};
 use trios_sim::compiled_equivalent;
 use trios_topology::{clusters, grid, johannesburg, line, ring, Topology};
 
@@ -673,5 +676,42 @@ fn lazy_distance_rows_match_reference_bfs_on_the_named_zoo() {
     ] {
         let reference = nested_bfs_distances(topo.num_qubits(), topo.edges());
         matches_reference(&topo, &reference).unwrap();
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The pass manager's fused scan equals `(counts(), depth())`, and the
+    /// schedule-free Δ equals the ASAP schedule's total bit for bit, on
+    /// circuits mixing one-, two- and three-qubit gates with SWAPs and
+    /// measurements, under the Johannesburg table and another one.
+    #[test]
+    fn fused_scan_and_schedule_free_delta_match_the_full_scans(
+        gates in proptest::collection::vec(arb_gate(7), 0..40),
+        extras in proptest::collection::vec((0usize..41, 0usize..7, 0usize..7, any::<bool>()), 0..10),
+    ) {
+        let mut instructions = build_circuit(7, &gates).instructions().to_vec();
+        for &(at, a, b, measure) in &extras {
+            let at = at.min(instructions.len());
+            if measure {
+                instructions.insert(at, Instruction::new(Gate::Measure, &[Qubit::new(a)]));
+            } else if a != b {
+                instructions.insert(at, Instruction::new(Gate::Swap, &[Qubit::new(a), Qubit::new(b)]));
+            }
+        }
+        let circuit = Circuit::from_instructions(7, instructions).unwrap();
+        prop_assert_eq!(circuit.counts_and_depth(), (circuit.counts(), circuit.depth()));
+        let other = GateDurations {
+            one_qubit_us: 0.035,
+            two_qubit_us: 0.3,
+            measure_us: 1.2,
+        };
+        for durations in [GateDurations::johannesburg(), other] {
+            prop_assert_eq!(
+                asap_total_us(&circuit, &durations).to_bits(),
+                schedule_asap(&circuit, &durations).total_duration_us().to_bits()
+            );
+        }
     }
 }

@@ -250,6 +250,38 @@ fn the_width_cap_is_the_device_cap_and_counts_every_register() {
 }
 
 #[test]
+fn broadcasts_stop_at_the_instruction_cap() {
+    use orchestrated_trios::qasm::MAX_INSTRUCTIONS;
+    assert_eq!(MAX_INSTRUCTIONS, 1 << 20);
+    // 256 broadcasts over 4096 qubits reach the cap exactly; one more is
+    // refused at its own line, before its instructions are built.
+    let full = format!("OPENQASM 2.0;\nqreg q[4096];\n{}", "h q;\n".repeat(256));
+    assert_eq!(parse(&full).unwrap().len(), MAX_INSTRUCTIONS);
+    let err = parse(&format!("{full}x q;\n")).unwrap_err();
+    assert_eq!(
+        err,
+        QasmError::TooManyInstructions {
+            line: 259,
+            max: MAX_INSTRUCTIONS
+        }
+    );
+    assert!(err.to_string().contains("1048576-instruction cap"), "{err}");
+    // One-instruction statements count toward the cap, and a measure
+    // broadcast is held to it too.
+    let measured = format!(
+        "OPENQASM 2.0;\nqreg q[4096];\ncreg c[4096];\n{}x q[0];\nmeasure q -> c;\n",
+        "h q;\n".repeat(255)
+    );
+    assert_eq!(
+        parse(&measured).unwrap_err(),
+        QasmError::TooManyInstructions {
+            line: 260,
+            max: MAX_INSTRUCTIONS
+        }
+    );
+}
+
+#[test]
 fn deeply_nested_parameters_are_an_error_not_a_stack_overflow() {
     let depth = 100_000;
     let source = format!(

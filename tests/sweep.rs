@@ -5,16 +5,22 @@
 //! * sweep results are byte-identical regardless of the worker count
 //!   (piggybacking on the parallel == sequential batch property);
 //! * the Monte Carlo cross-check upper-bounds the analytic §2.6 product
-//!   on every simulable cell.
+//!   on every simulable cell;
+//! * a cell's estimate, made from its compile's counts and Δ, equals the
+//!   estimate of the compiled circuit bit for bit;
+//! * a recurring job hits the sweep's cache.
 
 use proptest::collection;
 use proptest::prelude::*;
 use trios_benchmarks::Benchmark;
 use trios_core::{
-    run_sweep, Calibration, RatioRow, RouterGeomean, SweepBenchmark, SweepCell, SweepMonteCarlo,
-    SweepReport, SweepSpec,
+    parse_spec, run_sweep, Calibration, Compiler, CrosstalkPolicy, RatioRow, RouterGeomean,
+    SchedulePass, StrategyRegistry, SweepBenchmark, SweepCell, SweepMonteCarlo, SweepReport,
+    SweepSpec,
 };
-use trios_topology::line;
+use trios_noise::estimate_success_with_crosstalk;
+use trios_schedule::GateDurations;
+use trios_topology::{line, ring};
 
 /// Deterministically fills a report from pools of random primitives, so
 /// the round-trip property exercises every field shape (including `None`
@@ -196,4 +202,182 @@ fn monte_carlo_mean_fidelity_upper_bounds_analytic_product() {
     }
     // Trios must not lose to baseline on this Toffoli-bearing grid.
     assert!(report.geomean_for("trios").unwrap() >= 1.0);
+}
+
+/// Asserts every cell of `report` carries, bit for bit, the estimate of
+/// its directly compiled circuit under the spec's crosstalk policy.
+fn assert_cells_match_their_compiled_circuits(spec: &SweepSpec, report: &SweepReport) {
+    assert_eq!(
+        report.cells.len(),
+        spec.benchmarks.len() * spec.devices.len() * spec.routers.len() * spec.calibrations.len()
+    );
+    for (device, topology) in &spec.devices {
+        for router in &spec.routers {
+            let compiler = Compiler::builder()
+                .router(router.clone())
+                .decomposer("standard")
+                .seed(spec.seed)
+                .build();
+            for bench in &spec.benchmarks {
+                let program = compiler.compile(&bench.circuit, topology).unwrap();
+                for (name, calibration) in &spec.calibrations {
+                    let expected = estimate_success_with_crosstalk(
+                        &program.circuit,
+                        calibration,
+                        topology,
+                        spec.crosstalk,
+                    );
+                    let cell = report
+                        .cell(&bench.name, device, router, "standard", name)
+                        .unwrap();
+                    let at = format!("{} on {device} with {router} under {name}", bench.name);
+                    for (got, want) in [
+                        (cell.probability, expected.probability()),
+                        (cell.p_gates, expected.p_gates),
+                        (cell.p_readout, expected.p_readout),
+                        (cell.p_coherence, expected.p_coherence),
+                        (cell.duration_us, expected.duration_us),
+                    ] {
+                        assert_eq!(got.to_bits(), want.to_bits(), "{at}: {got} vs {want}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The paper's Figures 9–11 grid: the 11 Table-1 benchmarks on four
+/// 20-qubit devices under every registered router.
+fn paper_grid(calibrations: Vec<(String, Calibration)>) -> SweepSpec {
+    SweepSpec {
+        benchmarks: Benchmark::ALL
+            .iter()
+            .map(|b| SweepBenchmark::measured(b.name(), b.build()))
+            .collect(),
+        devices: ["johannesburg", "grid", "line", "clusters"]
+            .into_iter()
+            .map(|name| (name.to_string(), parse_spec(name).unwrap()))
+            .collect(),
+        routers: StrategyRegistry::standard()
+            .names()
+            .map(str::to_string)
+            .collect(),
+        calibrations,
+        jobs: 2,
+        ..SweepSpec::new()
+    }
+}
+
+/// Estimates reuse the compile's counts and Δ under the Johannesburg
+/// gate durations (`now`, `future`, `improve:5`), and rescan the program
+/// under any other duration table (`slow`): every cell matches its
+/// compiled circuit's own estimate bit for bit either way.
+#[test]
+fn paper_grid_estimates_equal_the_compiled_circuits_estimates_bit_for_bit() {
+    let now = Calibration::johannesburg_2020_08_19();
+    let slow = Calibration {
+        durations: GateDurations {
+            one_qubit_us: 0.1,
+            two_qubit_us: 0.8,
+            measure_us: 5.0,
+        },
+        ..now
+    };
+    assert_ne!(slow.durations, SchedulePass::DURATIONS);
+    let spec = paper_grid(vec![
+        ("now".into(), now),
+        ("future".into(), Calibration::near_future()),
+        ("improve:5".into(), now.improved(5.0)),
+        ("slow".into(), slow),
+    ]);
+    assert_cells_match_their_compiled_circuits(&spec, &run_sweep(&spec).unwrap());
+}
+
+/// Under a crosstalk policy each cell estimates its compiled circuit, and
+/// matches the per-circuit estimate bit for bit.
+#[test]
+fn crosstalk_estimates_equal_the_compiled_circuits_estimates_bit_for_bit() {
+    let now = Calibration::johannesburg_2020_08_19();
+    let mut spec = paper_grid(vec![
+        ("now".into(), now),
+        ("improve:5".into(), now.improved(5.0)),
+    ]);
+    spec.benchmarks.truncate(3);
+    spec.devices.truncate(2);
+    for crosstalk in [
+        CrosstalkPolicy::Charge {
+            error_per_conflict: 0.01,
+        },
+        CrosstalkPolicy::Avoid,
+    ] {
+        spec.crosstalk = crosstalk;
+        assert_cells_match_their_compiled_circuits(&spec, &run_sweep(&spec).unwrap());
+    }
+}
+
+/// A recurring job hits the sweep's cache, whose keys collide only
+/// within one topology × router group: a qutrit cell (compiled with the
+/// standard lowering), one circuit under two benchmark names, and one
+/// topology under two device names, with another device between them.
+/// Turning the cache off changes the counters and nothing else.
+#[test]
+fn recurring_jobs_hit_inside_their_topology_router_group() {
+    let mut toffoli = trios_ir::Circuit::new(4);
+    toffoli.h(0).ccx(0, 1, 2).cx(3, 0);
+    let mut other = trios_ir::Circuit::new(4);
+    other.ccx(1, 2, 3).cx(0, 3);
+    let spec = SweepSpec {
+        benchmarks: vec![
+            SweepBenchmark::measured("toffoli", toffoli.clone()),
+            SweepBenchmark::measured("toffoli-again", toffoli),
+            SweepBenchmark::measured("other", other),
+        ],
+        devices: vec![
+            ("line-6".into(), line(6)),
+            ("ring-6".into(), ring(6)),
+            ("line-6-again".into(), line(6)),
+        ],
+        routers: vec!["baseline".into(), "trios".into()],
+        decomposers: vec!["standard".into(), "qutrit".into()],
+        calibrations: vec![("now".into(), Calibration::johannesburg_2020_08_19())],
+        jobs: 1,
+        ..SweepSpec::new()
+    };
+    let report = run_sweep(&spec).unwrap();
+    // Per router: two distinct jobs on the line and two on the ring
+    // compile; the other 14 of the 18 hit.
+    assert_eq!((report.cache_hits, report.cache_misses), (28, 8));
+    for cell in &report.cells {
+        let twin = |benchmark: &str, device: &str| {
+            let mut twin = report
+                .cell(
+                    benchmark,
+                    device,
+                    &cell.router,
+                    &cell.decomposer,
+                    &cell.calibration,
+                )
+                .unwrap()
+                .clone();
+            twin.benchmark = cell.benchmark.clone();
+            twin.device = cell.device.clone();
+            twin.compile_time_s = cell.compile_time_s;
+            twin
+        };
+        if cell.benchmark == "toffoli-again" {
+            assert_eq!(&twin("toffoli", &cell.device), cell);
+        }
+        if cell.device == "line-6-again" {
+            assert_eq!(&twin(&cell.benchmark, "line-6"), cell);
+        }
+    }
+    let uncached = run_sweep(&SweepSpec {
+        cache_size: 0,
+        ..spec.clone()
+    })
+    .unwrap();
+    assert_eq!((uncached.cache_hits, uncached.cache_misses), (0, 36));
+    let mut cached = report.normalized();
+    (cached.cache_hits, cached.cache_misses) = (0, 36);
+    assert_eq!(cached, uncached.normalized());
 }
