@@ -8,6 +8,7 @@ use crate::context::{CompileContext, ProgramSchedule, RouterTrace};
 use crate::manager::PassManager;
 use crate::report::{CompileReport, CompileStats};
 use crate::{CompileOptions, Diagnostic, PaperConfig};
+use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -209,6 +210,13 @@ impl Compiler {
     /// wall times. Keep one cache across repeated batches (workload
     /// sweeps, ablations) to skip every previously-seen job.
     ///
+    /// With a cache, a circuit whose cache key equals an earlier circuit's
+    /// in the same batch never compiles alongside it: it waits for a
+    /// second round, which starts once every first occurrence has
+    /// finished and inserted. So it counts as a hit, in the
+    /// [`BatchReport`] and in the cache's own counters, at every `jobs`
+    /// (unless the cache evicted the entry in between or has capacity 0).
+    ///
     /// # Errors
     ///
     /// Returns the lowest-index failing circuit's [`BatchDiagnostic`], at
@@ -227,51 +235,83 @@ impl Compiler {
         let started = Instant::now();
         let jobs = jobs.max(1).min(circuits.len().max(1));
         let slots: Vec<Mutex<Slot>> = circuits.iter().map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
+        let keys: Vec<Option<u64>> = circuits
+            .iter()
+            .map(|circuit| cache.map(|_| CompilationCache::key(circuit, topology, &self.options)))
+            .collect();
+        // The first occurrence of each key compiles in the first round;
+        // its repeats are looked up in the second, once it has inserted.
+        let mut seen = HashSet::new();
+        let (mut first, mut repeats) = (Vec::with_capacity(circuits.len()), Vec::new());
+        for (index, key) in keys.iter().enumerate() {
+            match key {
+                Some(key) if !seen.insert(*key) => repeats.push(index),
+                _ => first.push(index),
+            }
+        }
         let failed = AtomicBool::new(false);
-        let worker = || {
-            // One pipeline per worker, reused across its circuits, so the
-            // passes and their registries are built once per worker, not
-            // once per circuit.
-            let mut manager = self.pass_manager();
-            loop {
-                if failed.load(Ordering::Relaxed) {
-                    break;
-                }
-                let index = next.fetch_add(1, Ordering::Relaxed);
-                if index >= circuits.len() {
-                    break;
-                }
-                let outcome =
-                    self.compile_one_cached(&mut manager, &circuits[index], topology, cache);
-                if outcome.is_err() {
-                    failed.store(true, Ordering::Relaxed);
-                }
-                *slots[index].lock().expect("batch slot lock poisoned") = Some(outcome);
+        for round in [first, repeats] {
+            if round.is_empty() || failed.load(Ordering::Relaxed) {
+                continue;
             }
-        };
-        // The calling thread is the last of the `jobs` workers, so
-        // `jobs = 1` compiles inline and spawns nothing.
-        std::thread::scope(|scope| {
-            for _ in 1..jobs {
-                scope.spawn(worker);
-            }
-            worker();
-        });
-        // Indices are claimed in order and every claimed circuit completes,
-        // so the filled slots form a prefix and the first error found in
-        // index order is the same failure sequential compilation reports.
+            let next = AtomicUsize::new(0);
+            let worker = || {
+                // One pipeline per worker, reused across its circuits, so
+                // the passes and their registries are built once per
+                // worker, not once per circuit.
+                let mut manager = self.pass_manager();
+                loop {
+                    if failed.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    let Some(&index) = round.get(next.fetch_add(1, Ordering::Relaxed)) else {
+                        break;
+                    };
+                    let cached = cache.zip(keys[index]);
+                    let outcome =
+                        self.compile_one_cached(&mut manager, &circuits[index], topology, cached);
+                    if outcome.is_err() {
+                        failed.store(true, Ordering::Relaxed);
+                    }
+                    *slots[index].lock().expect("batch slot lock poisoned") = Some(outcome);
+                }
+            };
+            // The calling thread is the last of the round's workers, so
+            // `jobs = 1` compiles inline and spawns nothing.
+            std::thread::scope(|scope| {
+                for _ in 1..jobs.min(round.len()) {
+                    scope.spawn(worker);
+                }
+                worker();
+            });
+        }
+        let slots = slots
+            .into_iter()
+            .map(|slot| slot.into_inner().expect("batch slot lock poisoned"));
+        // A round claims its circuits in index order and every claimed
+        // circuit completes, so the first error in index order is the
+        // lowest-index failure: a repeat fails only if the earlier circuit
+        // with its key does, and after a failure no second round runs.
+        if failed.into_inner() {
+            let (index, diagnostic) = slots
+                .enumerate()
+                .find_map(|(index, slot)| match slot {
+                    Some(Err(diagnostic)) => Some((index, diagnostic)),
+                    _ => None,
+                })
+                .expect("a recorded failure fills its slot");
+            return Err(BatchDiagnostic { index, diagnostic });
+        }
         let mut results = Vec::with_capacity(circuits.len());
         let mut fresh = Vec::with_capacity(circuits.len());
-        for (index, slot) in slots.into_iter().enumerate() {
-            match slot.into_inner().expect("batch slot lock poisoned") {
+        for (index, slot) in slots.enumerate() {
+            match slot {
                 Some(Ok((program, report, was_hit))) => {
                     results.push((program, report));
                     fresh.push(!was_hit);
                 }
-                Some(Err(diagnostic)) => return Err(BatchDiagnostic { index, diagnostic }),
-                None => {
-                    unreachable!("unfilled batch slot {index} without a recorded failure")
+                _ => {
+                    unreachable!("batch slot {index} unfilled or failed without a recorded failure")
                 }
             }
         }
@@ -284,16 +324,15 @@ impl Compiler {
         manager: &mut PassManager,
         circuit: &Circuit,
         topology: &Topology,
-        cache: Option<&CompilationCache>,
+        cached: Option<(&CompilationCache, u64)>,
     ) -> Result<(CompiledProgram, CompileReport, bool), Diagnostic> {
-        let key = cache.map(|_| CompilationCache::key(circuit, topology, &self.options));
-        if let (Some(cache), Some(key)) = (cache, key) {
+        if let Some((cache, key)) = cached {
             if let Some((program, report)) = cache.get(key) {
                 return Ok((program, report, true));
             }
         }
         let (program, report) = self.run_pipeline(manager, circuit, topology)?;
-        if let (Some(cache), Some(key)) = (cache, key) {
+        if let Some((cache, key)) = cached {
             cache.insert(key, (program.clone(), report.clone()));
         }
         Ok((program, report, false))
@@ -730,6 +769,99 @@ mod tests {
                 .compile_batch(&batch, &johannesburg(), jobs, None)
                 .unwrap_err();
             assert_eq!(err.index, 1, "jobs = {jobs}");
+            // With a cache the repeats wait for a second round, which a
+            // failure in the first one skips.
+            let cache = CompilationCache::new(16);
+            let err = compiler
+                .compile_batch(&batch, &johannesburg(), jobs, Some(&cache))
+                .unwrap_err();
+            assert_eq!(err.index, 1, "jobs = {jobs}, cached");
+        }
+    }
+
+    /// A router that holds each routing run until `needed` runs have
+    /// entered it, so that many workers are provably in flight together,
+    /// then routes like `trios`.
+    struct GatedRouter {
+        needed: usize,
+        entered: std::sync::Arc<(Mutex<usize>, std::sync::Condvar)>,
+    }
+
+    impl trios_route::RoutingStrategy for GatedRouter {
+        fn name(&self) -> &str {
+            "gated"
+        }
+
+        fn route(
+            &self,
+            circuit: &Circuit,
+            topology: &Topology,
+            layout: Layout,
+            options: &trios_route::RouterOptions,
+            trace: &mut trios_route::RoutingTrace,
+        ) -> Result<trios_route::RoutedCircuit, trios_route::RouteError> {
+            let (count, arrived) = &*self.entered;
+            let mut count = count.lock().unwrap();
+            *count += 1;
+            arrived.notify_all();
+            let (count, wait) = arrived
+                .wait_timeout_while(count, std::time::Duration::from_secs(60), |n| {
+                    *n < self.needed
+                })
+                .unwrap();
+            assert!(
+                !wait.timed_out(),
+                "only {} of {} routing runs arrived",
+                *count,
+                self.needed
+            );
+            drop(count);
+            trios_route::RoutingEngine::new(topology, layout, options, circuit, trace)?
+                .run(circuit, true)
+        }
+    }
+
+    #[test]
+    fn a_repeated_key_in_one_batch_hits_at_every_worker_count() {
+        // Indices 0 and 1 share a key. With two or more workers, the
+        // first two routing runs are held until both have started: had
+        // the two copies compiled side by side, both would have missed.
+        let mut a = Circuit::new(4);
+        a.h(0).ccx(0, 1, 3).cx(3, 2);
+        let mut b = Circuit::new(4);
+        b.ccx(3, 1, 0);
+        let circuits = [a.clone(), a, b];
+        let topo = line(5);
+        for jobs in [1, 2, 3] {
+            let entered = std::sync::Arc::new((Mutex::new(0), std::sync::Condvar::new()));
+            let mut registry = StrategyRegistry::standard();
+            let gate = std::sync::Arc::clone(&entered);
+            registry.register("gated", move || {
+                Box::new(GatedRouter {
+                    needed: jobs.min(2),
+                    entered: std::sync::Arc::clone(&gate),
+                })
+            });
+            let compiler = Compiler::builder()
+                .router("gated")
+                .strategies(registry)
+                .seed(3)
+                .build();
+            let cache = CompilationCache::new(16);
+            let outcome = compiler
+                .compile_batch(&circuits, &topo, jobs, Some(&cache))
+                .unwrap();
+            let report = &outcome.report;
+            assert_eq!(
+                (report.cache_hits, report.cache_misses),
+                (1, 2),
+                "jobs = {jobs}"
+            );
+            assert_eq!((cache.hits(), cache.misses()), (1, 2), "jobs = {jobs}");
+            assert_eq!(*entered.0.lock().unwrap(), 2, "jobs = {jobs}");
+            assert_eq!(outcome.results[0], outcome.results[1]);
+            let direct = compiler.compile(&circuits[1], &topo).unwrap();
+            assert_eq!(outcome.results[1].0, direct);
         }
     }
 

@@ -115,6 +115,10 @@ impl PassManager {
     /// Runs every pass over `cx` in order, recording wall time and
     /// gate-count deltas for each.
     ///
+    /// The circuit is scanned before the first pass and after each pass
+    /// that [may write it](Pass::writes_circuit); a pass that does not
+    /// gets the counts and depth of the boundary before it.
+    ///
     /// # Errors
     ///
     /// Stops at, and returns, the first failing pass's [`Diagnostic`].
@@ -122,14 +126,22 @@ impl PassManager {
         let mut records = Vec::with_capacity(self.passes.len());
         // Each pass's exit counts are the next pass's entry counts, and
         // one scan yields both counts and depth, so every pass boundary
-        // is scanned once.
+        // is scanned at most once.
         let (mut gates, mut depth) = cx.circuit.counts_and_depth();
         for pass in &mut self.passes {
             let (gates_before, depth_before) = (gates, depth);
             let start = Instant::now();
             pass.run(cx)?;
             let wall_time = start.elapsed();
-            (gates, depth) = cx.circuit.counts_and_depth();
+            if pass.writes_circuit() {
+                (gates, depth) = cx.circuit.counts_and_depth();
+            } else {
+                debug_assert!(
+                    cx.circuit.counts_and_depth() == (gates, depth),
+                    "pass '{}' says it never writes the circuit, but changed it",
+                    pass.name()
+                );
+            }
             records.push(PassRecord {
                 pass: pass.name(),
                 wall_time,
@@ -280,6 +292,66 @@ mod tests {
         assert!(cx.circuit.is_hardware_lowered());
         let trace = cx.artifacts.get::<crate::RouterTrace>().unwrap();
         assert_eq!(trace.0.strategy.as_deref(), Some("reverse-trios"));
+    }
+
+    #[test]
+    fn records_equal_a_rescan_after_every_pass() {
+        use crate::{with_measurements, CompileContext, PaperConfig};
+        use trios_benchmarks::Benchmark;
+
+        // The manager skips the scan after a pass that says it never
+        // writes the circuit; its records must still read as if every
+        // boundary had been scanned, by both separate scans.
+        let configs = [
+            PaperConfig::QiskitBaseline,
+            PaperConfig::QiskitEight,
+            PaperConfig::TriosSix,
+            PaperConfig::TriosEight,
+            PaperConfig::Trios,
+        ];
+        let circuits = [
+            Benchmark::CnxInplace4.build(),
+            with_measurements(&Benchmark::IncrementerBorrowedbit5.build(), &[0, 2, 4]),
+            Benchmark::Grovers9.build(),
+            Benchmark::CnxDirty11.build(),
+        ];
+        for topology in [trios_topology::johannesburg(), trios_topology::line(12)] {
+            for config in configs {
+                for router in ["baseline", "trios", "trios-lookahead", "trios-noise"] {
+                    let options = CompileOptions {
+                        router: Some(router.into()),
+                        ..config.to_options(7)
+                    };
+                    for circuit in &circuits {
+                        let mut cx = CompileContext::new(circuit.clone(), &topology, &options);
+                        let records = PassManager::for_options(&options).run(&mut cx).unwrap();
+
+                        let mut cx = CompileContext::new(circuit.clone(), &topology, &options);
+                        let mut rescanned = Vec::new();
+                        let mut before = (cx.circuit.counts(), cx.circuit.depth());
+                        for pass in &mut PassManager::for_options(&options).passes {
+                            pass.run(&mut cx).unwrap();
+                            let after = (cx.circuit.counts(), cx.circuit.depth());
+                            rescanned.push((pass.name(), before, after));
+                            before = after;
+                        }
+                        let recorded: Vec<_> = records
+                            .iter()
+                            .map(|r| {
+                                let before = (r.gates_before, r.depth_before);
+                                (r.pass, before, (r.gates_after, r.depth_after))
+                            })
+                            .collect();
+                        assert_eq!(
+                            recorded,
+                            rescanned,
+                            "{config:?} {router} {}",
+                            circuit.name()
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -32,6 +32,19 @@ pub trait Pass: Send + Sync {
     /// Returns a [`Diagnostic`] describing the failure; the pass manager
     /// stops at the first failing pass.
     fn run(&mut self, cx: &mut CompileContext<'_>) -> Result<(), Diagnostic>;
+
+    /// Whether [`Pass::run`] may change `cx.circuit`. Every pass may,
+    /// unless it returns `false` here.
+    ///
+    /// [`PassManager::run`](crate::PassManager::run) scans the circuit for
+    /// its counts and depth after each pass that may change it. After one
+    /// that does not, it records the counts and depth it already holds
+    /// from the previous pass boundary; debug builds scan anyway and
+    /// panic if they differ. Return `false` only from a pass that never
+    /// assigns or mutates `cx.circuit`.
+    fn writes_circuit(&self) -> bool {
+        true
+    }
 }
 
 /// Chooses the initial logical→physical placement (the paper fixes it for
@@ -42,6 +55,10 @@ pub struct InitialMappingPass;
 impl Pass for InitialMappingPass {
     fn name(&self) -> &'static str {
         "initial-mapping"
+    }
+
+    fn writes_circuit(&self) -> bool {
+        false
     }
 
     fn run(&mut self, cx: &mut CompileContext<'_>) -> Result<(), Diagnostic> {
@@ -318,6 +335,10 @@ impl Pass for ValidatePass {
         "validate"
     }
 
+    fn writes_circuit(&self) -> bool {
+        false
+    }
+
     fn run(&mut self, cx: &mut CompileContext<'_>) -> Result<(), Diagnostic> {
         if let Some(offender) = cx
             .circuit
@@ -358,6 +379,10 @@ impl SchedulePass {
 impl Pass for SchedulePass {
     fn name(&self) -> &'static str {
         "schedule"
+    }
+
+    fn writes_circuit(&self) -> bool {
+        false
     }
 
     fn run(&mut self, cx: &mut CompileContext<'_>) -> Result<(), Diagnostic> {

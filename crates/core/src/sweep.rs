@@ -789,7 +789,10 @@ fn plan_batches(spec: &SweepSpec, registry: &DecomposerRegistry) -> (Vec<Vec<usi
 /// cell, which compiles with the standard lowering, one circuit under two
 /// benchmark names, or one topology under two device names — one
 /// [`CompilationCache`] of capacity [`SweepSpec::cache_size`] is shared
-/// across the cells of this call, so that job compiles once. A sweep in
+/// across the cells of this call, so that job compiles once, and the
+/// report's hit and miss counts are the same at every [`SweepSpec::jobs`]
+/// (a repeat inside one batch waits until the first has inserted; see
+/// [`Compiler::compile_batch`]). A sweep in
 /// which no job recurs, such as the paper's grid, keeps no cache and so
 /// no copy of its compiled programs. The cache is dropped when the call
 /// returns: running the same spec again compiles everything again.

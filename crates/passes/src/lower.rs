@@ -78,41 +78,36 @@ pub fn cz_to_cx(a: Qubit, b: Qubit) -> [Instruction; 3] {
 ///
 /// [`merge_single_qubit_runs`]: crate::merge_single_qubit_runs
 pub fn lower_to_hardware_gates(circuit: &Circuit, strategy: &dyn DecompositionStrategy) -> Circuit {
-    let mut out = Circuit::with_name(circuit.num_qubits(), circuit.name().to_string());
+    let mut out = Vec::with_capacity(circuit.iter().map(|i| lowered_len(i.gate())).sum());
     for instr in circuit.iter() {
         match instr.gate() {
-            Gate::Swap => {
-                for x in swap_to_cnots(instr.qubit(0), instr.qubit(1)) {
-                    out.push(x);
-                }
-            }
-            Gate::Cz => {
-                for x in cz_to_cx(instr.qubit(0), instr.qubit(1)) {
-                    out.push(x);
-                }
-            }
-            Gate::Cp(l) => {
-                for x in cp_to_cx(l, instr.qubit(0), instr.qubit(1)) {
-                    out.push(x);
-                }
-            }
-            Gate::Cxpow(t) => {
-                for x in cxpow_to_cx(t, instr.qubit(0), instr.qubit(1)) {
-                    out.push(x);
-                }
-            }
+            Gate::Swap => out.extend(swap_to_cnots(instr.qubit(0), instr.qubit(1))),
+            Gate::Cz => out.extend(cz_to_cx(instr.qubit(0), instr.qubit(1))),
+            Gate::Cp(l) => out.extend(cp_to_cx(l, instr.qubit(0), instr.qubit(1))),
+            Gate::Cxpow(t) => out.extend(cxpow_to_cx(t, instr.qubit(0), instr.qubit(1))),
             Gate::Ccx | Gate::Ccz | Gate::Cswap => {
-                for x in crate::decompose_one(instr, strategy) {
-                    out.push(x);
-                }
+                out.extend(crate::decompose_one(instr, strategy));
             }
-            _ => {
-                out.push(*instr);
-            }
+            _ => out.push(*instr),
         }
     }
+    let mut out = Circuit::from_instructions(circuit.num_qubits(), out)
+        .expect("lowering keeps every instruction on the circuit's qubits");
+    out.set_name(circuit.name());
     debug_assert!(out.is_hardware_lowered());
     out
+}
+
+/// How many instructions [`lower_to_hardware_gates`] makes of one `gate`,
+/// counting a three-qubit gate as the 15 of the standard Toffoli.
+fn lowered_len(gate: Gate) -> usize {
+    match gate {
+        Gate::Swap | Gate::Cz => 3,
+        Gate::Cp(_) => 5,
+        Gate::Cxpow(_) => 7,
+        Gate::Ccx | Gate::Ccz | Gate::Cswap => 15,
+        _ => 1,
+    }
 }
 
 #[cfg(test)]

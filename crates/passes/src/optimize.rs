@@ -2,6 +2,7 @@
 //! (paper §5.2): inverse-pair cancellation and single-qubit-run
 //! consolidation into `u3` gates.
 
+use std::collections::HashMap;
 use trios_ir::{Circuit, Gate, Instruction, Qubit};
 use trios_sim::{
     mat2_eq_up_to_phase, mat2_mul, single_qubit_matrix, zyz_decompose, Mat2, MAT2_IDENTITY,
@@ -77,10 +78,12 @@ impl OptimizeOptions {
 ///    emitted when step 1 is on.
 ///
 /// Each step is a kernel over one instruction list: step 1 is fused into
-/// the read of the input, the cancellation rounds reuse two buffers, and
-/// only the result is wrapped in a [`Circuit`]. The public single-step
-/// passes are thin wrappers over the same kernels, so the result is
-/// bit-identical to running them one after another.
+/// the read of the input, the cancellation rounds reuse two buffers, a
+/// run of up to 16 parameterless gates or of one parameterized gate is
+/// resynthesized once per distinct run and call, and only the result is
+/// wrapped in a [`Circuit`]. The public single-step passes are thin
+/// wrappers over the same kernels, so the result is bit-identical to
+/// running them one after another.
 ///
 /// Semantics-preserving by construction; the test suite additionally
 /// verifies this with the statevector simulator.
@@ -289,10 +292,17 @@ pub fn merge_single_qubit_runs(circuit: &Circuit) -> Circuit {
 #[derive(Debug, Clone, Copy)]
 enum Run {
     Empty,
-    /// A run of one gate, whose matrix is not formed unless another gate
-    /// joins it.
+    /// A run of at most [`WORD_GATES`] parameterless gates, one nibble
+    /// each (see [`nibble`]), whose matrix is not formed unless another
+    /// kind of gate joins it or it outgrows the word.
+    Word {
+        word: u64,
+        len: u32,
+    },
+    /// A run of one parameterized gate, whose matrix is not formed unless
+    /// another gate joins it.
     One(Gate),
-    /// The product of a longer run so far.
+    /// The product of any other run so far.
     Product(Mat2),
 }
 
@@ -301,7 +311,7 @@ enum Run {
 fn merge_runs(num_qubits: usize, instrs: &[Instruction], drop_trivial: bool) -> Vec<Instruction> {
     let mut emitter = RunEmitter {
         drop_trivial,
-        memo: [None; PARAMETERLESS_GATES],
+        memo: RunMemo::new(),
     };
     let mut pending = vec![Run::Empty; num_qubits];
     let mut out = Vec::with_capacity(instrs.len());
@@ -309,10 +319,23 @@ fn merge_runs(num_qubits: usize, instrs: &[Instruction], drop_trivial: bool) -> 
         let gate = instr.gate();
         if gate.is_single_qubit() && !gate.is_measurement() {
             let q = instr.qubit(0).index();
-            pending[q] = match pending[q] {
-                Run::Empty => Run::One(gate),
-                Run::One(first) => Run::Product(mat2_mul(&gate_matrix(gate), &run_start(first))),
-                Run::Product(acc) => Run::Product(mat2_mul(&gate_matrix(gate), &acc)),
+            pending[q] = match (pending[q], parameterless_slot(gate)) {
+                (Run::Empty, Some(slot)) => Run::Word {
+                    word: nibble(slot),
+                    len: 1,
+                },
+                (Run::Empty, None) => Run::One(gate),
+                (Run::Word { word, len }, Some(slot)) if len < WORD_GATES => Run::Word {
+                    word: word | nibble(slot) << (4 * len),
+                    len: len + 1,
+                },
+                (Run::Word { word, .. }, _) => {
+                    Run::Product(mat2_mul(&gate_matrix(gate), &word_product(word)))
+                }
+                (Run::One(first), _) => {
+                    Run::Product(mat2_mul(&gate_matrix(gate), &run_start(first)))
+                }
+                (Run::Product(acc), _) => Run::Product(mat2_mul(&gate_matrix(gate), &acc)),
             };
             continue;
         }
@@ -328,13 +351,27 @@ fn merge_runs(num_qubits: usize, instrs: &[Instruction], drop_trivial: bool) -> 
     out
 }
 
-/// How many single-qubit gates have no parameter (see
-/// [`parameterless_slot`]).
-const PARAMETERLESS_GATES: usize = 11;
+/// The parameterless single-qubit gates, indexed by
+/// [`parameterless_slot`].
+const PARAMETERLESS: [Gate; 11] = [
+    Gate::I,
+    Gate::H,
+    Gate::X,
+    Gate::Y,
+    Gate::Z,
+    Gate::S,
+    Gate::Sdg,
+    Gate::T,
+    Gate::Tdg,
+    Gate::Sx,
+    Gate::Sxdg,
+];
 
-/// A slot per parameterless single-qubit gate. A one-gate run of such a
-/// gate always resynthesizes to the same `u3`, and most runs in lowered
-/// circuits are one `h` or `t`, so [`RunEmitter`] computes each once.
+/// How many gates one [`Run::Word`] holds: a nibble each in a `u64`.
+const WORD_GATES: u32 = 16;
+
+/// The index of `gate` in [`PARAMETERLESS`], or `None` for a gate with
+/// parameters.
 fn parameterless_slot(gate: Gate) -> Option<usize> {
     Some(match gate {
         Gate::I => 0,
@@ -352,6 +389,12 @@ fn parameterless_slot(gate: Gate) -> Option<usize> {
     })
 }
 
+/// The nibble of the gate in `slot`: never zero, so a word's first zero
+/// nibble ends its run.
+fn nibble(slot: usize) -> u64 {
+    slot as u64 + 1
+}
+
 fn gate_matrix(gate: Gate) -> Mat2 {
     single_qubit_matrix(gate).expect("every unitary single-qubit gate has a matrix")
 }
@@ -364,12 +407,70 @@ fn run_start(gate: Gate) -> Mat2 {
     mat2_mul(&gate_matrix(gate), &MAT2_IDENTITY)
 }
 
+/// The product `g_k · … · (g_1 · identity)` of a packed run, formed in
+/// the order the run's gates arrived, as an unpacked run would be.
+fn word_product(mut word: u64) -> Mat2 {
+    let mut acc = MAT2_IDENTITY;
+    while word != 0 {
+        let gate = PARAMETERLESS[(word & 0xf) as usize - 1];
+        acc = mat2_mul(&gate_matrix(gate), &acc);
+        word >>= 4;
+    }
+    acc
+}
+
+/// The key of a run of one parameterized gate: its kind and the exact
+/// bits of its parameters. Bits, not `==`, so that each entry is what
+/// that very gate resynthesizes to, whatever the arithmetic makes of a
+/// signed zero or a NaN.
+fn lone_key(gate: Gate) -> [u64; 4] {
+    let bits = f64::to_bits;
+    match gate {
+        Gate::Rx(a) => [0, bits(a), 0, 0],
+        Gate::Ry(a) => [1, bits(a), 0, 0],
+        Gate::Rz(a) => [2, bits(a), 0, 0],
+        Gate::U1(a) => [3, bits(a), 0, 0],
+        Gate::U2(a, b) => [4, bits(a), bits(b), 0],
+        Gate::U3(a, b, c) => [5, bits(a), bits(b), bits(c)],
+        Gate::Xpow(a) => [6, bits(a), 0, 0],
+        _ => unreachable!("{} is not a parameterized single-qubit gate", gate.name()),
+    }
+}
+
+/// Packed runs below this word hold one or two gates, and index
+/// [`RunMemo::short`] directly.
+const SHORT_WORDS: u64 = 1 << 8;
+
+/// The resynthesized `u3` of every distinct packed or one-gate run that
+/// one [`merge_runs`] call has flushed. A lowered circuit has thousands
+/// of runs but only a few dozen distinct ones; most hold one or two
+/// gates, whose words index a table, so only the rest pay for hashing.
+///
+/// The keys come from the circuit, which may come from outside the
+/// program, so the maps keep std's randomly keyed hasher.
+struct RunMemo {
+    /// Indexed by the word of a run of one or two gates.
+    short: Vec<Option<Option<Gate>>>,
+    /// Longer packed runs.
+    words: HashMap<u64, Option<Gate>>,
+    /// One-gate runs of a parameterized gate, by [`lone_key`].
+    lone: HashMap<[u64; 4], Option<Gate>>,
+}
+
+impl RunMemo {
+    fn new() -> Self {
+        RunMemo {
+            short: vec![None; SHORT_WORDS as usize],
+            words: HashMap::new(),
+            lone: HashMap::new(),
+        }
+    }
+}
+
 /// Turns finished runs into `u3` gates.
 struct RunEmitter {
     drop_trivial: bool,
-    /// Per [`parameterless_slot`], the resynthesized one-gate run once
-    /// computed.
-    memo: [Option<Option<Gate>>; PARAMETERLESS_GATES],
+    memo: RunMemo,
 }
 
 impl RunEmitter {
@@ -379,11 +480,18 @@ impl RunEmitter {
         let drop_trivial = self.drop_trivial;
         let gate = match run {
             Run::Empty => return,
-            Run::One(gate) => match parameterless_slot(gate) {
-                Some(slot) => *self.memo[slot]
-                    .get_or_insert_with(|| resynthesize(&run_start(gate), drop_trivial)),
-                None => resynthesize(&run_start(gate), drop_trivial),
-            },
+            Run::Word { word, .. } if word < SHORT_WORDS => *self.memo.short[word as usize]
+                .get_or_insert_with(|| resynthesize(&word_product(word), drop_trivial)),
+            Run::Word { word, .. } => *self
+                .memo
+                .words
+                .entry(word)
+                .or_insert_with(|| resynthesize(&word_product(word), drop_trivial)),
+            Run::One(gate) => *self
+                .memo
+                .lone
+                .entry(lone_key(gate))
+                .or_insert_with(|| resynthesize(&run_start(gate), drop_trivial)),
             Run::Product(m) => resynthesize(&m, drop_trivial),
         };
         if let Some(gate) = gate {
@@ -571,6 +679,32 @@ mod tests {
         assert_eq!(resynthesize(&off, true), None);
     }
 
+    #[test]
+    fn one_gate_runs_are_memoized_by_parameter_bits() {
+        // Resynthesis starts from `g · identity`, whose sums turn a signed
+        // zero into +0.0, so no output shows whether `0.0` and `-0.0`
+        // shared an entry. The memo still keys by bits: only then is each
+        // entry what resynthesizing its own run gives, without relying on
+        // that normalization.
+        let mut emitter = RunEmitter {
+            drop_trivial: false,
+            memo: RunMemo::new(),
+        };
+        let mut out = Vec::new();
+        for gate in [
+            Gate::U3(0.7, 0.0, 0.7),
+            Gate::U3(0.7, -0.0, 0.7),
+            Gate::U3(0.7, 0.0, 0.7),
+            Gate::Rz(0.0),
+            Gate::Rz(-0.0),
+            Gate::U2(-0.0, 0.7),
+        ] {
+            emitter.flush(&mut out, Run::One(gate), Qubit::new(0));
+        }
+        assert_eq!(emitter.memo.lone.len(), 5);
+        assert_eq!(out.len(), 4, "the two rz(±0) runs are the identity");
+    }
+
     /// One instruction's mnemonic, exact parameter bits and operands.
     type InstructionBits = (&'static str, Vec<u64>, Vec<usize>);
 
@@ -651,8 +785,13 @@ mod tests {
     /// its inverse on permuted operands (flipped CZ/CP/SWAP/CX, swapped
     /// Toffoli controls, rotated CCZ, swapped Fredkin pair), mode 2 with
     /// its inverse on the same operands, mode 3 with a zero rotation and
-    /// then the inverse. `mirror` appends the inverse of the whole circuit,
-    /// which nests pairs that take several rounds to cancel.
+    /// then the inverse. Mode 4 follows it with a run of 15 to 22
+    /// parameterless gates on its first operand, around the 16 one packed
+    /// run holds; mode 5 with a short run on that qubit that mixes
+    /// parameterized gates (angles from [`ANGLES`], signed zeros
+    /// included) into parameterless ones. `mirror` appends the inverse of
+    /// the whole circuit, which nests pairs that take several rounds to
+    /// cancel.
     fn random_circuit(
         width: usize,
         ops: &[(usize, usize, usize, usize, usize, u8)],
@@ -688,6 +827,18 @@ mod tests {
                 3 => {
                     c.rz(0.0, a).apply(inverse, operands);
                 }
+                4 => {
+                    for k in 0..15 + (p1 + 2 * p2 + angle) % 8 {
+                        c.apply(gate_of_kind((kind + 3 * k) % 11, 0), &[a]);
+                    }
+                }
+                5 => {
+                    let param = |k: usize| gate_of_kind(11 + (kind + k) % 7, angle + k);
+                    c.apply(gate_of_kind(kind % 11, 0), &[a])
+                        .apply(param(0), &[a])
+                        .apply(gate_of_kind((kind + 7) % 11, 0), &[a])
+                        .apply(param(1), &[a]);
+                }
                 _ => {}
             }
         }
@@ -713,7 +864,7 @@ mod tests {
         fn optimize_is_bit_identical_to_the_step_by_step_reference(
             width in 3usize..6,
             ops in proptest::collection::vec(
-                (0usize..GATE_KINDS, 0usize..5, 0usize..4, 0usize..3, 0usize..ANGLES.len(), 0u8..4),
+                (0usize..GATE_KINDS, 0usize..5, 0usize..4, 0usize..3, 0usize..ANGLES.len(), 0u8..6),
                 0..40,
             ),
             mirror in proptest::any::<bool>(),

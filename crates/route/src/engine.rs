@@ -16,7 +16,7 @@ use crate::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 use trios_ir::{Circuit, Gate, Instruction, Qubit};
 use trios_passes::{DecompositionPlan, DecompositionStrategy, TrioPlacement};
@@ -52,7 +52,7 @@ pub struct RoutingEngine<'a> {
     out: Circuit,
     swap_count: usize,
     rng: StdRng,
-    weights: Option<HashMap<(usize, usize), f64>>,
+    weights: Option<WeightTable>,
     trio_events: Vec<TrioEvent>,
     decomposer: Arc<dyn DecompositionStrategy>,
     plan: DecompositionPlan,
@@ -75,8 +75,11 @@ impl<'a> RoutingEngine<'a> {
     /// # Errors
     ///
     /// Returns [`RouteError::CircuitTooWide`] if the circuit does not fit
-    /// the device, or [`RouteError::InvalidLayout`] if the layout's shape
-    /// disagrees with the circuit/device.
+    /// the device, [`RouteError::InvalidLayout`] if the layout's shape
+    /// disagrees with the circuit/device, or
+    /// [`RouteError::InvalidOptions`] if a [`PathMetric::EdgeWeights`]
+    /// metric does not hold one finite, non-negative weight per edge of
+    /// [`Topology::edges`].
     pub fn new(
         topo: &'a Topology,
         initial: Layout,
@@ -105,13 +108,7 @@ impl<'a> RoutingEngine<'a> {
         }
         let weights = match &opts.metric {
             PathMetric::Hops => None,
-            PathMetric::EdgeWeights(w) => {
-                let mut map = HashMap::new();
-                for (edge, weight) in topo.edges().iter().zip(w) {
-                    map.insert(*edge, *weight);
-                }
-                Some(map)
-            }
+            PathMetric::EdgeWeights(w) => Some(WeightTable::new(topo, w)?),
         };
         let decomposer = opts
             .decomposer
@@ -257,7 +254,7 @@ impl<'a> RoutingEngine<'a> {
             None => self.topo.shortest_path(a, b),
             Some(w) => self
                 .topo
-                .shortest_path_weighted(a, b, &|x, y| *w.get(&(x.min(y), x.max(y))).unwrap_or(&1.0))
+                .shortest_path_weighted(a, b, &|x, y| w.weight(x, y))
                 .map(|(p, _)| p),
         };
         path.ok_or(RouteError::Disconnected { a, b })
@@ -596,6 +593,80 @@ impl<'a> RoutingEngine<'a> {
     }
 }
 
+/// A [`PathMetric::EdgeWeights`] metric laid out by adjacency slot, so a
+/// Dijkstra relaxation reads its edge's weight from the row of the qubit
+/// it leaves instead of hashing the edge. Built once per routing run.
+struct WeightTable {
+    /// Qubit `u`'s neighbors and their edge weights are entries
+    /// `offsets[u]..offsets[u + 1]` of `neighbors` and `weights`, in
+    /// ascending neighbor order.
+    offsets: Vec<usize>,
+    neighbors: Vec<usize>,
+    weights: Vec<f64>,
+}
+
+impl WeightTable {
+    /// Lays out `weights`, one per edge of `topo.edges()` in that order.
+    fn new(topo: &Topology, weights: &[f64]) -> Result<Self, RouteError> {
+        let edges = topo.edges();
+        if weights.len() != edges.len() {
+            return Err(RouteError::InvalidOptions {
+                reason: format!(
+                    "{} edge weights supplied for a topology with {} edges",
+                    weights.len(),
+                    edges.len()
+                ),
+            });
+        }
+        if let Some((edge, weight)) = edges
+            .iter()
+            .zip(weights)
+            .find(|(_, w)| !(w.is_finite() && **w >= 0.0))
+        {
+            return Err(RouteError::InvalidOptions {
+                reason: format!(
+                    "edge {}-{} has weight {weight}; weights must be finite and non-negative",
+                    edge.0, edge.1
+                ),
+            });
+        }
+        let n = topo.num_qubits();
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut neighbors = Vec::with_capacity(2 * edges.len());
+        offsets.push(0);
+        for u in 0..n {
+            neighbors.extend(topo.neighbors(u));
+            offsets.push(neighbors.len());
+        }
+        let mut table = WeightTable {
+            offsets,
+            weights: vec![0.0; neighbors.len()],
+            neighbors,
+        };
+        for (&(a, b), &weight) in edges.iter().zip(weights) {
+            let (ab, ba) = (table.slot(a, b), table.slot(b, a));
+            table.weights[ab] = weight;
+            table.weights[ba] = weight;
+        }
+        Ok(table)
+    }
+
+    /// The index of edge `u`–`v` in `u`'s row.
+    fn slot(&self, u: usize, v: usize) -> usize {
+        let start = self.offsets[u];
+        let row = &self.neighbors[start..self.offsets[u + 1]];
+        start
+            + row
+                .binary_search(&v)
+                .expect("weights are only read for coupling edges")
+    }
+
+    /// The weight of edge `u`–`v`.
+    fn weight(&self, u: usize, v: usize) -> f64 {
+        self.weights[self.slot(u, v)]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -714,6 +785,106 @@ mod tests {
             RoutingEngine::new(&topo, Layout::trivial(3, 3), &options, &circuit, &mut trace)
                 .is_ok()
         );
+    }
+
+    /// An engine over `topo` with `metric`, or the error building it.
+    fn weighted_engine<'a>(
+        topo: &'a Topology,
+        options: &'a RouterOptions,
+        trace: &'a mut RoutingTrace,
+    ) -> Result<RoutingEngine<'a>, RouteError> {
+        let n = topo.num_qubits();
+        RoutingEngine::new(
+            topo,
+            Layout::trivial(n, n),
+            options,
+            &Circuit::new(n),
+            trace,
+        )
+    }
+
+    #[test]
+    fn malformed_edge_weights_are_invalid_options() {
+        let topo = trios_topology::grid(3, 2);
+        assert_eq!(topo.num_edges(), 7);
+        let mut nan = vec![1.0; 7];
+        nan[3] = f64::NAN;
+        let mut negative = vec![1.0; 7];
+        negative[6] = -1.0;
+        let mut infinite = vec![1.0; 7];
+        infinite[0] = f64::INFINITY;
+        for (weights, says) in [
+            (
+                vec![1.0; 3],
+                "3 edge weights supplied for a topology with 7 edges",
+            ),
+            (
+                vec![1.0; 8],
+                "8 edge weights supplied for a topology with 7 edges",
+            ),
+            (nan, "edge 1-4 has weight NaN"),
+            (negative, "edge 4-5 has weight -1"),
+            (infinite, "edge 0-1 has weight inf"),
+        ] {
+            let options = RouterOptions {
+                metric: PathMetric::EdgeWeights(weights),
+                ..RouterOptions::deterministic()
+            };
+            let mut trace = RoutingTrace::new();
+            match weighted_engine(&topo, &options, &mut trace) {
+                Err(RouteError::InvalidOptions { reason }) => {
+                    assert!(reason.contains(says), "{reason}")
+                }
+                Err(other) => panic!("{says}: wrong error {other}"),
+                Ok(_) => panic!("{says}: accepted"),
+            }
+        }
+        let options = RouterOptions {
+            metric: PathMetric::EdgeWeights(vec![0.0, -0.0, 1.0, 2.0, 3.0, 4.0, 5.0]),
+            ..RouterOptions::deterministic()
+        };
+        assert!(weighted_engine(&topo, &options, &mut RoutingTrace::new()).is_ok());
+    }
+
+    #[test]
+    fn weighted_paths_match_a_lookup_of_each_edge_in_a_map() {
+        // The table must answer every Dijkstra exactly as a per-call map
+        // lookup of the canonical edge did, ties included: weights come
+        // from a few repeated values and a few random ones.
+        for spec in ["johannesburg", "grid", "line", "clusters", "heavy-hex:127"] {
+            let topo = trios_topology::parse_spec(spec).unwrap();
+            let mut rng = StdRng::seed_from_u64(topo.num_edges() as u64);
+            let weights: Vec<f64> = (0..topo.num_edges())
+                .map(|_| match rng.gen_range(0..4) {
+                    0 => 0.25,
+                    1 => 0.0,
+                    _ => rng.gen_range(0.0..2.0),
+                })
+                .collect();
+            let map: std::collections::HashMap<(usize, usize), f64> = topo
+                .edges()
+                .iter()
+                .copied()
+                .zip(weights.iter().copied())
+                .collect();
+            let options = RouterOptions {
+                metric: PathMetric::EdgeWeights(weights),
+                ..RouterOptions::deterministic()
+            };
+            let mut trace = RoutingTrace::new();
+            let engine = weighted_engine(&topo, &options, &mut trace).unwrap();
+            let by_map = |x: usize, y: usize| *map.get(&(x.min(y), x.max(y))).unwrap_or(&1.0);
+            let n = topo.num_qubits();
+            for a in 0..n {
+                for b in 0..n {
+                    let expected = topo
+                        .shortest_path_weighted(a, b, &by_map)
+                        .map(|(path, _)| path)
+                        .ok_or(RouteError::Disconnected { a, b });
+                    assert_eq!(engine.path(a, b), expected, "{spec}: {a} -> {b}");
+                }
+            }
+        }
     }
 
     #[test]
