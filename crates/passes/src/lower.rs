@@ -78,7 +78,7 @@ pub fn cz_to_cx(a: Qubit, b: Qubit) -> [Instruction; 3] {
 ///
 /// [`merge_single_qubit_runs`]: crate::merge_single_qubit_runs
 pub fn lower_to_hardware_gates(circuit: &Circuit, strategy: &dyn DecompositionStrategy) -> Circuit {
-    let mut out = Vec::with_capacity(circuit.iter().map(|i| lowered_len(i.gate())).sum());
+    let mut out = Vec::with_capacity(circuit.len());
     for instr in circuit.iter() {
         match instr.gate() {
             Gate::Swap => out.extend(swap_to_cnots(instr.qubit(0), instr.qubit(1))),
@@ -96,18 +96,6 @@ pub fn lower_to_hardware_gates(circuit: &Circuit, strategy: &dyn DecompositionSt
     out.set_name(circuit.name());
     debug_assert!(out.is_hardware_lowered());
     out
-}
-
-/// How many instructions [`lower_to_hardware_gates`] makes of one `gate`,
-/// counting a three-qubit gate as the 15 of the standard Toffoli.
-fn lowered_len(gate: Gate) -> usize {
-    match gate {
-        Gate::Swap | Gate::Cz => 3,
-        Gate::Cp(_) => 5,
-        Gate::Cxpow(_) => 7,
-        Gate::Ccx | Gate::Ccz | Gate::Cswap => 15,
-        _ => 1,
-    }
 }
 
 #[cfg(test)]

@@ -596,6 +596,9 @@ impl<'a> RoutingEngine<'a> {
 /// A [`PathMetric::EdgeWeights`] metric laid out by adjacency slot, so a
 /// Dijkstra relaxation reads its edge's weight from the row of the qubit
 /// it leaves instead of hashing the edge. Built once per routing run.
+///
+/// A row holds a qubit's few neighbors, so searching it is cheaper than
+/// a binary search of the whole [`Topology::edges`] list per relaxation.
 struct WeightTable {
     /// Qubit `u`'s neighbors and their edge weights are entries
     /// `offsets[u]..offsets[u + 1]` of `neighbors` and `weights`, in
