@@ -798,7 +798,6 @@ mod tests {
             topology: &Topology,
             layout: Layout,
             options: &trios_route::RouterOptions,
-            trace: &mut trios_route::RoutingTrace,
         ) -> Result<trios_route::RoutedCircuit, trios_route::RouteError> {
             let (count, arrived) = &*self.entered;
             let mut count = count.lock().unwrap();
@@ -816,8 +815,7 @@ mod tests {
                 self.needed
             );
             drop(count);
-            trios_route::RoutingEngine::new(topology, layout, options, circuit, trace)?
-                .run(circuit, true)
+            trios_route::RoutingEngine::new(topology, layout, options, circuit)?.run(circuit, true)
         }
     }
 

@@ -18,23 +18,17 @@ use trios_topology::Topology;
 /// deliberately published types instead of arbitrary `Any` values.
 pub trait Artifact: Any + fmt::Debug {}
 
-/// The circuit as it left routing: physical qubits, explicit SWAPs, not
-/// yet lowered to the hardware gate set.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PostRouteCircuit(pub Circuit);
-
-impl Artifact for PostRouteCircuit {}
-
 /// The trio router's per-Toffoli trace (empty for the baseline pair
 /// router): gather distances, SWAPs spent, and final shapes, in program
-/// order — the data behind the paper's Figure 6/7 x-axis.
+/// order — the data behind the paper's Figure 6/7 x-axis. A copy of the
+/// [`RouterTrace`]'s trio events.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SwapTrace(pub Vec<trios_route::TrioEvent>);
 
 impl Artifact for SwapTrace {}
 
-/// The routing strategy's full [`trios_route::RoutingTrace`]: which
-/// strategy ran plus its SWAP/bridge/lookahead counters and trio events.
+/// The routing run's [`trios_route::RoutingTrace`]: which strategy ran,
+/// the SWAPs it inserted, and its trio events.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RouterTrace(pub trios_route::RoutingTrace);
 
@@ -139,10 +133,13 @@ mod tests {
         let mut map = ArtifactMap::default();
         assert!(map.is_empty());
         map.insert(SwapTrace(Vec::new()));
-        map.insert(PostRouteCircuit(Circuit::new(2)));
+        map.insert(RouterTrace(trios_route::RoutingTrace {
+            swaps: 2,
+            ..Default::default()
+        }));
         assert_eq!(map.len(), 2);
         assert!(map.get::<SwapTrace>().unwrap().0.is_empty());
-        assert_eq!(map.get::<PostRouteCircuit>().unwrap().0.num_qubits(), 2);
+        assert_eq!(map.get::<RouterTrace>().unwrap().0.swaps, 2);
         let taken = map.take::<SwapTrace>().unwrap();
         assert!(taken.0.is_empty());
         assert!(map.get::<SwapTrace>().is_none());
@@ -150,10 +147,16 @@ mod tests {
 
     #[test]
     fn inserting_twice_replaces() {
+        let trace = |swaps| {
+            RouterTrace(trios_route::RoutingTrace {
+                swaps,
+                ..Default::default()
+            })
+        };
         let mut map = ArtifactMap::default();
-        map.insert(PostRouteCircuit(Circuit::new(2)));
-        map.insert(PostRouteCircuit(Circuit::new(5)));
+        map.insert(trace(2));
+        map.insert(trace(5));
         assert_eq!(map.len(), 1);
-        assert_eq!(map.get::<PostRouteCircuit>().unwrap().0.num_qubits(), 5);
+        assert_eq!(map.get::<RouterTrace>().unwrap().0.swaps, 5);
     }
 }

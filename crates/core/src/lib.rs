@@ -35,9 +35,9 @@
 //! # Ok::<(), trios_core::Diagnostic>(())
 //! ```
 //!
-//! Passes publish intermediate results ([`PostRouteCircuit`],
-//! [`SwapTrace`], [`ProgramSchedule`]) into the context's typed artifact
-//! map; failures surface as a structured [`Diagnostic`] naming the pass.
+//! Passes publish intermediate results ([`RouterTrace`], [`SwapTrace`],
+//! [`ProgramSchedule`]) into the context's typed artifact map; failures
+//! surface as a structured [`Diagnostic`] naming the pass.
 //!
 //! # Batch compilation
 //!
@@ -104,10 +104,7 @@ pub use cache::{CacheStats, CachedCompilation, CompilationCache};
 pub use compiler::{
     with_measurements, BatchDiagnostic, CompiledProgram, Compiler, CompilerBuilder,
 };
-pub use context::{
-    Artifact, ArtifactMap, CompileContext, PostRouteCircuit, ProgramSchedule, RouterTrace,
-    SwapTrace,
-};
+pub use context::{Artifact, ArtifactMap, CompileContext, ProgramSchedule, RouterTrace, SwapTrace};
 pub use diagnostics::Diagnostic;
 pub use fuzz::{
     run_fuzz, run_fuzz_with_registry, shrink_circuit, FuzzError, FuzzFailure, FuzzFailureKind,

@@ -245,7 +245,6 @@ mod tests {
         use crate::CompileContext;
         use trios_route::{
             Layout, RouteError, RoutedCircuit, RouterOptions, RoutingEngine, RoutingStrategy,
-            RoutingTrace,
         };
         use trios_topology::{johannesburg, Topology};
 
@@ -263,12 +262,10 @@ mod tests {
                 topology: &Topology,
                 layout: Layout,
                 options: &RouterOptions,
-                trace: &mut RoutingTrace,
             ) -> Result<RoutedCircuit, RouteError> {
-                trace.strategy = Some(self.name().to_string());
                 // Drive the shared engine directly, as the README's
                 // custom-strategy example does.
-                RoutingEngine::new(topology, layout, options, circuit, trace)?.run(circuit, true)
+                RoutingEngine::new(topology, layout, options, circuit)?.run(circuit, true)
             }
         }
 

@@ -2,15 +2,13 @@
 //! stage of the paper's Figure 2, so pipelines can be assembled, reordered
 //! and ablated instead of hardcoded.
 
-use crate::context::{CompileContext, PostRouteCircuit, ProgramSchedule, RouterTrace, SwapTrace};
+use crate::context::{CompileContext, ProgramSchedule, RouterTrace, SwapTrace};
 use crate::Diagnostic;
 use trios_passes::{
     decompose_toffolis, lower_to_hardware_gates, optimize, DecomposerHandle, DecomposerRegistry,
     DecompositionStrategy,
 };
-use trios_route::{
-    check_legal, initial_layout, RouterOptions, RoutingTrace, StrategyRegistry, ToffoliPolicy,
-};
+use trios_route::{check_legal, initial_layout, RouterOptions, StrategyRegistry, ToffoliPolicy};
 use trios_schedule::{schedule_asap, GateDurations};
 
 /// One compilation stage: a named transformation of a [`CompileContext`].
@@ -156,8 +154,12 @@ impl Pass for DecomposeToffolisPass {
 /// or any other registered strategy (`"trios-lookahead"`,
 /// `"trios-noise"`, custom registrations).
 ///
-/// Publishes [`PostRouteCircuit`], [`SwapTrace`], and [`RouterTrace`]
-/// artifacts.
+/// The routed circuit moves into [`CompileContext::circuit`]. The pass
+/// publishes the run's record once, as the [`RouterTrace`] artifact, with
+/// the name of the strategy that ran filled in. It also publishes a
+/// [`SwapTrace`], a copy of that record's trio events: the repository
+/// benchmark's per-layer replay (`perfbench`) reads it, so it stays until
+/// a per-compile span tree carries the record.
 ///
 /// [`RoutingStrategy`]: trios_route::RoutingStrategy
 #[derive(Debug, Clone)]
@@ -251,27 +253,17 @@ impl Pass for RoutePass {
             lookahead: options.lookahead,
             bridge: options.bridge,
         };
-        let mut trace = RoutingTrace::new();
-        let routed = strategy
-            .route(
-                &cx.circuit,
-                cx.topology,
-                layout,
-                &router_options,
-                &mut trace,
-            )
+        let mut routed = strategy
+            .route(&cx.circuit, cx.topology, layout, &router_options)
             .map_err(|e| Diagnostic::routing(self.name(), e))?;
-        cx.circuit = routed.circuit.clone();
+        routed.trace.strategy = Some(strategy.name().to_string());
+        cx.circuit = routed.circuit;
         cx.initial_layout = Some(routed.initial_layout);
         cx.final_layout = Some(routed.final_layout);
-        cx.swap_count = routed.swap_count;
-        cx.artifacts.insert(PostRouteCircuit(routed.circuit));
-        // SwapTrace predates RouterTrace and is kept for compatibility;
-        // both carry the (small, Copy) trio events — one per routed
-        // three-qubit gate — by the engine's contract that the trace
-        // accumulates while each RoutedCircuit owns its own run's events.
-        cx.artifacts.insert(SwapTrace(routed.trio_events));
-        cx.artifacts.insert(RouterTrace(trace));
+        cx.swap_count = routed.trace.swaps;
+        cx.artifacts
+            .insert(SwapTrace(routed.trace.trio_events.clone()));
+        cx.artifacts.insert(RouterTrace(routed.trace));
         Ok(())
     }
 }

@@ -6,13 +6,12 @@
 //! fixing, bridge rewriting, windowed-lookahead stepping, trio gathering
 //! with gather-distance accounting, and trio-event recording. Strategies
 //! decide *policy* (which gates to allow, which metric and lookahead to
-//! use); the engine supplies the *mechanism* and keeps the
-//! [`RoutingTrace`] honest.
+//! use); the engine supplies the *mechanism* and records each SWAP and
+//! trio once, in the [`RoutingTrace`] it returns.
 
-use crate::strategy::RoutingTrace;
 use crate::{
     DirectionPolicy, Layout, LookaheadConfig, PathMetric, RouteError, RoutedCircuit, RouterOptions,
-    TrioEvent,
+    RoutingTrace, TrioEvent,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -31,29 +30,26 @@ use trios_topology::{Topology, TripleShape};
 ///
 /// ```
 /// use trios_ir::Circuit;
-/// use trios_route::{Layout, RouterOptions, RoutingEngine, RoutingTrace};
+/// use trios_route::{Layout, RouterOptions, RoutingEngine};
 /// use trios_topology::line;
 ///
 /// let mut program = Circuit::new(3);
 /// program.cx(0, 2);
 /// let device = line(3);
 /// let options = RouterOptions::deterministic();
-/// let mut trace = RoutingTrace::new();
-/// let engine = RoutingEngine::new(&device, Layout::trivial(3, 3), &options, &program, &mut trace)?;
+/// let engine = RoutingEngine::new(&device, Layout::trivial(3, 3), &options, &program)?;
 /// let routed = engine.run(&program, false)?;
-/// assert_eq!(routed.swap_count, 1);
+/// assert_eq!(routed.trace.swaps, 1);
 /// # Ok::<(), trios_route::RouteError>(())
 /// ```
 pub struct RoutingEngine<'a> {
     topo: &'a Topology,
     opts: &'a RouterOptions,
-    trace: &'a mut RoutingTrace,
     layout: Layout,
     out: Circuit,
-    swap_count: usize,
+    trace: RoutingTrace,
     rng: StdRng,
     weights: Option<WeightTable>,
-    trio_events: Vec<TrioEvent>,
     decomposer: Arc<dyn DecompositionStrategy>,
     plan: DecompositionPlan,
 }
@@ -62,7 +58,7 @@ impl std::fmt::Debug for RoutingEngine<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RoutingEngine")
             .field("layout", &self.layout)
-            .field("swap_count", &self.swap_count)
+            .field("swap_count", &self.trace.swaps)
             .field("emitted", &self.out.len())
             .finish()
     }
@@ -85,7 +81,6 @@ impl<'a> RoutingEngine<'a> {
         initial: Layout,
         opts: &'a RouterOptions,
         circuit: &Circuit,
-        trace: &'a mut RoutingTrace,
     ) -> Result<Self, RouteError> {
         if circuit.num_qubits() > topo.num_qubits() {
             return Err(RouteError::CircuitTooWide {
@@ -130,13 +125,11 @@ impl<'a> RoutingEngine<'a> {
         Ok(RoutingEngine {
             topo,
             opts,
-            trace,
             layout: initial,
             out: Circuit::with_name(topo.num_qubits(), circuit.name().to_string()),
-            swap_count: 0,
+            trace: RoutingTrace::new(),
             rng: StdRng::seed_from_u64(opts.seed),
             weights,
-            trio_events: Vec::new(),
             decomposer,
             plan,
         })
@@ -159,7 +152,7 @@ impl<'a> RoutingEngine<'a> {
 
     /// SWAPs emitted so far.
     pub fn swap_count(&self) -> usize {
-        self.swap_count
+        self.trace.swaps
     }
 
     /// Drives the standard routing loop over `circuit`: 1-qubit gates are
@@ -212,15 +205,11 @@ impl<'a> RoutingEngine<'a> {
             }
             index += 1;
         }
-        self.trace
-            .trio_events
-            .extend(self.trio_events.iter().copied());
         Ok(RoutedCircuit {
             circuit: self.out,
             initial_layout,
             final_layout: self.layout,
-            swap_count: self.swap_count,
-            trio_events: self.trio_events,
+            trace: self.trace,
         })
     }
 
@@ -240,7 +229,6 @@ impl<'a> RoutingEngine<'a> {
             &[Qubit::new(p1), Qubit::new(p2)],
         ));
         self.layout.swap_physical(p1, p2);
-        self.swap_count += 1;
         self.trace.swaps += 1;
     }
 
@@ -330,7 +318,6 @@ impl<'a> RoutingEngine<'a> {
             self.out.push(Instruction::new(Gate::Cx, &[q(pa), q(m)]));
             self.out.push(Instruction::new(Gate::Cx, &[q(m), q(pb)]));
         }
-        self.trace.bridges += 1;
         true
     }
 
@@ -399,7 +386,6 @@ impl<'a> RoutingEngine<'a> {
             }
             let (_, (p1, p2)) = best.expect("a distance-decreasing swap always exists");
             self.emit_swap(p1, p2);
-            self.trace.lookahead_swaps += 1;
         }
     }
 
@@ -477,7 +463,7 @@ impl<'a> RoutingEngine<'a> {
             .triple_distance(phys[0], phys[1], phys[2])
             .map(|d| d.saturating_sub(2)) // 2 = already connected
             .unwrap_or(0);
-        let swaps_before = self.swap_count;
+        let swaps_before = self.trace.swaps;
 
         if self.topo.triple_shape(phys[0], phys[1], phys[2]) == TripleShape::Disconnected {
             let dest_phys = match instr.gate() {
@@ -528,10 +514,10 @@ impl<'a> RoutingEngine<'a> {
             TripleShape::Disconnected,
             "gather must produce a line or triangle"
         );
-        self.trio_events.push(TrioEvent {
+        self.trace.trio_events.push(TrioEvent {
             gate: instr.gate(),
             gather_distance,
-            swaps: self.swap_count - swaps_before,
+            swaps: self.trace.swaps - swaps_before,
             shape,
         });
 
@@ -673,7 +659,6 @@ impl WeightTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::RoutingTrace;
 
     /// Two disjoint 2-qubit components: 0–1 and 2–3.
     fn split_topology() -> Topology {
@@ -683,10 +668,8 @@ mod tests {
     fn window_cost_of(topo: &Topology, upcoming: &VecDeque<Instruction>) -> f64 {
         let circuit = Circuit::new(topo.num_qubits());
         let options = RouterOptions::deterministic();
-        let mut trace = RoutingTrace::new();
         let layout = Layout::trivial(topo.num_qubits(), topo.num_qubits());
-        let engine =
-            RoutingEngine::new(topo, layout.clone(), &options, &circuit, &mut trace).unwrap();
+        let engine = RoutingEngine::new(topo, layout.clone(), &options, &circuit).unwrap();
         engine.window_cost(&layout, upcoming, LookaheadConfig::default())
     }
 
@@ -740,14 +723,7 @@ mod tests {
             decomposer: trios_passes::DecomposerHandle::named("nope"),
             ..RouterOptions::deterministic()
         };
-        let mut trace = RoutingTrace::new();
-        let err = match RoutingEngine::new(
-            &topo,
-            Layout::trivial(3, 3),
-            &options,
-            &circuit,
-            &mut trace,
-        ) {
+        let err = match RoutingEngine::new(&topo, Layout::trivial(3, 3), &options, &circuit) {
             Err(e) => e,
             Ok(_) => panic!("unknown decomposer must not build"),
         };
@@ -763,14 +739,7 @@ mod tests {
             decomposer: trios_passes::DecomposerHandle::named("qutrit"),
             ..RouterOptions::deterministic()
         };
-        let mut trace = RoutingTrace::new();
-        let err = match RoutingEngine::new(
-            &topo,
-            Layout::trivial(3, 3),
-            &options,
-            &circuit,
-            &mut trace,
-        ) {
+        let err = match RoutingEngine::new(&topo, Layout::trivial(3, 3), &options, &circuit) {
             Err(e) => e,
             Ok(_) => panic!("cost-model-only decomposer must not lower"),
         };
@@ -783,27 +752,16 @@ mod tests {
             lower_toffoli: false,
             ..RouterOptions::deterministic()
         };
-        let mut trace = RoutingTrace::new();
-        assert!(
-            RoutingEngine::new(&topo, Layout::trivial(3, 3), &options, &circuit, &mut trace)
-                .is_ok()
-        );
+        assert!(RoutingEngine::new(&topo, Layout::trivial(3, 3), &options, &circuit).is_ok());
     }
 
     /// An engine over `topo` with `metric`, or the error building it.
     fn weighted_engine<'a>(
         topo: &'a Topology,
         options: &'a RouterOptions,
-        trace: &'a mut RoutingTrace,
     ) -> Result<RoutingEngine<'a>, RouteError> {
         let n = topo.num_qubits();
-        RoutingEngine::new(
-            topo,
-            Layout::trivial(n, n),
-            options,
-            &Circuit::new(n),
-            trace,
-        )
+        RoutingEngine::new(topo, Layout::trivial(n, n), options, &Circuit::new(n))
     }
 
     #[test]
@@ -833,8 +791,7 @@ mod tests {
                 metric: PathMetric::EdgeWeights(weights),
                 ..RouterOptions::deterministic()
             };
-            let mut trace = RoutingTrace::new();
-            match weighted_engine(&topo, &options, &mut trace) {
+            match weighted_engine(&topo, &options) {
                 Err(RouteError::InvalidOptions { reason }) => {
                     assert!(reason.contains(says), "{reason}")
                 }
@@ -846,7 +803,7 @@ mod tests {
             metric: PathMetric::EdgeWeights(vec![0.0, -0.0, 1.0, 2.0, 3.0, 4.0, 5.0]),
             ..RouterOptions::deterministic()
         };
-        assert!(weighted_engine(&topo, &options, &mut RoutingTrace::new()).is_ok());
+        assert!(weighted_engine(&topo, &options).is_ok());
     }
 
     #[test]
@@ -874,8 +831,7 @@ mod tests {
                 metric: PathMetric::EdgeWeights(weights),
                 ..RouterOptions::deterministic()
             };
-            let mut trace = RoutingTrace::new();
-            let engine = weighted_engine(&topo, &options, &mut trace).unwrap();
+            let engine = weighted_engine(&topo, &options).unwrap();
             let by_map = |x: usize, y: usize| *map.get(&(x.min(y), x.max(y))).unwrap_or(&1.0);
             let n = topo.num_qubits();
             for a in 0..n {

@@ -10,16 +10,18 @@
 //!   the built-ins (`baseline`, `trios`, `trios-lookahead`, `trios-noise`)
 //!   so the core pipeline, CLI, and benches all select routers the same
 //!   way.
-//! * [`route_baseline`] — the conventional pair router: requires a fully
+//! * [`DecomposeFirst`] — the conventional pair router: requires a fully
 //!   decomposed circuit and routes each distant CNOT individually. This is
 //!   the paper's baseline and exhibits exactly the pathology of its
-//!   Figure 1a. (A thin shim over [`DecomposeFirst`].)
-//! * [`route_trios`] — the paper's contribution: Toffolis survive to the
-//!   router, which gathers each operand trio to a connected neighborhood
-//!   (minimum summed-distance destination, overlap-aware), then applies the
-//!   placement-appropriate decomposition (6-CNOT on triangles, 8-CNOT with
-//!   the correct middle on lines). (A thin shim over
-//!   [`OrchestratedTrios`].)
+//!   Figure 1a.
+//! * [`OrchestratedTrios`] — the paper's contribution: Toffolis survive to
+//!   the router, which gathers each operand trio to a connected
+//!   neighborhood (minimum summed-distance destination, overlap-aware),
+//!   then applies the placement-appropriate decomposition (6-CNOT on
+//!   triangles, 8-CNOT with the correct middle on lines).
+//! * [`RoutedCircuit`] — what a routing run returns: the routed circuit,
+//!   its initial and final layouts, and the [`RoutingTrace`] of its SWAPs
+//!   and per-trio [`TrioEvent`]s.
 //! * [`check_legal`] / [`verify_legal`] — the hardware-legality invariant
 //!   every strategy must (and is tested to) satisfy; `verify_legal` is the
 //!   strict form for finished compilations.
@@ -28,7 +30,7 @@
 //!
 //! ```
 //! use trios_ir::Circuit;
-//! use trios_route::{route_trios, Layout, RouterOptions};
+//! use trios_route::{Layout, OrchestratedTrios, RouterOptions, RoutingStrategy};
 //! use trios_topology::johannesburg;
 //!
 //! let mut program = Circuit::new(3);
@@ -36,11 +38,13 @@
 //!
 //! let device = johannesburg();
 //! let layout = Layout::from_mapping(&[6, 17, 3], 20)?; // a distant trio
-//! let routed = route_trios(&program, &device, layout, &RouterOptions::deterministic())?;
+//! let routed =
+//!     OrchestratedTrios.route(&program, &device, layout, &RouterOptions::deterministic())?;
 //!
 //! // The trio was gathered with a handful of SWAPs and decomposed with
 //! // the 8-CNOT linear Toffoli (Johannesburg has no triangles).
-//! assert!(routed.swap_count <= 8);
+//! assert!(routed.trace.swaps <= 8);
+//! assert_eq!(routed.trace.trio_events.len(), 1);
 //! assert_eq!(routed.circuit.counts().cx, 8);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -63,8 +67,8 @@ pub use layout::Layout;
 pub use legality::{check_legal, verify_legal, LegalityError, LegalityViolation, ToffoliPolicy};
 pub use mapper::{initial_layout, InitialMapping};
 pub use options::{DirectionPolicy, LookaheadConfig, PathMetric, RouterOptions};
-pub use router::{route_baseline, route_trios, RoutedCircuit, TrioEvent};
+pub use router::{RoutedCircuit, RoutingTrace, TrioEvent};
 pub use strategy::{
     DecomposeFirst, LookaheadTrios, NoiseAwareTrios, OrchestratedTrios, RoutingStrategy,
-    RoutingTrace, StrategyConstructor, StrategyRegistry, NOISE_AWARE_DEFAULT_SPREAD,
+    StrategyConstructor, StrategyRegistry, NOISE_AWARE_DEFAULT_SPREAD,
 };

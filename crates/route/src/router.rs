@@ -1,12 +1,9 @@
-//! The routed-circuit result types and the two original routing entry
-//! points, now thin shims over the [`RoutingStrategy`] seam: the
-//! conventional pair router (baseline) and the Trios trio router that
-//! gathers Toffoli operands as a unit (paper §4).
+//! The record of one routing run: the routed circuit, its layouts, and
+//! the [`RoutingTrace`] of what the router did on the way.
 
-use crate::strategy::{DecomposeFirst, OrchestratedTrios, RoutingStrategy, RoutingTrace};
-use crate::{Layout, RouteError, RouterOptions};
+use crate::Layout;
 use trios_ir::{Circuit, Gate};
-use trios_topology::{Topology, TripleShape};
+use trios_topology::TripleShape;
 
 /// One gathered trio, recorded by the Trios router as it runs — the
 /// per-Toffoli data behind the paper's Figure 6/7 x-axis ("total swap
@@ -24,30 +21,27 @@ pub struct TrioEvent {
     pub shape: TripleShape,
 }
 
-/// The product of a routing pass: a physical-qubit circuit (with explicit
-/// SWAPs) plus the layouts needed to interpret and verify it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RoutedCircuit {
-    /// The routed circuit over physical qubits. Contains `swap` gates;
-    /// contains `ccx` only when routing ran with `lower_toffoli = false`.
-    pub circuit: Circuit,
-    /// Where each logical qubit started.
-    pub initial_layout: Layout,
-    /// Where each logical qubit ended after all routing SWAPs.
-    pub final_layout: Layout,
-    /// Number of SWAP gates the router inserted.
-    pub swap_count: usize,
+/// What one routing run did: the raw counters behind the paper's
+/// communication metrics, recorded once, as the engine emits them.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct RoutingTrace {
+    /// Name of the strategy that ran. The compiler's route pass fills it
+    /// from [`RoutingStrategy::name`](crate::RoutingStrategy::name); a
+    /// direct [`RoutingStrategy::route`](crate::RoutingStrategy::route)
+    /// call leaves it `None`.
+    pub strategy: Option<String>,
+    /// SWAP gates inserted.
+    pub swaps: usize,
     /// One entry per three-qubit gate the trio router processed, in
     /// program order (a `cswap` contributes a second entry for its inner
     /// Toffoli; empty for the baseline pair router).
     pub trio_events: Vec<TrioEvent>,
 }
 
-impl RoutedCircuit {
-    /// Two-qubit gate count after lowering SWAPs to 3 CX each — the
-    /// paper's primary static metric.
-    pub fn cx_cost(&self) -> usize {
-        self.circuit.counts().two_qubit_equivalent()
+impl RoutingTrace {
+    /// An empty trace.
+    pub fn new() -> Self {
+        RoutingTrace::default()
     }
 
     /// Mean gather distance over the routed trios — a one-number locality
@@ -57,80 +51,45 @@ impl RoutedCircuit {
     /// events were recorded: the program had no three-qubit gates, or it
     /// was routed by a pair strategy that records none.
     pub fn mean_gather_distance(&self) -> Option<f64> {
-        mean_gather_distance(&self.trio_events)
+        let events = &self.trio_events;
+        if events.is_empty() {
+            return None;
+        }
+        Some(events.iter().map(|e| e.gather_distance as f64).sum::<f64>() / events.len() as f64)
     }
 }
 
-/// The one definition of the mean-gather-distance statistic, shared by
-/// [`RoutedCircuit::mean_gather_distance`] and
-/// [`RoutingTrace::mean_gather_distance`](crate::RoutingTrace::mean_gather_distance):
-/// the average [`TrioEvent::gather_distance`], `None` over no events.
-pub(crate) fn mean_gather_distance(events: &[TrioEvent]) -> Option<f64> {
-    if events.is_empty() {
-        return None;
+/// The product of a routing run: a physical-qubit circuit (with explicit
+/// SWAPs), the layouts needed to interpret and verify it, and the run's
+/// trace.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RoutedCircuit {
+    /// The routed circuit over physical qubits. Contains `swap` gates;
+    /// contains `ccx` only when routing ran with `lower_toffoli = false`.
+    pub circuit: Circuit,
+    /// Where each logical qubit started.
+    pub initial_layout: Layout,
+    /// Where each logical qubit ended after all routing SWAPs.
+    pub final_layout: Layout,
+    /// The SWAPs and trio events of this run.
+    pub trace: RoutingTrace,
+}
+
+impl RoutedCircuit {
+    /// Two-qubit gate count after lowering SWAPs to 3 CX each — the
+    /// paper's primary static metric.
+    pub fn cx_cost(&self) -> usize {
+        self.circuit.counts().two_qubit_equivalent()
     }
-    Some(events.iter().map(|e| e.gather_distance as f64).sum::<f64>() / events.len() as f64)
-}
-
-/// Routes a fully decomposed circuit (1- and 2-qubit gates only) with the
-/// conventional per-pair strategy: this is the paper's baseline (Fig. 2a).
-///
-/// A thin shim over the [`DecomposeFirst`] strategy (registry name
-/// `"baseline"`), kept for compatibility; its output is byte-identical to
-/// routing through the strategy with a fresh [`RoutingTrace`].
-///
-/// # Errors
-///
-/// Returns [`RouteError::UnsupportedGate`] if the circuit still contains a
-/// 3-qubit gate, [`RouteError::CircuitTooWide`] if it does not fit the
-/// device, or [`RouteError::Disconnected`] if interacting qubits cannot be
-/// joined.
-pub fn route_baseline(
-    circuit: &Circuit,
-    topology: &Topology,
-    initial: Layout,
-    options: &RouterOptions,
-) -> Result<RoutedCircuit, RouteError> {
-    DecomposeFirst.route(
-        circuit,
-        topology,
-        initial,
-        options,
-        &mut RoutingTrace::new(),
-    )
-}
-
-/// Routes a Toffoli-level circuit (1-, 2-, and 3-qubit gates) with the
-/// Trios strategy: Toffoli operand trios are gathered to a common
-/// neighborhood as a unit, then decomposed with the placement-appropriate
-/// decomposition (paper Fig. 2b and §4).
-///
-/// A thin shim over the [`OrchestratedTrios`] strategy (registry name
-/// `"trios"`), kept for compatibility; its output is byte-identical to
-/// routing through the strategy with a fresh [`RoutingTrace`].
-///
-/// # Errors
-///
-/// Same conditions as [`route_baseline`] except Toffolis are supported.
-pub fn route_trios(
-    circuit: &Circuit,
-    topology: &Topology,
-    initial: Layout,
-    options: &RouterOptions,
-) -> Result<RoutedCircuit, RouteError> {
-    OrchestratedTrios.route(
-        circuit,
-        topology,
-        initial,
-        options,
-        &mut RoutingTrace::new(),
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DirectionPolicy, LookaheadConfig, PathMetric};
+    use crate::{
+        DecomposeFirst, DirectionPolicy, LookaheadConfig, OrchestratedTrios, PathMetric,
+        RouteError, RouterOptions, RoutingStrategy,
+    };
     use trios_passes::{lower_swaps, DecomposerHandle, SixCnotDecomposition};
     use trios_sim::compiled_equivalent;
     use trios_topology::{grid, johannesburg, line};
@@ -156,14 +115,15 @@ mod tests {
         let mut c = Circuit::new(3);
         c.h(0).cx(0, 1).cx(1, 2);
         let topo = line(3);
-        let routed = route_baseline(
-            &c,
-            &topo,
-            Layout::trivial(3, 3),
-            &RouterOptions::deterministic(),
-        )
-        .unwrap();
-        assert_eq!(routed.swap_count, 0);
+        let routed = DecomposeFirst
+            .route(
+                &c,
+                &topo,
+                Layout::trivial(3, 3),
+                &RouterOptions::deterministic(),
+            )
+            .unwrap();
+        assert_eq!(routed.trace.swaps, 0);
         assert_eq!(routed.circuit.len(), 3);
         assert!(verify(&c, &routed));
     }
@@ -173,14 +133,15 @@ mod tests {
         let mut c = Circuit::new(5);
         c.cx(0, 4);
         let topo = line(5);
-        let routed = route_baseline(
-            &c,
-            &topo,
-            Layout::trivial(5, 5),
-            &RouterOptions::deterministic(),
-        )
-        .unwrap();
-        assert_eq!(routed.swap_count, 3);
+        let routed = DecomposeFirst
+            .route(
+                &c,
+                &topo,
+                Layout::trivial(5, 5),
+                &RouterOptions::deterministic(),
+            )
+            .unwrap();
+        assert_eq!(routed.trace.swaps, 3);
         assert!(verify(&c, &routed));
         // MoveFirst: logical 0 walked to physical 3.
         assert_eq!(routed.final_layout.physical(0), 3);
@@ -195,8 +156,10 @@ mod tests {
             direction: DirectionPolicy::MoveSecond,
             ..RouterOptions::default()
         };
-        let routed = route_baseline(&c, &topo, Layout::trivial(5, 5), &opts).unwrap();
-        assert_eq!(routed.swap_count, 3);
+        let routed = DecomposeFirst
+            .route(&c, &topo, Layout::trivial(5, 5), &opts)
+            .unwrap();
+        assert_eq!(routed.trace.swaps, 3);
         assert_eq!(routed.final_layout.physical(4), 1);
         assert!(verify(&c, &routed));
     }
@@ -210,8 +173,10 @@ mod tests {
             direction: DirectionPolicy::MeetInMiddle,
             ..RouterOptions::default()
         };
-        let routed = route_baseline(&c, &topo, Layout::trivial(6, 6), &opts).unwrap();
-        assert_eq!(routed.swap_count, 4);
+        let routed = DecomposeFirst
+            .route(&c, &topo, Layout::trivial(6, 6), &opts)
+            .unwrap();
+        assert_eq!(routed.trace.swaps, 4);
         assert_eq!(routed.final_layout.physical(0), 2);
         assert_eq!(routed.final_layout.physical(5), 3);
         assert!(verify(&c, &routed));
@@ -222,20 +187,22 @@ mod tests {
         let mut c = Circuit::new(8);
         c.cx(0, 7).cx(1, 6).cx(2, 5);
         let topo = line(8);
-        let a = route_baseline(
-            &c,
-            &topo,
-            Layout::trivial(8, 8),
-            &RouterOptions::with_seed(3),
-        )
-        .unwrap();
-        let b = route_baseline(
-            &c,
-            &topo,
-            Layout::trivial(8, 8),
-            &RouterOptions::with_seed(3),
-        )
-        .unwrap();
+        let a = DecomposeFirst
+            .route(
+                &c,
+                &topo,
+                Layout::trivial(8, 8),
+                &RouterOptions::with_seed(3),
+            )
+            .unwrap();
+        let b = DecomposeFirst
+            .route(
+                &c,
+                &topo,
+                Layout::trivial(8, 8),
+                &RouterOptions::with_seed(3),
+            )
+            .unwrap();
         assert_eq!(a.circuit, b.circuit);
         assert!(verify(&c, &a));
     }
@@ -245,7 +212,8 @@ mod tests {
         let mut c = Circuit::new(3);
         c.ccx(0, 1, 2);
         let topo = line(3);
-        let err = route_baseline(&c, &topo, Layout::trivial(3, 3), &RouterOptions::default())
+        let err = DecomposeFirst
+            .route(&c, &topo, Layout::trivial(3, 3), &RouterOptions::default())
             .unwrap_err();
         assert!(matches!(
             err,
@@ -257,7 +225,7 @@ mod tests {
     fn too_wide_circuit_is_rejected() {
         let topo = line(5);
         assert!(matches!(
-            route_baseline(
+            DecomposeFirst.route(
                 &Circuit::new(10),
                 &topo,
                 Layout::trivial(5, 5),
@@ -268,7 +236,7 @@ mod tests {
         // A layout whose logical width disagrees with the circuit is also
         // rejected.
         assert!(matches!(
-            route_baseline(
+            DecomposeFirst.route(
                 &Circuit::new(3),
                 &topo,
                 Layout::trivial(5, 5),
@@ -287,10 +255,12 @@ mod tests {
             lower_toffoli: false,
             ..RouterOptions::deterministic()
         };
-        let routed = route_trios(&c, &topo, Layout::trivial(7, 7), &opts).unwrap();
+        let routed = OrchestratedTrios
+            .route(&c, &topo, Layout::trivial(7, 7), &opts)
+            .unwrap();
         // Destination is the middle operand (logical 1 at phys 3):
         // movers 0 and 6 each travel 2 SWAPs.
-        assert_eq!(routed.swap_count, 4);
+        assert_eq!(routed.trace.swaps, 4);
         let ccx = routed
             .circuit
             .iter()
@@ -314,13 +284,14 @@ mod tests {
         let mut c = Circuit::new(7);
         c.h(0).ccx(0, 3, 6).cx(0, 1).ccx(2, 4, 5);
         let topo = line(7);
-        let routed = route_trios(
-            &c,
-            &topo,
-            Layout::trivial(7, 7),
-            &RouterOptions::deterministic(),
-        )
-        .unwrap();
+        let routed = OrchestratedTrios
+            .route(
+                &c,
+                &topo,
+                Layout::trivial(7, 7),
+                &RouterOptions::deterministic(),
+            )
+            .unwrap();
         assert_eq!(routed.circuit.counts().ccx, 0);
         let lowered = lower_swaps(&routed.circuit);
         assert!(lowered.is_hardware_lowered());
@@ -333,9 +304,11 @@ mod tests {
         c.ccx(0, 1, 2);
         let topo = johannesburg();
         let layout = Layout::from_mapping(&[0, 1, 2], 20).unwrap();
-        let routed = route_trios(&c, &topo, layout, &RouterOptions::deterministic()).unwrap();
+        let routed = OrchestratedTrios
+            .route(&c, &topo, layout, &RouterOptions::deterministic())
+            .unwrap();
         // Adjacent line 0–1–2: no SWAPs, 8 CX (Johannesburg has no triangles).
-        assert_eq!(routed.swap_count, 0);
+        assert_eq!(routed.trace.swaps, 0);
         assert_eq!(routed.circuit.counts().cx, 8);
         assert!(verify(&c, &routed));
     }
@@ -349,13 +322,15 @@ mod tests {
             decomposer: DecomposerHandle::named("six"),
             ..RouterOptions::deterministic()
         };
-        let routed = route_trios(&c, &topo, Layout::trivial(3, 3), &opts).unwrap();
+        let routed = OrchestratedTrios
+            .route(&c, &topo, Layout::trivial(3, 3), &opts)
+            .unwrap();
         // The 6-CNOT decomposition interleaves all three qubit pairs, so on
         // a line the qubits "compete to be neighbors" (paper §3) and extra
         // SWAPs appear. The paper's conclusion: 8-CNOT wins on lines.
         assert_eq!(routed.circuit.counts().cx, 6);
-        assert!(routed.swap_count >= 1);
-        assert_eq!(routed.cx_cost(), 6 + 3 * routed.swap_count);
+        assert!(routed.trace.swaps >= 1);
+        assert_eq!(routed.cx_cost(), 6 + 3 * routed.trace.swaps);
         assert!(
             routed.cx_cost() > 8,
             "forced 6-CNOT on a line must cost more than the 8-CNOT form"
@@ -372,8 +347,10 @@ mod tests {
             decomposer: DecomposerHandle::named("eight"),
             ..RouterOptions::deterministic()
         };
-        let routed = route_trios(&c, &topo, Layout::trivial(3, 3), &opts).unwrap();
-        assert_eq!(routed.swap_count, 0);
+        let routed = OrchestratedTrios
+            .route(&c, &topo, Layout::trivial(3, 3), &opts)
+            .unwrap();
+        assert_eq!(routed.trace.swaps, 0);
         assert_eq!(routed.circuit.counts().cx, 8);
         assert!(verify(&c, &routed));
     }
@@ -384,14 +361,15 @@ mod tests {
         let mut c = Circuit::new(3);
         c.ccx(0, 1, 2);
         let topo = full(3);
-        let routed = route_trios(
-            &c,
-            &topo,
-            Layout::trivial(3, 3),
-            &RouterOptions::deterministic(),
-        )
-        .unwrap();
-        assert_eq!(routed.swap_count, 0);
+        let routed = OrchestratedTrios
+            .route(
+                &c,
+                &topo,
+                Layout::trivial(3, 3),
+                &RouterOptions::deterministic(),
+            )
+            .unwrap();
+        assert_eq!(routed.trace.swaps, 0);
         assert_eq!(routed.circuit.counts().cx, 6);
         assert!(verify(&c, &routed));
     }
@@ -415,8 +393,12 @@ mod tests {
         };
         let layout = Layout::from_mapping(&mapping, 20).unwrap();
         let opts = RouterOptions::deterministic();
-        let base = route_baseline(&decomposed, &topo, layout.clone(), &opts).unwrap();
-        let trios = route_trios(&toffoli_level, &topo, layout, &opts).unwrap();
+        let base = DecomposeFirst
+            .route(&decomposed, &topo, layout.clone(), &opts)
+            .unwrap();
+        let trios = OrchestratedTrios
+            .route(&toffoli_level, &topo, layout, &opts)
+            .unwrap();
         assert!(
             trios.cx_cost() < base.cx_cost(),
             "trios {} should beat baseline {}",
@@ -443,7 +425,9 @@ mod tests {
             metric: PathMetric::EdgeWeights(weights),
             ..RouterOptions::deterministic()
         };
-        let routed = route_baseline(&c, &topo, Layout::trivial(6, 6), &opts).unwrap();
+        let routed = DecomposeFirst
+            .route(&c, &topo, Layout::trivial(6, 6), &opts)
+            .unwrap();
         // Detour 0→3→4→5→2 costs 3 swaps instead of 1; the router should
         // prefer it only because of the weights.
         assert!(routed.circuit.iter().all(|i| i.gate() != Gate::Swap
@@ -466,8 +450,10 @@ mod tests {
         let mut c = Circuit::new(6);
         c.cx(0, 5);
         let topo = line(6);
-        let routed = route_baseline(&c, &topo, Layout::trivial(6, 6), &lookahead_opts()).unwrap();
-        assert_eq!(routed.swap_count, 4);
+        let routed = DecomposeFirst
+            .route(&c, &topo, Layout::trivial(6, 6), &lookahead_opts())
+            .unwrap();
+        assert_eq!(routed.trace.swaps, 4);
         assert!(verify(&c, &routed));
     }
 
@@ -476,8 +462,10 @@ mod tests {
         let mut c = Circuit::new(3);
         c.cx(0, 1).cx(1, 2);
         let topo = line(3);
-        let routed = route_baseline(&c, &topo, Layout::trivial(3, 3), &lookahead_opts()).unwrap();
-        assert_eq!(routed.swap_count, 0);
+        let routed = DecomposeFirst
+            .route(&c, &topo, Layout::trivial(3, 3), &lookahead_opts())
+            .unwrap();
+        assert_eq!(routed.trace.swaps, 0);
     }
 
     #[test]
@@ -488,19 +476,22 @@ mod tests {
         let topo = grid(3, 3);
         let mut c = Circuit::new(9);
         c.cx(0, 8).cx(0, 2);
-        let look = route_baseline(&c, &topo, Layout::trivial(9, 9), &lookahead_opts()).unwrap();
-        let blind = route_baseline(
-            &c,
-            &topo,
-            Layout::trivial(9, 9),
-            &RouterOptions::deterministic(),
-        )
-        .unwrap();
+        let look = DecomposeFirst
+            .route(&c, &topo, Layout::trivial(9, 9), &lookahead_opts())
+            .unwrap();
+        let blind = DecomposeFirst
+            .route(
+                &c,
+                &topo,
+                Layout::trivial(9, 9),
+                &RouterOptions::deterministic(),
+            )
+            .unwrap();
         assert!(
-            look.swap_count <= blind.swap_count,
+            look.trace.swaps <= blind.trace.swaps,
             "lookahead {} should not lose to committed walk {}",
-            look.swap_count,
-            blind.swap_count
+            look.trace.swaps,
+            blind.trace.swaps
         );
         assert!(verify(&c, &look));
         assert!(verify(&c, &blind));
@@ -511,8 +502,12 @@ mod tests {
         let mut c = Circuit::new(8);
         c.cx(0, 7).cx(2, 6).cx(1, 5).cx(0, 4);
         let topo = grid(4, 2);
-        let a = route_baseline(&c, &topo, Layout::trivial(8, 8), &lookahead_opts()).unwrap();
-        let b = route_baseline(&c, &topo, Layout::trivial(8, 8), &lookahead_opts()).unwrap();
+        let a = DecomposeFirst
+            .route(&c, &topo, Layout::trivial(8, 8), &lookahead_opts())
+            .unwrap();
+        let b = DecomposeFirst
+            .route(&c, &topo, Layout::trivial(8, 8), &lookahead_opts())
+            .unwrap();
         assert_eq!(a.circuit, b.circuit);
         assert!(verify(&c, &a));
     }
@@ -523,7 +518,9 @@ mod tests {
         let mut c = Circuit::new(7);
         c.cx(0, 6).ccx(0, 3, 6).cx(0, 6);
         let topo = line(7);
-        let routed = route_trios(&c, &topo, Layout::trivial(7, 7), &lookahead_opts()).unwrap();
+        let routed = OrchestratedTrios
+            .route(&c, &topo, Layout::trivial(7, 7), &lookahead_opts())
+            .unwrap();
         assert_eq!(routed.circuit.counts().three_qubit, 0);
         assert!(verify(&c, &routed));
     }
@@ -540,8 +537,10 @@ mod tests {
         let mut c = Circuit::new(3);
         c.cx(0, 2);
         let topo = line(3);
-        let routed = route_baseline(&c, &topo, Layout::trivial(3, 3), &bridge_opts()).unwrap();
-        assert_eq!(routed.swap_count, 0, "bridge must not permute the layout");
+        let routed = DecomposeFirst
+            .route(&c, &topo, Layout::trivial(3, 3), &bridge_opts())
+            .unwrap();
+        assert_eq!(routed.trace.swaps, 0, "bridge must not permute the layout");
         assert_eq!(routed.circuit.counts().cx, 4);
         assert_eq!(routed.initial_layout, routed.final_layout);
         assert!(verify(&c, &routed));
@@ -553,15 +552,19 @@ mod tests {
         let mut c = Circuit::new(4);
         c.cx(0, 3);
         let topo = line(4);
-        let routed = route_baseline(&c, &topo, Layout::trivial(4, 4), &bridge_opts()).unwrap();
-        assert!(routed.swap_count > 0);
+        let routed = DecomposeFirst
+            .route(&c, &topo, Layout::trivial(4, 4), &bridge_opts())
+            .unwrap();
+        assert!(routed.trace.swaps > 0);
         assert!(verify(&c, &routed));
         // CZ at distance 2: no bridge identity, SWAP routing.
         let mut c = Circuit::new(3);
         c.cz(0, 2);
         let topo = line(3);
-        let routed = route_baseline(&c, &topo, Layout::trivial(3, 3), &bridge_opts()).unwrap();
-        assert_eq!(routed.swap_count, 1);
+        let routed = DecomposeFirst
+            .route(&c, &topo, Layout::trivial(3, 3), &bridge_opts())
+            .unwrap();
+        assert_eq!(routed.trace.swaps, 1);
         assert!(verify(&c, &routed));
     }
 
@@ -576,15 +579,17 @@ mod tests {
         // CX every time.
         let mut thrice = Circuit::new(3);
         thrice.cx(0, 2).cx(0, 2).cx(0, 2);
-        let bridged =
-            route_baseline(&thrice, &topo, Layout::trivial(3, 3), &bridge_opts()).unwrap();
-        let swapped = route_baseline(
-            &thrice,
-            &topo,
-            Layout::trivial(3, 3),
-            &RouterOptions::deterministic(),
-        )
-        .unwrap();
+        let bridged = DecomposeFirst
+            .route(&thrice, &topo, Layout::trivial(3, 3), &bridge_opts())
+            .unwrap();
+        let swapped = DecomposeFirst
+            .route(
+                &thrice,
+                &topo,
+                Layout::trivial(3, 3),
+                &RouterOptions::deterministic(),
+            )
+            .unwrap();
         assert_eq!(bridged.cx_cost(), 12);
         assert_eq!(swapped.cx_cost(), 3 + 3, "one swap then three local CX");
         assert!(verify(&thrice, &bridged));
@@ -597,7 +602,9 @@ mod tests {
         let mut c = Circuit::new(5);
         c.cx(0, 2).ccx(0, 2, 4).cx(2, 4);
         let topo = line(5);
-        let routed = route_trios(&c, &topo, Layout::trivial(5, 5), &bridge_opts()).unwrap();
+        let routed = OrchestratedTrios
+            .route(&c, &topo, Layout::trivial(5, 5), &bridge_opts())
+            .unwrap();
         assert!(verify(&c, &routed));
     }
 
@@ -608,14 +615,15 @@ mod tests {
         let mut c = Circuit::new(7);
         c.ccz(0, 3, 6);
         let topo = line(7);
-        let routed = route_trios(
-            &c,
-            &topo,
-            Layout::trivial(7, 7),
-            &RouterOptions::deterministic(),
-        )
-        .unwrap();
-        assert_eq!(routed.swap_count, 4, "same gather cost as a Toffoli");
+        let routed = OrchestratedTrios
+            .route(
+                &c,
+                &topo,
+                Layout::trivial(7, 7),
+                &RouterOptions::deterministic(),
+            )
+            .unwrap();
+        assert_eq!(routed.trace.swaps, 4, "same gather cost as a Toffoli");
         assert_eq!(routed.circuit.counts().cx, 8);
         assert_eq!(
             routed
@@ -635,14 +643,15 @@ mod tests {
         let mut c = Circuit::new(3);
         c.ccz(0, 1, 2);
         let topo = full(3);
-        let routed = route_trios(
-            &c,
-            &topo,
-            Layout::trivial(3, 3),
-            &RouterOptions::deterministic(),
-        )
-        .unwrap();
-        assert_eq!(routed.swap_count, 0);
+        let routed = OrchestratedTrios
+            .route(
+                &c,
+                &topo,
+                Layout::trivial(3, 3),
+                &RouterOptions::deterministic(),
+            )
+            .unwrap();
+        assert_eq!(routed.trace.swaps, 0);
         assert_eq!(routed.circuit.counts().cx, 6);
         assert!(verify(&c, &routed));
     }
@@ -652,13 +661,14 @@ mod tests {
         let mut c = Circuit::new(7);
         c.cswap(0, 3, 6);
         let topo = line(7);
-        let routed = route_trios(
-            &c,
-            &topo,
-            Layout::trivial(7, 7),
-            &RouterOptions::deterministic(),
-        )
-        .unwrap();
+        let routed = OrchestratedTrios
+            .route(
+                &c,
+                &topo,
+                Layout::trivial(7, 7),
+                &RouterOptions::deterministic(),
+            )
+            .unwrap();
         // Gather cost plus the CX-conjugated 8-CNOT Toffoli; the gather
         // centers on a swapped operand so the conjugating CXs are adjacent.
         assert_eq!(routed.circuit.counts().cswap, 0);
@@ -678,7 +688,9 @@ mod tests {
             lower_toffoli: false,
             ..RouterOptions::deterministic()
         };
-        let routed = route_trios(&c, &topo, Layout::trivial(9, 9), &opts).unwrap();
+        let routed = OrchestratedTrios
+            .route(&c, &topo, Layout::trivial(9, 9), &opts)
+            .unwrap();
         let kept = routed
             .circuit
             .iter()
@@ -705,13 +717,14 @@ mod tests {
             .ccz(0, 1, 2);
         let topo = grid(4, 2);
         for seed in [0u64, 1, 2] {
-            let routed = route_trios(
-                &c,
-                &topo,
-                Layout::trivial(8, 8),
-                &RouterOptions::with_seed(seed),
-            )
-            .unwrap();
+            let routed = OrchestratedTrios
+                .route(
+                    &c,
+                    &topo,
+                    Layout::trivial(8, 8),
+                    &RouterOptions::with_seed(seed),
+                )
+                .unwrap();
             assert_eq!(routed.circuit.counts().three_qubit, 0);
             assert!(verify(&c, &routed), "seed {seed}");
         }
@@ -722,15 +735,16 @@ mod tests {
         let mut c = Circuit::new(7);
         c.ccx(0, 3, 6).ccx(0, 3, 6);
         let topo = line(7);
-        let routed = route_trios(
-            &c,
-            &topo,
-            Layout::trivial(7, 7),
-            &RouterOptions::deterministic(),
-        )
-        .unwrap();
-        assert_eq!(routed.trio_events.len(), 2);
-        let first = routed.trio_events[0];
+        let routed = OrchestratedTrios
+            .route(
+                &c,
+                &topo,
+                Layout::trivial(7, 7),
+                &RouterOptions::deterministic(),
+            )
+            .unwrap();
+        assert_eq!(routed.trace.trio_events.len(), 2);
+        let first = routed.trace.trio_events[0];
         assert_eq!(first.gate, Gate::Ccx);
         // Trivial layout 0–3–6 on a line: best destination is the middle
         // operand, summed distance 6, i.e. 4 SWAPs beyond connected.
@@ -738,10 +752,10 @@ mod tests {
         assert_eq!(first.swaps, 4);
         assert!(matches!(first.shape, TripleShape::Line { .. }));
         // The second Toffoli reuses the gathered placement.
-        let second = routed.trio_events[1];
+        let second = routed.trace.trio_events[1];
         assert_eq!(second.gather_distance, 0);
         assert_eq!(second.swaps, 0);
-        assert!((routed.mean_gather_distance().unwrap() - 2.0).abs() < 1e-12);
+        assert!((routed.trace.mean_gather_distance().unwrap() - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -749,40 +763,34 @@ mod tests {
         let mut c = Circuit::new(4);
         c.cx(0, 3);
         let topo = line(4);
-        let routed = route_baseline(
-            &c,
-            &topo,
-            Layout::trivial(4, 4),
-            &RouterOptions::deterministic(),
-        )
-        .unwrap();
-        assert!(routed.trio_events.is_empty());
-        assert_eq!(routed.mean_gather_distance(), None);
+        let routed = DecomposeFirst
+            .route(
+                &c,
+                &topo,
+                Layout::trivial(4, 4),
+                &RouterOptions::deterministic(),
+            )
+            .unwrap();
+        assert!(routed.trace.trio_events.is_empty());
+        assert_eq!(routed.trace.mean_gather_distance(), None);
     }
 
     #[test]
     fn mean_gather_distance_is_none_not_nan_without_events() {
         // Constructed directly (not via a router) so the empty-events
         // contract is pinned independently of any strategy's behavior.
-        let routed = RoutedCircuit {
-            circuit: Circuit::new(2),
-            initial_layout: Layout::trivial(2, 2),
-            final_layout: Layout::trivial(2, 2),
-            swap_count: 0,
-            trio_events: Vec::new(),
-        };
-        assert_eq!(routed.mean_gather_distance(), None);
+        assert_eq!(RoutingTrace::new().mean_gather_distance(), None);
         // And with events, the mean is finite — never NaN.
-        let routed = RoutedCircuit {
+        let trace = RoutingTrace {
             trio_events: vec![TrioEvent {
                 gate: Gate::Ccx,
                 gather_distance: 3,
                 swaps: 3,
                 shape: TripleShape::Line { middle: 1 },
             }],
-            ..routed
+            ..RoutingTrace::new()
         };
-        let mean = routed.mean_gather_distance().unwrap();
+        let mean = trace.mean_gather_distance().unwrap();
         assert!(mean.is_finite());
         assert!((mean - 3.0).abs() < 1e-12);
     }
@@ -792,18 +800,19 @@ mod tests {
         let mut c = Circuit::new(5);
         c.cswap(0, 2, 4);
         let topo = line(5);
-        let routed = route_trios(
-            &c,
-            &topo,
-            Layout::trivial(5, 5),
-            &RouterOptions::deterministic(),
-        )
-        .unwrap();
-        assert_eq!(routed.trio_events.len(), 2);
-        assert_eq!(routed.trio_events[0].gate, Gate::Cswap);
-        assert_eq!(routed.trio_events[1].gate, Gate::Ccx);
+        let routed = OrchestratedTrios
+            .route(
+                &c,
+                &topo,
+                Layout::trivial(5, 5),
+                &RouterOptions::deterministic(),
+            )
+            .unwrap();
+        assert_eq!(routed.trace.trio_events.len(), 2);
+        assert_eq!(routed.trace.trio_events[0].gate, Gate::Cswap);
+        assert_eq!(routed.trace.trio_events[1].gate, Gate::Ccx);
         assert_eq!(
-            routed.trio_events[1].gather_distance, 0,
+            routed.trace.trio_events[1].gather_distance, 0,
             "inner ccx is pre-gathered"
         );
     }
@@ -814,7 +823,9 @@ mod tests {
         c.cx(0, 1).measure(0).measure(1);
         let topo = line(4);
         let layout = Layout::from_mapping(&[2, 3], 4).unwrap();
-        let routed = route_baseline(&c, &topo, layout, &RouterOptions::deterministic()).unwrap();
+        let routed = DecomposeFirst
+            .route(&c, &topo, layout, &RouterOptions::deterministic())
+            .unwrap();
         let measured: Vec<usize> = routed
             .circuit
             .iter()

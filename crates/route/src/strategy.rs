@@ -15,51 +15,16 @@
 //! | `trios-noise`     | [`NoiseAwareTrios`] — calibration-weighted paths  |
 
 use crate::engine::RoutingEngine;
-use crate::{
-    Layout, LookaheadConfig, PathMetric, RouteError, RoutedCircuit, RouterOptions, TrioEvent,
-};
+use crate::{Layout, LookaheadConfig, PathMetric, RouteError, RoutedCircuit, RouterOptions};
 use std::fmt;
 use std::sync::Arc;
 use trios_ir::Circuit;
 use trios_noise::Calibration;
 use trios_topology::Topology;
 
-/// What one routing run did, beyond the [`RoutedCircuit`] itself: which
-/// strategy ran and the raw counters behind the paper's communication
-/// metrics. Strategies and the engine append to it; callers hand in a
-/// fresh trace per run (the free-function shims do this for you).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct RoutingTrace {
-    /// Registry name of the strategy that ran, when routed through one.
-    pub strategy: Option<String>,
-    /// SWAP gates inserted.
-    pub swaps: usize,
-    /// Distance-2 CNOTs rewritten as 4-CNOT bridges.
-    pub bridges: usize,
-    /// SWAPs chosen by windowed-lookahead scoring (a subset of `swaps`).
-    pub lookahead_swaps: usize,
-    /// One entry per gathered three-qubit gate, in program order.
-    pub trio_events: Vec<TrioEvent>,
-}
-
-impl RoutingTrace {
-    /// An empty trace.
-    pub fn new() -> Self {
-        RoutingTrace::default()
-    }
-
-    /// Mean gather distance over the recorded trio events, or `None` when
-    /// none were recorded — the same statistic as
-    /// [`RoutedCircuit::mean_gather_distance`], over whatever this trace
-    /// has accumulated.
-    pub fn mean_gather_distance(&self) -> Option<f64> {
-        crate::router::mean_gather_distance(&self.trio_events)
-    }
-}
-
 /// One routing policy: turns a logical circuit plus an initial placement
-/// into a hardware-legal [`RoutedCircuit`], recording what it did into a
-/// [`RoutingTrace`].
+/// into a hardware-legal [`RoutedCircuit`], whose
+/// [`RoutingTrace`](crate::RoutingTrace) records what it did.
 ///
 /// Strategies are `Send + Sync` so the batch compiler's worker threads
 /// can share them; implementations should keep all per-run state local to
@@ -93,16 +58,12 @@ pub trait RoutingStrategy: Send + Sync {
         topology: &Topology,
         layout: Layout,
         options: &RouterOptions,
-        trace: &mut RoutingTrace,
     ) -> Result<RoutedCircuit, RouteError>;
 }
 
 /// The conventional decompose-first pair router: requires a fully
 /// decomposed circuit (1- and 2-qubit gates only) and routes each distant
-/// pair individually. This is the paper's Qiskit-style baseline (Fig. 2a)
-/// and is byte-identical to the original [`route_baseline`] free function.
-///
-/// [`route_baseline`]: crate::route_baseline
+/// pair individually. This is the paper's Qiskit-style baseline (Fig. 2a).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DecomposeFirst;
 
@@ -125,19 +86,14 @@ impl RoutingStrategy for DecomposeFirst {
         topology: &Topology,
         layout: Layout,
         options: &RouterOptions,
-        trace: &mut RoutingTrace,
     ) -> Result<RoutedCircuit, RouteError> {
-        trace.strategy = Some(self.name().to_string());
-        RoutingEngine::new(topology, layout, options, circuit, trace)?.run(circuit, false)
+        RoutingEngine::new(topology, layout, options, circuit)?.run(circuit, false)
     }
 }
 
 /// The paper's contribution: Toffolis survive to the router, which
 /// gathers each operand trio to a connected neighborhood as a unit, then
 /// applies the placement-appropriate decomposition (Fig. 2b, §4).
-/// Byte-identical to the original [`route_trios`] free function.
-///
-/// [`route_trios`]: crate::route_trios
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OrchestratedTrios;
 
@@ -156,10 +112,8 @@ impl RoutingStrategy for OrchestratedTrios {
         topology: &Topology,
         layout: Layout,
         options: &RouterOptions,
-        trace: &mut RoutingTrace,
     ) -> Result<RoutedCircuit, RouteError> {
-        trace.strategy = Some(self.name().to_string());
-        RoutingEngine::new(topology, layout, options, circuit, trace)?.run(circuit, true)
+        RoutingEngine::new(topology, layout, options, circuit)?.run(circuit, true)
     }
 }
 
@@ -206,14 +160,12 @@ impl RoutingStrategy for LookaheadTrios {
         topology: &Topology,
         layout: Layout,
         options: &RouterOptions,
-        trace: &mut RoutingTrace,
     ) -> Result<RoutedCircuit, RouteError> {
-        trace.strategy = Some(self.name().to_string());
         let options = RouterOptions {
             lookahead: Some(options.lookahead.unwrap_or(self.config)),
             ..options.clone()
         };
-        RoutingEngine::new(topology, layout, &options, circuit, trace)?.run(circuit, true)
+        RoutingEngine::new(topology, layout, &options, circuit)?.run(circuit, true)
     }
 }
 
@@ -251,7 +203,9 @@ impl NoiseAwareTrios {
     }
 
     /// Noise-aware trio routing over explicit per-edge two-qubit error
-    /// rates, aligned with `Topology::edges()`.
+    /// rates, aligned with `Topology::edges()`. Routing checks them: a
+    /// wrong count, or a rate outside `[0, 1)`, is
+    /// [`RouteError::InvalidOptions`].
     pub fn with_edge_errors(edge_errors: Vec<f64>) -> Self {
         NoiseAwareTrios {
             edge_errors: Some(edge_errors),
@@ -274,9 +228,7 @@ impl RoutingStrategy for NoiseAwareTrios {
         topology: &Topology,
         layout: Layout,
         options: &RouterOptions,
-        trace: &mut RoutingTrace,
     ) -> Result<RoutedCircuit, RouteError> {
-        trace.strategy = Some(self.name().to_string());
         let metric = match &options.metric {
             PathMetric::EdgeWeights(_) => options.metric.clone(),
             PathMetric::Hops => {
@@ -289,6 +241,19 @@ impl RoutingStrategy for NoiseAwareTrios {
                                     "{} edge errors supplied for a topology with {} edges",
                                     errors.len(),
                                     num_edges
+                                ),
+                            });
+                        }
+                        if let Some((edge, rate)) = topology
+                            .edges()
+                            .iter()
+                            .zip(errors)
+                            .find(|(_, e)| !(0.0..1.0).contains(*e))
+                        {
+                            return Err(RouteError::InvalidOptions {
+                                reason: format!(
+                                    "edge {}-{} has error rate {rate}; rates must lie in [0, 1)",
+                                    edge.0, edge.1
                                 ),
                             });
                         }
@@ -307,7 +272,7 @@ impl RoutingStrategy for NoiseAwareTrios {
             metric,
             ..options.clone()
         };
-        RoutingEngine::new(topology, layout, &options, circuit, trace)?.run(circuit, true)
+        RoutingEngine::new(topology, layout, &options, circuit)?.run(circuit, true)
     }
 }
 
@@ -325,7 +290,7 @@ pub type StrategyConstructor = Arc<dyn Fn() -> Box<dyn RoutingStrategy> + Send +
 ///
 /// ```
 /// use trios_ir::Circuit;
-/// use trios_route::{Layout, RouterOptions, RoutingTrace, StrategyRegistry};
+/// use trios_route::{Layout, RouterOptions, StrategyRegistry};
 /// use trios_topology::line;
 ///
 /// let mut program = Circuit::new(3);
@@ -333,16 +298,14 @@ pub type StrategyConstructor = Arc<dyn Fn() -> Box<dyn RoutingStrategy> + Send +
 ///
 /// let registry = StrategyRegistry::standard();
 /// let trios = registry.get("trios").expect("built-in");
-/// let mut trace = RoutingTrace::new();
+/// assert_eq!(trios.name(), "trios");
 /// let routed = trios.route(
 ///     &program,
 ///     &line(3),
 ///     Layout::trivial(3, 3),
 ///     &RouterOptions::deterministic(),
-///     &mut trace,
 /// )?;
-/// assert_eq!(trace.strategy.as_deref(), Some("trios"));
-/// assert_eq!(routed.trio_events.len(), 1);
+/// assert_eq!(routed.trace.trio_events.len(), 1);
 /// # Ok::<(), trios_route::RouteError>(())
 /// ```
 #[derive(Clone, Default)]
@@ -425,8 +388,7 @@ impl fmt::Debug for StrategyRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{route_baseline, route_trios};
-    use trios_passes::{decompose_toffolis, lower_swaps, SixCnotDecomposition};
+    use trios_passes::lower_swaps;
     use trios_sim::compiled_equivalent;
     use trios_topology::{grid, johannesburg, line};
 
@@ -483,39 +445,6 @@ mod tests {
     }
 
     #[test]
-    fn registry_strategies_match_free_functions_exactly() {
-        let program = toffoli_program();
-        let decomposed = decompose_toffolis(&program, &SixCnotDecomposition);
-        let topo = johannesburg();
-        let registry = StrategyRegistry::standard();
-        for seed in [0u64, 1, 2] {
-            let opts = RouterOptions::with_seed(seed);
-            let layout = Layout::trivial(7, 20);
-
-            let mut trace = RoutingTrace::new();
-            let via_registry = registry
-                .get("trios")
-                .unwrap()
-                .route(&program, &topo, layout.clone(), &opts, &mut trace)
-                .unwrap();
-            let via_free = route_trios(&program, &topo, layout.clone(), &opts).unwrap();
-            assert_eq!(via_registry, via_free, "trios seed {seed}");
-            assert_eq!(trace.swaps, via_free.swap_count);
-            assert_eq!(trace.trio_events, via_free.trio_events);
-
-            let mut trace = RoutingTrace::new();
-            let via_registry = registry
-                .get("baseline")
-                .unwrap()
-                .route(&decomposed, &topo, layout.clone(), &opts, &mut trace)
-                .unwrap();
-            let via_free = route_baseline(&decomposed, &topo, layout, &opts).unwrap();
-            assert_eq!(via_registry, via_free, "baseline seed {seed}");
-            assert!(trace.trio_events.is_empty());
-        }
-    }
-
-    #[test]
     fn baseline_strategy_rejects_toffolis() {
         let mut c = Circuit::new(3);
         c.ccx(0, 1, 2);
@@ -525,7 +454,6 @@ mod tests {
                 &line(3),
                 Layout::trivial(3, 3),
                 &RouterOptions::deterministic(),
-                &mut RoutingTrace::new(),
             )
             .unwrap_err();
         assert!(matches!(err, RouteError::UnsupportedGate { .. }));
@@ -537,14 +465,24 @@ mod tests {
         let topo = grid(4, 2);
         let opts = RouterOptions::deterministic();
         assert!(opts.lookahead.is_none());
-        let mut trace = RoutingTrace::new();
+        let layout = Layout::trivial(7, 8);
         let routed = LookaheadTrios::default()
-            .route(&program, &topo, Layout::trivial(7, 8), &opts, &mut trace)
+            .route(&program, &topo, layout.clone(), &opts)
             .unwrap();
-        assert_eq!(trace.strategy.as_deref(), Some("trios-lookahead"));
-        // Every pair-routing SWAP came from the lookahead scorer (gather
-        // SWAPs are committed walks, so the subset relation must hold).
-        assert!(trace.lookahead_swaps <= trace.swaps);
+        // Lookahead ran: the output is plain trio routing's under an
+        // explicit default window, and on this program that differs from
+        // plain trio routing without one.
+        let explicit = RouterOptions {
+            lookahead: Some(LookaheadConfig::default()),
+            ..opts.clone()
+        };
+        let trios = |options: &RouterOptions| {
+            OrchestratedTrios
+                .route(&program, &topo, layout.clone(), options)
+                .unwrap()
+        };
+        assert_eq!(routed, trios(&explicit));
+        assert_ne!(routed, trios(&opts));
         assert!(verify(&program, &routed));
     }
 
@@ -563,16 +501,12 @@ mod tests {
             ..RouterOptions::deterministic()
         };
         let via_strategy = LookaheadTrios::default()
-            .route(
-                &program,
-                &topo,
-                Layout::trivial(7, 7),
-                &opts,
-                &mut RoutingTrace::new(),
-            )
+            .route(&program, &topo, Layout::trivial(7, 7), &opts)
             .unwrap();
-        let via_free = route_trios(&program, &topo, Layout::trivial(7, 7), &opts).unwrap();
-        assert_eq!(via_strategy, via_free);
+        let via_trios = OrchestratedTrios
+            .route(&program, &topo, Layout::trivial(7, 7), &opts)
+            .unwrap();
+        assert_eq!(via_strategy, via_trios);
     }
 
     #[test]
@@ -591,7 +525,6 @@ mod tests {
                 &topo,
                 Layout::trivial(6, 6),
                 &RouterOptions::deterministic(),
-                &mut RoutingTrace::new(),
             )
             .unwrap();
         // Detour through the back row: no SWAP may touch the bad edge.
@@ -631,13 +564,7 @@ mod tests {
             ..RouterOptions::deterministic()
         };
         let routed = NoiseAwareTrios::with_edge_errors(errors)
-            .route(
-                &c,
-                &topo,
-                Layout::trivial(6, 6),
-                &opts,
-                &mut RoutingTrace::new(),
-            )
+            .route(&c, &topo, Layout::trivial(6, 6), &opts)
             .unwrap();
         assert!(check_legal(&routed.circuit, &topo, ToffoliPolicy::Forbid).is_ok());
         assert!(verify(&c, &routed));
@@ -645,17 +572,35 @@ mod tests {
 
     #[test]
     fn noise_aware_strategy_validates_edge_count() {
-        let err = NoiseAwareTrios::with_edge_errors(vec![0.01; 2])
-            .route(
+        let route = |errors: Vec<f64>| {
+            NoiseAwareTrios::with_edge_errors(errors).route(
                 &Circuit::new(3),
                 &line(5),
                 Layout::trivial(3, 5),
                 &RouterOptions::deterministic(),
-                &mut RoutingTrace::new(),
             )
-            .unwrap_err();
+        };
+        let err = route(vec![0.01; 2]).unwrap_err();
         assert!(matches!(err, RouteError::InvalidOptions { .. }));
         assert!(err.to_string().contains("edge errors"));
+        // A rate outside [0, 1) has no -log(1 - e) weight: refused, and
+        // named, instead of a panic.
+        for (bad, says) in [
+            (f64::NAN, "edge 2-3 has error rate NaN"),
+            (1.0, "edge 2-3 has error rate 1;"),
+            (1.5, "edge 2-3 has error rate 1.5"),
+            (-0.1, "edge 2-3 has error rate -0.1"),
+        ] {
+            let mut errors = vec![0.01; 4];
+            errors[2] = bad;
+            match route(errors) {
+                Err(RouteError::InvalidOptions { reason }) => {
+                    assert!(reason.contains(says), "{reason}")
+                }
+                other => panic!("rate {bad}: {other:?}"),
+            }
+        }
+        assert!(route(vec![0.0, 0.01, 0.5, 0.999]).is_ok());
     }
 
     #[test]
@@ -665,22 +610,10 @@ mod tests {
         let strategy = NoiseAwareTrios::from_calibration();
         let opts = RouterOptions::deterministic();
         let a = strategy
-            .route(
-                &program,
-                &topo,
-                Layout::trivial(7, 20),
-                &opts,
-                &mut RoutingTrace::new(),
-            )
+            .route(&program, &topo, Layout::trivial(7, 20), &opts)
             .unwrap();
         let b = strategy
-            .route(
-                &program,
-                &topo,
-                Layout::trivial(7, 20),
-                &opts,
-                &mut RoutingTrace::new(),
-            )
+            .route(&program, &topo, Layout::trivial(7, 20), &opts)
             .unwrap();
         assert_eq!(a, b, "same seed must sample the same edge errors");
         let other_seed = strategy
@@ -692,7 +625,6 @@ mod tests {
                     seed: 99,
                     ..RouterOptions::deterministic()
                 },
-                &mut RoutingTrace::new(),
             )
             .unwrap();
         // Different seed, different sampled error landscape (the routed
@@ -713,16 +645,12 @@ mod tests {
             ..RouterOptions::deterministic()
         };
         let via_strategy = NoiseAwareTrios::from_calibration()
-            .route(
-                &c,
-                &topo,
-                Layout::trivial(4, 4),
-                &opts,
-                &mut RoutingTrace::new(),
-            )
+            .route(&c, &topo, Layout::trivial(4, 4), &opts)
             .unwrap();
-        let via_free = route_trios(&c, &topo, Layout::trivial(4, 4), &opts).unwrap();
-        assert_eq!(via_strategy, via_free);
+        let via_trios = OrchestratedTrios
+            .route(&c, &topo, Layout::trivial(4, 4), &opts)
+            .unwrap();
+        assert_eq!(via_strategy, via_trios);
     }
 
     #[test]
@@ -738,9 +666,8 @@ mod tests {
                 topology: &Topology,
                 layout: Layout,
                 options: &RouterOptions,
-                trace: &mut RoutingTrace,
             ) -> Result<RoutedCircuit, RouteError> {
-                OrchestratedTrios.route(circuit, topology, layout, options, trace)
+                OrchestratedTrios.route(circuit, topology, layout, options)
             }
         }
         let mut registry = StrategyRegistry::standard();
@@ -753,37 +680,5 @@ mod tests {
         assert_eq!(registry.names().last(), Some("custom"));
         let debug = format!("{registry:?}");
         assert!(debug.contains("custom"), "{debug}");
-    }
-
-    #[test]
-    fn trace_accumulates_across_runs_without_polluting_results() {
-        // Reusing one trace across runs accumulates counters, but each
-        // RoutedCircuit only carries its own events.
-        let mut c = Circuit::new(5);
-        c.ccx(0, 2, 4);
-        let topo = line(5);
-        let mut trace = RoutingTrace::new();
-        let first = OrchestratedTrios
-            .route(
-                &c,
-                &topo,
-                Layout::trivial(5, 5),
-                &RouterOptions::deterministic(),
-                &mut trace,
-            )
-            .unwrap();
-        let second = OrchestratedTrios
-            .route(
-                &c,
-                &topo,
-                Layout::trivial(5, 5),
-                &RouterOptions::deterministic(),
-                &mut trace,
-            )
-            .unwrap();
-        assert_eq!(first.trio_events.len(), 1);
-        assert_eq!(second.trio_events.len(), 1);
-        assert_eq!(trace.trio_events.len(), 2);
-        assert_eq!(trace.swaps, first.swap_count + second.swap_count);
     }
 }

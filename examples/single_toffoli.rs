@@ -6,7 +6,9 @@
 
 use orchestrated_trios::ir::{Circuit, Gate};
 use orchestrated_trios::passes::{decompose_toffolis, SixCnotDecomposition};
-use orchestrated_trios::route::{route_baseline, route_trios, Layout, RouterOptions};
+use orchestrated_trios::route::{
+    DecomposeFirst, Layout, OrchestratedTrios, RouterOptions, RoutingStrategy,
+};
 use orchestrated_trios::topology::{johannesburg, GridEmbedding};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -29,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- Baseline: decompose first, then route each CNOT individually.
     let decomposed = decompose_toffolis(&program, &SixCnotDecomposition);
-    let base = route_baseline(
+    let base = DecomposeFirst.route(
         &decomposed,
         &device,
         layout.clone(),
@@ -37,8 +39,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
     println!(
         "baseline (decompose-first): {} SWAPs = {} extra CNOTs, {} CNOTs total",
-        base.swap_count,
-        3 * base.swap_count,
+        base.trace.swaps,
+        3 * base.trace.swaps,
         base.cx_cost()
     );
     print_swaps(&base.circuit);
@@ -48,10 +50,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         lower_toffoli: false, // keep the ccx visible for the demo
         ..RouterOptions::with_seed(0)
     };
-    let trios = route_trios(&program, &device, layout, &opts)?;
+    let trios = OrchestratedTrios.route(&program, &device, layout, &opts)?;
     println!(
         "\ntrios (route-then-decompose): {} SWAPs, gathered trio shown below",
-        trios.swap_count
+        trios.trace.swaps
     );
     print_swaps(&trios.circuit);
     for instr in trios.circuit.iter() {
@@ -74,7 +76,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!(
         "\nwith the 8-CNOT decomposition, Trios totals {} CNOTs (vs {} baseline)",
-        3 * trios.swap_count + 8,
+        3 * trios.trace.swaps + 8,
         base.cx_cost()
     );
     println!(

@@ -52,3 +52,9 @@ pub use trios_route as route;
 pub use trios_schedule as schedule;
 pub use trios_sim as sim;
 pub use trios_topology as topology;
+
+/// README.md's Rust examples, compiled and run as doctests so they keep
+/// up with the API they show.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;

@@ -234,7 +234,7 @@ fn paper_suite_parallel_and_cached_matches_sequential() {
 fn one_job_batch_compiles_every_circuit_on_the_calling_thread() {
     use std::sync::{Arc, Mutex};
     use std::thread::ThreadId;
-    use trios_core::{CompileOptions, Layout, RoutingStrategy, RoutingTrace, StrategyRegistry};
+    use trios_core::{CompileOptions, Layout, RoutingStrategy, StrategyRegistry};
     use trios_route::{OrchestratedTrios, RouteError, RoutedCircuit, RouterOptions};
 
     struct Recording(Arc<Mutex<Vec<ThreadId>>>);
@@ -248,10 +248,9 @@ fn one_job_batch_compiles_every_circuit_on_the_calling_thread() {
             topology: &Topology,
             layout: Layout,
             options: &RouterOptions,
-            trace: &mut RoutingTrace,
         ) -> Result<RoutedCircuit, RouteError> {
             self.0.lock().unwrap().push(std::thread::current().id());
-            OrchestratedTrios.route(circuit, topology, layout, options, trace)
+            OrchestratedTrios.route(circuit, topology, layout, options)
         }
     }
 

@@ -9,7 +9,7 @@ use orchestrated_trios::gen::Family;
 use orchestrated_trios::ir::Circuit;
 use orchestrated_trios::route::{
     Layout, OrchestratedTrios, RouteError, RoutedCircuit, RouterOptions, RoutingStrategy,
-    RoutingTrace, StrategyRegistry,
+    StrategyRegistry,
 };
 use orchestrated_trios::sim::compiled_equivalent;
 use orchestrated_trios::topology::{johannesburg, line, Topology};
@@ -158,9 +158,8 @@ impl RoutingStrategy for BrokenTrios {
         topology: &Topology,
         layout: Layout,
         options: &RouterOptions,
-        trace: &mut RoutingTrace,
     ) -> Result<RoutedCircuit, RouteError> {
-        let mut routed = OrchestratedTrios.route(circuit, topology, layout, options, trace)?;
+        let mut routed = OrchestratedTrios.route(circuit, topology, layout, options)?;
         if circuit.counts().three_qubit > 0 {
             routed.circuit.x(0);
         }

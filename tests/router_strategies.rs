@@ -1,51 +1,59 @@
 //! Golden tests for the pluggable routing engine:
 //!
-//! 1. The registry's `"baseline"` and `"trios"` strategies are
-//!    **byte-identical** to the pre-refactor free functions
-//!    (`route_baseline` / `route_trios`) on the full paper suite.
+//! 1. The one record a routing run returns is right: for every registered
+//!    strategy on the paper suite, its SWAP count and trio events agree
+//!    with counts of the circuits themselves.
 //! 2. Batch-compilation cache keys incorporate the strategy: a warm cache
 //!    never serves one strategy's result for another.
 
 use trios_benchmarks::Benchmark;
-use trios_core::{CompilationCache, CompileOptions, Compiler, StrategyRegistry};
-use trios_passes::{decompose_toffolis, SixCnotDecomposition};
-use trios_route::{route_baseline, route_trios, Layout, RouterOptions, RoutingTrace};
+use trios_core::{
+    CompilationCache, CompileContext, CompileOptions, Compiler, DecomposeToffolisPass,
+    InitialMappingPass, Pass, RoutePass, RouterTrace, StrategyRegistry, SwapTrace,
+};
 use trios_topology::johannesburg;
 
 #[test]
-fn registry_baseline_and_trios_match_free_functions_on_paper_suite() {
+fn routing_record_agrees_with_the_routed_circuit_on_paper_suite() {
     let topo = johannesburg();
     let registry = StrategyRegistry::standard();
-    for b in Benchmark::ALL {
-        let toffoli_level = b.build();
-        let decomposed = decompose_toffolis(&toffoli_level, &SixCnotDecomposition);
-        for seed in [0u64, 7] {
-            // Stochastic direction (the default) so the shared RNG stream
-            // is part of the byte-for-byte comparison.
-            let opts = RouterOptions::with_seed(seed);
-            let layout = Layout::trivial(toffoli_level.num_qubits(), topo.num_qubits());
+    for router in registry.names() {
+        let routes_trios = registry.get(router).unwrap().handles_three_qubit_gates();
+        // Bridges on and off: a bridge moves no data, so it is no SWAP.
+        for bridge in [false, true] {
+            let options = CompileOptions {
+                router: Some(router.to_string()),
+                bridge,
+                seed: 7,
+                ..CompileOptions::default()
+            };
+            for b in Benchmark::ALL {
+                let at = format!("{router} (bridge {bridge}) on {b}");
+                let mut cx = CompileContext::new(b.build(), &topo, &options);
+                InitialMappingPass.run(&mut cx).unwrap();
+                if !routes_trios {
+                    DecomposeToffolisPass::default().run(&mut cx).unwrap();
+                }
+                let input = cx.circuit.counts();
+                RoutePass::named(router).run(&mut cx).unwrap();
+                let RouterTrace(trace) = cx.artifacts.get::<RouterTrace>().unwrap();
+                assert_eq!(trace.strategy.as_deref(), Some(router), "{at}");
 
-            let golden = route_trios(&toffoli_level, &topo, layout.clone(), &opts).unwrap();
-            let via_registry = registry
-                .get("trios")
-                .unwrap()
-                .route(
-                    &toffoli_level,
-                    &topo,
-                    layout.clone(),
-                    &opts,
-                    &mut RoutingTrace::new(),
-                )
-                .unwrap();
-            assert_eq!(via_registry, golden, "trios diverged on {b} seed {seed}");
+                // SWAPs: the context's count and the swap gates routing
+                // added to the circuit.
+                assert_eq!(trace.swaps, cx.swap_count, "{at}");
+                assert_eq!(trace.swaps, cx.circuit.counts().swap - input.swap, "{at}");
 
-            let golden = route_baseline(&decomposed, &topo, layout.clone(), &opts).unwrap();
-            let via_registry = registry
-                .get("baseline")
-                .unwrap()
-                .route(&decomposed, &topo, layout, &opts, &mut RoutingTrace::new())
-                .unwrap();
-            assert_eq!(via_registry, golden, "baseline diverged on {b} seed {seed}");
+                // Trio events: one per three-qubit gate routed, plus the
+                // inner Toffoli of each cswap.
+                let SwapTrace(events) = cx.artifacts.get::<SwapTrace>().unwrap();
+                assert_eq!(events, &trace.trio_events, "{at}");
+                assert_eq!(
+                    trace.trio_events.len(),
+                    input.three_qubit + input.cswap,
+                    "{at}"
+                );
+            }
         }
     }
 }
