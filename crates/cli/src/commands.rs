@@ -1563,7 +1563,7 @@ mod tests {
             "2",
         ]))
         .unwrap();
-        assert!(out.contains("VERIFIED"));
+        assert!(out.contains("VERIFIED (dense backend"), "{out}");
     }
 
     #[test]

@@ -549,20 +549,20 @@ impl CompilerBuilder {
 mod tests {
     use super::*;
     use trios_route::{check_legal, ToffoliPolicy};
-    use trios_sim::compiled_equivalent;
+    use trios_sim::{DenseSimulator, Simulator};
     use trios_topology::{johannesburg, line, PaperDevice};
 
     fn verify(original: &Circuit, compiled: &CompiledProgram) -> bool {
-        compiled_equivalent(
-            original,
-            &compiled.circuit,
-            &compiled.initial_layout.to_mapping(),
-            &compiled.final_layout.to_mapping(),
-            2,
-            11,
-            1e-8,
-        )
-        .unwrap()
+        DenseSimulator::new(1e-8)
+            .compiled_equivalent(
+                original,
+                &compiled.circuit,
+                &compiled.initial_layout.to_mapping(),
+                &compiled.final_layout.to_mapping(),
+                2,
+                11,
+            )
+            .unwrap()
     }
 
     #[test]

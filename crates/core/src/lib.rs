@@ -54,8 +54,9 @@
 //!
 //! [`PaperConfig`] names the exact compiler configurations evaluated in
 //! the paper's figures. Every compiled program carries its initial/final
-//! layouts so `trios_sim::compiled_equivalent` can verify semantics, and
-//! [`CompiledProgram::estimate_success`] applies the §2.6 noise model.
+//! layouts so `trios_sim::Simulator::compiled_equivalent` can verify
+//! semantics, and [`CompiledProgram::estimate_success`] applies the §2.6
+//! noise model.
 //!
 //! # Evaluation sweeps
 //!

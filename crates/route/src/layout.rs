@@ -11,7 +11,7 @@ use std::fmt;
 /// [`swap_physical`](Layout::swap_physical) every time a SWAP gate is
 /// inserted; the pair of layouts (initial, final) is exactly what the
 /// simulator needs to verify a routed circuit (see
-/// `trios_sim::compiled_equivalent`).
+/// `trios_sim::Simulator::compiled_equivalent`).
 ///
 /// # Examples
 ///
@@ -200,7 +200,7 @@ impl Layout {
     }
 
     /// The logical→physical assignment as a vector (`result[l] = p`), the
-    /// format `trios_sim::compiled_equivalent` consumes.
+    /// format `trios_sim::Simulator::compiled_equivalent` consumes.
     pub fn to_mapping(&self) -> Vec<usize> {
         self.log_to_phys.iter().map(|&p| p as usize).collect()
     }

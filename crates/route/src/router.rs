@@ -91,23 +91,23 @@ mod tests {
         RouteError, RouterOptions, RoutingStrategy,
     };
     use trios_passes::{lower_swaps, DecomposerHandle, SixCnotDecomposition};
-    use trios_sim::compiled_equivalent;
+    use trios_sim::{DenseSimulator, Simulator};
     use trios_topology::{grid, johannesburg, line};
 
     const EPS: f64 = 1e-9;
 
     fn verify(original: &Circuit, routed: &RoutedCircuit) -> bool {
         let lowered = lower_swaps(&routed.circuit);
-        compiled_equivalent(
-            original,
-            &lowered,
-            &routed.initial_layout.to_mapping(),
-            &routed.final_layout.to_mapping(),
-            3,
-            7,
-            EPS,
-        )
-        .unwrap()
+        DenseSimulator::new(EPS)
+            .compiled_equivalent(
+                original,
+                &lowered,
+                &routed.initial_layout.to_mapping(),
+                &routed.final_layout.to_mapping(),
+                3,
+                7,
+            )
+            .unwrap()
     }
 
     #[test]

@@ -389,21 +389,21 @@ impl fmt::Debug for StrategyRegistry {
 mod tests {
     use super::*;
     use trios_passes::lower_swaps;
-    use trios_sim::compiled_equivalent;
+    use trios_sim::{DenseSimulator, Simulator};
     use trios_topology::{grid, johannesburg, line};
 
     fn verify(original: &Circuit, routed: &RoutedCircuit) -> bool {
         let lowered = lower_swaps(&routed.circuit);
-        compiled_equivalent(
-            original,
-            &lowered,
-            &routed.initial_layout.to_mapping(),
-            &routed.final_layout.to_mapping(),
-            3,
-            7,
-            1e-9,
-        )
-        .unwrap()
+        DenseSimulator::new(1e-9)
+            .compiled_equivalent(
+                original,
+                &lowered,
+                &routed.initial_layout.to_mapping(),
+                &routed.final_layout.to_mapping(),
+                3,
+                7,
+            )
+            .unwrap()
     }
 
     fn toffoli_program() -> Circuit {

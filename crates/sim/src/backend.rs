@@ -23,18 +23,14 @@ use crate::equivalence::check_layout;
 use crate::sparse::SparseSimulator;
 use crate::state::SplitMix64;
 use crate::tableau::first_non_clifford;
-use crate::{SimError, Tableau, MAX_QUBITS};
+use crate::{SimError, State, Tableau, C64, MAX_QUBITS};
 use trios_ir::Circuit;
 
-/// What a backend can simulate, for selection and reporting.
+/// How a backend identifies itself in reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Capability {
     /// Backend name used in reports and error messages.
     pub name: &'static str,
-    /// Hard width limit, or `None` when width is memory-bound only.
-    pub max_qubits: Option<usize>,
-    /// Human description of the supported gate set.
-    pub gate_set: &'static str,
 }
 
 /// Which simulation backend to use for equivalence checking.
@@ -82,8 +78,16 @@ impl std::fmt::Display for Backend {
 
 /// A verification backend: reports its capability and checks compiled
 /// circuits against originals.
+///
+/// Both checks are sampled: each trial prepares a seeded random input,
+/// runs it through both sides and compares the outputs up to one global
+/// phase. Trial `t` uses seed `seed + t`, and every backend runs at least
+/// one trial, so `trials = 0` still checks one input: a checker never
+/// passes a pair it did not run. The exact all-basis-state comparison is
+/// the free function [`circuits_equivalent`](crate::circuits_equivalent),
+/// which only the dense engine can compute.
 pub trait Simulator {
-    /// Width and gate-set limits of this backend.
+    /// The name this backend reports under.
     fn capability(&self) -> Capability;
 
     /// `Ok` if this backend can simulate `circuit` (width and gate set).
@@ -94,29 +98,21 @@ pub trait Simulator {
     /// explaining the first obstacle.
     fn supports_circuit(&self, circuit: &Circuit) -> Result<(), SimError>;
 
-    /// Probabilistic unitary-equivalence check on `trials` random inputs
-    /// (global phase ignored).
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::WidthMismatch`] if widths differ, plus anything
-    /// [`Simulator::supports_circuit`] reports.
-    fn circuits_equivalent(
-        &self,
-        a: &Circuit,
-        b: &Circuit,
-        trials: usize,
-        seed: u64,
-    ) -> Result<bool, SimError>;
-
     /// Verifies a routed physical-register circuit against the original
     /// logical circuit through its initial/final layouts, on `trials`
     /// random logical inputs.
     ///
+    /// `initial_layout[l]` is the physical home of logical qubit `l`
+    /// before the compiled circuit runs, and `final_layout[l]` its home
+    /// afterwards (routing SWAPs move data). Unused physical qubits start
+    /// in `|0⟩` on both sides.
+    ///
     /// # Errors
     ///
-    /// [`SimError::WidthMismatch`] for bad layouts, plus anything
-    /// [`Simulator::supports_circuit`] reports.
+    /// [`SimError::WidthMismatch`] if a layout's length differs from the
+    /// logical width or maps outside the physical register,
+    /// [`SimError::DuplicateLayoutEntry`] if a layout names one physical
+    /// qubit twice, plus anything [`Simulator::supports_circuit`] reports.
     fn compiled_equivalent(
         &self,
         original: &Circuit,
@@ -126,6 +122,37 @@ pub trait Simulator {
         trials: usize,
         seed: u64,
     ) -> Result<bool, SimError>;
+
+    /// Sampled unitary-equivalence check of two same-width circuits on
+    /// `trials` random inputs (global phase ignored): by default
+    /// [`Simulator::compiled_equivalent`] through identity layouts.
+    ///
+    /// [`SparseSimulator`] overrides it to compact a pair wider than
+    /// [`SPARSE_MAX_QUBITS`] onto the qubits either circuit touches,
+    /// which an identity layout of that width cannot reach.
+    ///
+    /// [`SPARSE_MAX_QUBITS`]: crate::SPARSE_MAX_QUBITS
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::WidthMismatch`] if widths differ, plus anything
+    /// [`Simulator::compiled_equivalent`] reports.
+    fn circuits_equivalent(
+        &self,
+        a: &Circuit,
+        b: &Circuit,
+        trials: usize,
+        seed: u64,
+    ) -> Result<bool, SimError> {
+        if a.num_qubits() != b.num_qubits() {
+            return Err(SimError::WidthMismatch {
+                expected: a.num_qubits(),
+                actual: b.num_qubits(),
+            });
+        }
+        let identity: Vec<usize> = (0..a.num_qubits()).collect();
+        self.compiled_equivalent(a, b, &identity, &identity, trials, seed)
+    }
 }
 
 /// Dense statevector backend (any unitary gate, ≤ [`MAX_QUBITS`]).
@@ -150,11 +177,7 @@ impl DenseSimulator {
 
 impl Simulator for DenseSimulator {
     fn capability(&self) -> Capability {
-        Capability {
-            name: "dense",
-            max_qubits: Some(MAX_QUBITS),
-            gate_set: "any unitary gate",
-        }
+        Capability { name: "dense" }
     }
 
     fn supports_circuit(&self, circuit: &Circuit) -> Result<(), SimError> {
@@ -167,16 +190,6 @@ impl Simulator for DenseSimulator {
         Ok(())
     }
 
-    fn circuits_equivalent(
-        &self,
-        a: &Circuit,
-        b: &Circuit,
-        trials: usize,
-        seed: u64,
-    ) -> Result<bool, SimError> {
-        crate::circuits_equivalent_sampled(a, b, trials, seed, self.eps)
-    }
-
     fn compiled_equivalent(
         &self,
         original: &Circuit,
@@ -186,16 +199,60 @@ impl Simulator for DenseSimulator {
         trials: usize,
         seed: u64,
     ) -> Result<bool, SimError> {
-        crate::compiled_equivalent(
-            original,
-            compiled,
-            initial_layout,
-            final_layout,
-            trials,
-            seed,
-            self.eps,
-        )
+        let n_log = original.num_qubits();
+        let n_phys = compiled.num_qubits();
+        for layout in [initial_layout, final_layout] {
+            check_layout(layout, n_log, n_phys)?;
+        }
+
+        for t in 0..trials.max(1) {
+            let logical_in = State::random(n_log, seed.wrapping_add(t as u64))?;
+
+            // Embed through the initial layout and run the compiled circuit.
+            let mut phys = embed(&logical_in, n_phys, initial_layout)?;
+            phys.apply_circuit_fused(compiled)?;
+
+            // Reference: run the original, embed through the final layout.
+            let mut logical_out = logical_in;
+            logical_out.apply_circuit_fused(original)?;
+            let expected = embed(&logical_out, n_phys, final_layout)?;
+
+            if !phys.approx_eq_up_to_phase(&expected, self.eps) {
+                return Ok(false);
+            }
+        }
+        Ok(true)
     }
+}
+
+/// Places a logical state into a wider physical register according to
+/// `layout` (logical qubit `l` → physical qubit `layout[l]`); every other
+/// physical qubit is `|0⟩`.
+///
+/// # Errors
+///
+/// Returns [`SimError::TooManyQubits`] if the physical register is too wide
+/// to simulate.
+fn embed(logical: &State, n_phys: usize, layout: &[usize]) -> Result<State, SimError> {
+    let n_log = logical.num_qubits();
+    debug_assert_eq!(layout.len(), n_log);
+    if n_phys > MAX_QUBITS {
+        return Err(SimError::TooManyQubits {
+            requested: n_phys,
+            max: MAX_QUBITS,
+        });
+    }
+    let mut amps = vec![C64::ZERO; 1 << n_phys];
+    for k in 0..(1usize << n_log) {
+        let mut p = 0usize;
+        for (l, &home) in layout.iter().enumerate() {
+            if (k >> l) & 1 == 1 {
+                p |= 1 << home;
+            }
+        }
+        amps[p] = logical.amplitudes()[k];
+    }
+    State::from_amplitudes(amps)
 }
 
 /// Stabilizer tableau backend (Clifford gates, hundreds of qubits).
@@ -250,11 +307,7 @@ fn random_clifford_prep(n: usize, seed: u64) -> Circuit {
 
 impl Simulator for StabilizerSimulator {
     fn capability(&self) -> Capability {
-        Capability {
-            name: "stabilizer",
-            max_qubits: None,
-            gate_set: "Clifford gates (H, S, Paulis, CX, CZ, SWAP, and any 1q Clifford unitary)",
-        }
+        Capability { name: "stabilizer" }
     }
 
     fn supports_circuit(&self, circuit: &Circuit) -> Result<(), SimError> {
@@ -265,23 +318,6 @@ impl Simulator for StabilizerSimulator {
                 backend: "stabilizer",
             }),
         }
-    }
-
-    fn circuits_equivalent(
-        &self,
-        a: &Circuit,
-        b: &Circuit,
-        trials: usize,
-        seed: u64,
-    ) -> Result<bool, SimError> {
-        if a.num_qubits() != b.num_qubits() {
-            return Err(SimError::WidthMismatch {
-                expected: a.num_qubits(),
-                actual: b.num_qubits(),
-            });
-        }
-        let identity: Vec<usize> = (0..a.num_qubits()).collect();
-        self.compiled_equivalent(a, b, &identity, &identity, trials, seed)
     }
 
     fn compiled_equivalent(
@@ -370,16 +406,6 @@ mod tests {
     }
 
     #[test]
-    fn capabilities_describe_backends() {
-        assert_eq!(DenseSimulator::default().capability().name, "dense");
-        assert_eq!(
-            DenseSimulator::default().capability().max_qubits,
-            Some(MAX_QUBITS)
-        );
-        assert_eq!(StabilizerSimulator::new().capability().max_qubits, None);
-    }
-
-    #[test]
     fn support_checks_report_the_obstacle() {
         let mut t_circ = Circuit::new(2);
         t_circ.h(0).t(0).cx(0, 1);
@@ -396,47 +422,77 @@ mod tests {
         assert!(StabilizerSimulator::new().supports_circuit(&wide).is_ok());
     }
 
+    /// One of each backend, for tests that must get one answer from all.
+    fn every_backend() -> [Box<dyn Simulator>; 3] {
+        [
+            Box::new(DenseSimulator::default()),
+            Box::new(StabilizerSimulator::new()),
+            Box::new(SparseSimulator::default()),
+        ]
+    }
+
     #[test]
-    fn both_backends_agree_on_a_clifford_pair() {
-        // CZ = H(t)·CX·H(t): equivalent; CZ vs CX: not.
+    fn every_backend_gives_the_same_verdicts() {
+        // CZ = H(t)·CX·H(t); CZ differs from CX, and from the identity
+        // only in a relative phase, which a basis-state input cannot see.
         let mut cz = Circuit::new(2);
         cz.cz(0, 1);
         let mut hch = Circuit::new(2);
         hch.h(1).cx(0, 1).h(1);
         let mut cx = Circuit::new(2);
         cx.cx(0, 1);
-        for sim in [
-            Box::new(DenseSimulator::default()) as Box<dyn Simulator>,
-            Box::new(StabilizerSimulator::new()),
-        ] {
+        let mut x = Circuit::new(2);
+        x.x(1);
+        let nothing = Circuit::new(2);
+        // CX(0,1) routed on three physical qubits: a SWAP moves logical 1
+        // from phys 2 to phys 1 before the CX.
+        let mut routed = Circuit::new(3);
+        routed.swap(2, 1).cx(0, 1);
+        for sim in every_backend() {
             let name = sim.capability().name;
-            assert!(
-                sim.circuits_equivalent(&cz, &hch, 4, 11).unwrap(),
-                "{name} rejected an equivalent pair"
-            );
-            assert!(
-                !sim.circuits_equivalent(&cz, &cx, 4, 11).unwrap(),
-                "{name} accepted an inequivalent pair"
-            );
+            let rows = [
+                (
+                    "CZ = H·CX·H",
+                    sim.circuits_equivalent(&cz, &hch, 4, 11),
+                    true,
+                ),
+                ("CZ vs CX", sim.circuits_equivalent(&cz, &cx, 4, 11), false),
+                (
+                    "CZ vs I",
+                    sim.circuits_equivalent(&cz, &nothing, 4, 11),
+                    false,
+                ),
+                (
+                    "routing SWAP, moved final layout",
+                    sim.compiled_equivalent(&cx, &routed, &[0, 2], &[0, 1], 4, 5),
+                    true,
+                ),
+                (
+                    "routing SWAP, unmoved final layout",
+                    sim.compiled_equivalent(&cx, &routed, &[0, 2], &[0, 2], 4, 5),
+                    false,
+                ),
+                // Zero trials still runs one: CX vs X must not pass unrun.
+                (
+                    "CX vs X, zero trials",
+                    sim.circuits_equivalent(&cx, &x, 0, 5),
+                    false,
+                ),
+            ];
+            for (row, got, want) in rows {
+                assert_eq!(got, Ok(want), "{name} backend, {row}");
+            }
         }
     }
 
     #[test]
-    fn stabilizer_compiled_equivalence_handles_routing_swaps() {
-        // Same scenario the dense tests pin: CX(0,1) compiled with a SWAP
-        // that moves logical 1 from phys 2 to phys 1.
-        let mut original = Circuit::new(2);
-        original.cx(0, 1);
-        let mut compiled = Circuit::new(3);
-        compiled.swap(2, 1).cx(0, 1);
-        let sim = StabilizerSimulator::new();
-        assert!(sim
-            .compiled_equivalent(&original, &compiled, &[0, 2], &[0, 1], 4, 5)
-            .unwrap());
-        // Claiming data did not move must fail.
-        assert!(!sim
-            .compiled_equivalent(&original, &compiled, &[0, 2], &[0, 2], 4, 5)
-            .unwrap());
+    fn embed_places_qubits() {
+        let mut c = Circuit::new(2);
+        c.x(0); // logical |01⟩ → amplitude at logical index 1
+        let logical = State::run(&c).unwrap();
+        let phys = embed(&logical, 4, &[2, 0]).unwrap();
+        // Logical qubit 0 (set) lives at physical 2.
+        assert!((phys.probability(0b0100) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -489,8 +545,9 @@ mod tests {
 
     #[test]
     fn degenerate_layouts_and_empty_pairs_get_typed_answers_from_every_backend() {
-        // CX(0,1) on three physical qubits; a layout naming one physical
-        // qubit twice is an error, a zero-qubit program is trivially
+        // CX(0,1) on three physical qubits; a layout of the wrong length,
+        // one reaching off the register and one naming a physical qubit
+        // twice are errors, a zero-qubit program is trivially
         // implemented by an empty physical circuit, and a compiled
         // `cx q1, q1` (which `map_qubits` can build) is an error.
         let mut original = Circuit::new(2);
@@ -500,15 +557,27 @@ mod tests {
         let mut doubled = Circuit::new(3);
         doubled.push(compiled.instructions()[0].map_qubits(|_| trios_ir::Qubit::new(1)));
         let (empty, empty_compiled) = (Circuit::new(0), Circuit::new(3));
-        for sim in [
-            Box::new(DenseSimulator::default()) as Box<dyn Simulator>,
-            Box::new(StabilizerSimulator::new()),
-            Box::new(SparseSimulator::default()),
-        ] {
+        for sim in every_backend() {
             let name = sim.capability().name;
             let run = |original, compiled, initial: &[usize], fin: &[usize]| {
                 sim.compiled_equivalent(original, compiled, initial, fin, 2, 7)
             };
+            assert_eq!(
+                run(&original, &compiled, &[0], &[0, 1]),
+                Err(SimError::WidthMismatch {
+                    expected: 2,
+                    actual: 1
+                }),
+                "{name} backend, short initial layout"
+            );
+            assert_eq!(
+                run(&original, &compiled, &[0, 9], &[0, 1]),
+                Err(SimError::WidthMismatch {
+                    expected: 3,
+                    actual: 10
+                }),
+                "{name} backend, initial layout off the register"
+            );
             assert_eq!(
                 run(&original, &compiled, &[1, 1], &[0, 1]),
                 Err(SimError::DuplicateLayoutEntry { qubit: 1 }),

@@ -631,11 +631,7 @@ impl SparseSimulator {
 
 impl Simulator for SparseSimulator {
     fn capability(&self) -> Capability {
-        Capability {
-            name: "sparse",
-            max_qubits: None,
-            gate_set: "any unitary gate, while nonzero amplitudes stay under the term budget",
-        }
+        Capability { name: "sparse" }
     }
 
     fn supports_circuit(&self, circuit: &Circuit) -> Result<(), SimError> {
@@ -655,6 +651,9 @@ impl Simulator for SparseSimulator {
         }
     }
 
+    /// Overrides the provided method so that a pair wider than
+    /// [`SPARSE_MAX_QUBITS`] compacts onto the qubits either circuit
+    /// touches; identity layouts of that width would be refused.
     fn circuits_equivalent(
         &self,
         a: &Circuit,
@@ -1004,24 +1003,6 @@ mod tests {
     }
 
     #[test]
-    fn equivalence_agrees_with_dense_verdicts() {
-        let sim = SparseSimulator::default();
-        // CZ = H(t)·CX·H(t): equivalent; CZ vs CX: not; CZ vs I: not —
-        // the last needs superposed trial inputs, a basis state cannot
-        // tell them apart.
-        let mut cz = Circuit::new(2);
-        cz.cz(0, 1);
-        let mut hch = Circuit::new(2);
-        hch.h(1).cx(0, 1).h(1);
-        let mut cx = Circuit::new(2);
-        cx.cx(0, 1);
-        let nothing = Circuit::new(2);
-        assert!(sim.circuits_equivalent(&cz, &hch, 4, 11).unwrap());
-        assert!(!sim.circuits_equivalent(&cz, &cx, 4, 11).unwrap());
-        assert!(!sim.circuits_equivalent(&cz, &nothing, 4, 11).unwrap());
-    }
-
-    #[test]
     fn detects_a_phase_only_difference_at_width_60() {
         // Identical permutation action, one stray T: only relative phase
         // distinguishes them, far beyond dense reach.
@@ -1039,20 +1020,34 @@ mod tests {
     }
 
     #[test]
-    fn compiled_equivalence_handles_routing_swaps() {
-        // Same scenario the dense and stabilizer tests pin: CX(0,1)
-        // compiled with a SWAP moving logical 1 from phys 2 to phys 1.
-        let mut original = Circuit::new(2);
-        original.cx(0, 1);
-        let mut compiled = Circuit::new(3);
-        compiled.swap(2, 1).cx(0, 1);
+    fn pairs_past_the_sparse_cap_compact_onto_touched_qubits() {
+        // Two 300-qubit circuits touching 21 qubits: identity layouts of
+        // that width are refused, so only the compacting override of
+        // `circuits_equivalent` can answer.
+        let n = 300;
+        let touched: Vec<usize> = (0..21).map(|k| 14 * k).collect();
+        let mut a = Circuit::new(n);
+        a.h(touched[0]).h(touched[7]);
+        for w in touched.windows(3) {
+            a.ccx(w[0], w[1], w[2]);
+        }
+        for w in touched.windows(2) {
+            a.cx(w[0], w[1]);
+        }
+        let mut b = a.clone();
+        b.t(touched[10]);
         let sim = SparseSimulator::default();
-        assert!(sim
-            .compiled_equivalent(&original, &compiled, &[0, 2], &[0, 1], 4, 5)
-            .unwrap());
-        assert!(!sim
-            .compiled_equivalent(&original, &compiled, &[0, 2], &[0, 2], 4, 5)
-            .unwrap());
+        assert!(n > SPARSE_MAX_QUBITS);
+        assert_eq!(sim.circuits_equivalent(&a, &a, 2, 9), Ok(true));
+        assert_eq!(sim.circuits_equivalent(&a, &b, 4, 9), Ok(false));
+        let identity: Vec<usize> = (0..n).collect();
+        assert_eq!(
+            sim.compiled_equivalent(&a, &a, &identity, &identity, 2, 9),
+            Err(SimError::TooManyQubits {
+                requested: n,
+                max: SPARSE_MAX_QUBITS
+            })
+        );
     }
 
     #[test]

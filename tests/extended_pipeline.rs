@@ -7,7 +7,7 @@ use orchestrated_trios::benchmarks::ExtendedBenchmark;
 use orchestrated_trios::core::{CompileOptions, Compiler, PaperConfig};
 use orchestrated_trios::passes::OptimizeOptions;
 use orchestrated_trios::route::{check_legal, LookaheadConfig, ToffoliPolicy};
-use orchestrated_trios::sim::compiled_equivalent;
+use orchestrated_trios::sim::{DenseSimulator, Simulator};
 use orchestrated_trios::topology::{heavy_hex_falcon27, PaperDevice, Topology};
 
 fn all_devices() -> Vec<Topology> {
@@ -57,16 +57,16 @@ fn small_extended_benchmarks_are_semantically_preserved() {
                     .build()
                     .compile(&circuit, &topo)
                     .unwrap();
-                let ok = compiled_equivalent(
-                    &circuit,
-                    &compiled.circuit,
-                    &compiled.initial_layout.to_mapping(),
-                    &compiled.final_layout.to_mapping(),
-                    1,
-                    42,
-                    1e-7,
-                )
-                .unwrap();
+                let ok = DenseSimulator::new(1e-7)
+                    .compiled_equivalent(
+                        &circuit,
+                        &compiled.circuit,
+                        &compiled.initial_layout.to_mapping(),
+                        &compiled.final_layout.to_mapping(),
+                        1,
+                        42,
+                    )
+                    .unwrap();
                 assert!(ok, "{b} on {} ({config:?}): semantics broken", topo.name());
             }
         }
@@ -147,16 +147,16 @@ fn lookahead_and_full_optimization_compose_with_trios() {
         .compile(&circuit, &topo)
         .unwrap();
     check_legal(&compiled.circuit, &topo, ToffoliPolicy::Forbid).unwrap();
-    let ok = compiled_equivalent(
-        &circuit,
-        &compiled.circuit,
-        &compiled.initial_layout.to_mapping(),
-        &compiled.final_layout.to_mapping(),
-        1,
-        9,
-        1e-7,
-    )
-    .unwrap();
+    let ok = DenseSimulator::new(1e-7)
+        .compiled_equivalent(
+            &circuit,
+            &compiled.circuit,
+            &compiled.initial_layout.to_mapping(),
+            &compiled.final_layout.to_mapping(),
+            1,
+            9,
+        )
+        .unwrap();
     assert!(ok);
 }
 

@@ -11,7 +11,7 @@ use orchestrated_trios::route::{
     Layout, OrchestratedTrios, RouteError, RoutedCircuit, RouterOptions, RoutingStrategy,
     StrategyRegistry,
 };
-use orchestrated_trios::sim::compiled_equivalent;
+use orchestrated_trios::sim::{DenseSimulator, Simulator};
 use orchestrated_trios::topology::{johannesburg, line, Topology};
 
 #[test]
@@ -212,16 +212,16 @@ fn injected_bad_strategy_yields_a_minimized_reproducer() {
         .strategies(registry.clone())
         .build();
     let compiled = compiler.compile(&minimal, &line(8)).unwrap();
-    let equivalent = compiled_equivalent(
-        &minimal,
-        &compiled.circuit,
-        &compiled.initial_layout.to_mapping(),
-        &compiled.final_layout.to_mapping(),
-        2,
-        spec.seed,
-        1e-7,
-    )
-    .unwrap();
+    let equivalent = DenseSimulator::new(1e-7)
+        .compiled_equivalent(
+            &minimal,
+            &compiled.circuit,
+            &compiled.initial_layout.to_mapping(),
+            &compiled.final_layout.to_mapping(),
+            2,
+            spec.seed,
+        )
+        .unwrap();
     assert!(!equivalent, "the minimized reproducer must still fail");
 
     // The report text carries the reproducer for copy-paste.

@@ -6,7 +6,7 @@
 use orchestrated_trios::benchmarks::Benchmark;
 use orchestrated_trios::core::{Compiler, PaperConfig};
 use orchestrated_trios::route::{check_legal, ToffoliPolicy};
-use orchestrated_trios::sim::compiled_equivalent;
+use orchestrated_trios::sim::{DenseSimulator, Simulator};
 use orchestrated_trios::topology::PaperDevice;
 
 /// The baseline and full-Trios paper configurations: one per pipeline of
@@ -63,16 +63,16 @@ fn small_benchmarks_are_semantically_preserved() {
             let topo = device.build();
             for config in configs() {
                 let compiled = compiler(config, 13).compile(&circuit, &topo).unwrap();
-                let ok = compiled_equivalent(
-                    &circuit,
-                    &compiled.circuit,
-                    &compiled.initial_layout.to_mapping(),
-                    &compiled.final_layout.to_mapping(),
-                    1,
-                    999,
-                    1e-7,
-                )
-                .unwrap();
+                let ok = DenseSimulator::new(1e-7)
+                    .compiled_equivalent(
+                        &circuit,
+                        &compiled.circuit,
+                        &compiled.initial_layout.to_mapping(),
+                        &compiled.final_layout.to_mapping(),
+                        1,
+                        999,
+                    )
+                    .unwrap();
                 assert!(ok, "{b} on {device:?} ({config:?}): semantics broken");
             }
         }

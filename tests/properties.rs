@@ -14,7 +14,7 @@ use trios_core::{
 use trios_ir::{Circuit, Gate, Instruction, Qubit};
 use trios_route::{check_legal, Layout, LookaheadConfig, ToffoliPolicy};
 use trios_schedule::{asap_total_us, schedule_asap, GateDurations};
-use trios_sim::compiled_equivalent;
+use trios_sim::{DenseSimulator, Simulator};
 use trios_topology::{clusters, grid, johannesburg, line, ring, Topology};
 
 /// A random gate on up to `n` qubits, biased toward the gates the paper's
@@ -110,14 +110,13 @@ proptest! {
         prop_assert_eq!(fin.len(), 6);
 
         // Semantics: the physical circuit implements the logical program.
-        let ok = compiled_equivalent(
+        let ok = DenseSimulator::new(1e-7).compiled_equivalent(
             &circuit,
             &compiled.circuit,
             &init,
             &fin,
             1,
             seed,
-            1e-7,
         ).unwrap();
         prop_assert!(ok, "semantics broken");
     }
@@ -147,14 +146,13 @@ proptest! {
         };
         let compiled = Compiler::new(options).compile(&circuit, &topo).unwrap();
         prop_assert!(check_legal(&compiled.circuit, &topo, ToffoliPolicy::Forbid).is_ok());
-        let ok = compiled_equivalent(
+        let ok = DenseSimulator::new(1e-7).compiled_equivalent(
             &circuit,
             &compiled.circuit,
             &compiled.initial_layout.to_mapping(),
             &compiled.final_layout.to_mapping(),
             1,
             5,
-            1e-7,
         ).unwrap();
         prop_assert!(ok, "strategy {:?} broke semantics", strategy);
     }

@@ -6,7 +6,7 @@
 use orchestrated_trios::core::{Compiler, DecomposerRegistry, PaperConfig};
 use orchestrated_trios::qasm::{emit, parse};
 use orchestrated_trios::route::verify_legal;
-use orchestrated_trios::sim::compiled_equivalent;
+use orchestrated_trios::sim::{DenseSimulator, Simulator};
 use orchestrated_trios::topology::{grid, johannesburg};
 
 const PROGRAM: &str = "OPENQASM 2.0;
@@ -46,16 +46,16 @@ fn parsed_programs_compile_and_round_trip_on_both_pipelines() {
 
             // And the re-parsed circuit still implements the original
             // program through the compiler's layouts.
-            let ok = compiled_equivalent(
-                &program,
-                &reparsed,
-                &compiled.initial_layout.to_mapping(),
-                &compiled.final_layout.to_mapping(),
-                2,
-                17,
-                1e-7,
-            )
-            .unwrap();
+            let ok = DenseSimulator::new(1e-7)
+                .compiled_equivalent(
+                    &program,
+                    &reparsed,
+                    &compiled.initial_layout.to_mapping(),
+                    &compiled.final_layout.to_mapping(),
+                    2,
+                    17,
+                )
+                .unwrap();
             assert!(ok, "{config:?} on {}: semantics broken", topo.name());
         }
     }
@@ -94,16 +94,16 @@ fn every_executable_lowering_emits_legal_round_trippable_qasm() {
             "{name}: QASM round trip changed the instruction stream"
         );
 
-        let ok = compiled_equivalent(
-            &program,
-            &reparsed,
-            &compiled.initial_layout.to_mapping(),
-            &compiled.final_layout.to_mapping(),
-            2,
-            23,
-            1e-7,
-        )
-        .unwrap();
+        let ok = DenseSimulator::new(1e-7)
+            .compiled_equivalent(
+                &program,
+                &reparsed,
+                &compiled.initial_layout.to_mapping(),
+                &compiled.final_layout.to_mapping(),
+                2,
+                23,
+            )
+            .unwrap();
         assert!(ok, "{name}: semantics broken after round trip");
     }
 }

@@ -1,6 +1,6 @@
 //! Simulator-backed correctness: compiled output must implement the
 //! original program, verified by statevector replay through the
-//! initial/final layouts (`trios_sim::compiled_equivalent`).
+//! initial/final layouts (`DenseSimulator`'s `Simulator::compiled_equivalent`).
 //!
 //! Most tests keep the physical register small (device width = circuit
 //! width); two widen to the paper's 20-qubit Johannesburg device and the
@@ -10,7 +10,7 @@
 use orchestrated_trios::benchmarks::{self, Benchmark, ExtendedBenchmark};
 use orchestrated_trios::core::{Compiler, PaperConfig};
 use orchestrated_trios::ir::Circuit;
-use orchestrated_trios::sim::compiled_equivalent;
+use orchestrated_trios::sim::{DenseSimulator, Simulator};
 use orchestrated_trios::topology::{grid, johannesburg, line, ring, Topology};
 
 const EPS: f64 = 1e-7;
@@ -22,16 +22,16 @@ fn assert_equivalent(circuit: &Circuit, device: &Topology, config: PaperConfig, 
     let compiled = compiler
         .compile(circuit, device)
         .unwrap_or_else(|e| panic!("{} failed to compile on {device}: {e}", circuit.name()));
-    let ok = compiled_equivalent(
-        circuit,
-        &compiled.circuit,
-        &compiled.initial_layout.to_mapping(),
-        &compiled.final_layout.to_mapping(),
-        trials,
-        13,
-        EPS,
-    )
-    .unwrap_or_else(|e| panic!("simulating {} on {device}: {e}", circuit.name()));
+    let ok = DenseSimulator::new(EPS)
+        .compiled_equivalent(
+            circuit,
+            &compiled.circuit,
+            &compiled.initial_layout.to_mapping(),
+            &compiled.final_layout.to_mapping(),
+            trials,
+            13,
+        )
+        .unwrap_or_else(|e| panic!("simulating {} on {device}: {e}", circuit.name()));
     assert!(
         ok,
         "{} compiled on {device} ({config:?}) does not implement the program",
