@@ -135,8 +135,8 @@ struct StabPoint {
     wall_ms: f64,
 }
 
-/// GHZ build plus a canonical-form equality check — the exact operations
-/// the stabilizer fuzz backend performs per trial.
+/// GHZ build plus a canonical-form equality check — the operations the
+/// stabilizer backend's equivalence check performs, once per side.
 fn run_stabilizer(n: usize) -> StabPoint {
     let mut c = Circuit::new(n);
     c.h(0);

@@ -182,33 +182,36 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                     trios_sim::SPARSE_MAX_QUBITS
                 ))
             })?;
-            let backend = sim.capability().name;
+            let capability = sim.capability();
+            let backend = capability.name;
+            let trials = 2;
             let ok = sim
                 .compiled_equivalent(
                     &circuit,
                     &compiled.circuit,
                     &compiled.initial_layout.to_mapping(),
                     &compiled.final_layout.to_mapping(),
-                    2,
+                    trials,
                     options.compile.options.seed.wrapping_add(1),
                 )
                 .map_err(|e| {
                     CliError::Usage(format!("{backend} verification failed to run: {e}"))
                 })?;
+            let label = if capability.exact {
+                format!("{backend} backend, exact")
+            } else {
+                format!("{backend} backend, {trials} sampled inputs")
+            };
+            if !ok {
+                return Err(CliError::Usage(format!(
+                    "semantics FAILED ({label}): the compiled circuit does not implement the \
+                     program — please report this as a compiler bug"
+                )));
+            }
             let _ = writeln!(
                 out,
-                "\nsemantics:       {}",
-                if ok {
-                    format!("VERIFIED ({backend} backend: replay through initial/final layouts)")
-                } else {
-                    format!("FAILED ({backend} backend) — compiled circuit does not implement the program")
-                }
+                "\nsemantics:       VERIFIED ({label}: replay through initial/final layouts)"
             );
-            if !ok {
-                return Err(CliError::Usage(
-                    "verification failed — please report this as a compiler bug".into(),
-                ));
-            }
             Ok(out)
         }
         Command::Estimate(options) => {
@@ -1563,20 +1566,28 @@ mod tests {
             "2",
         ]))
         .unwrap();
-        assert!(out.contains("VERIFIED (dense backend"), "{out}");
+        assert!(
+            out.contains("VERIFIED (dense backend, 2 sampled inputs: "),
+            "{out}"
+        );
     }
 
     #[test]
     fn verify_checks_at_full_device_width() {
-        // Past the dense cap: a Clifford program goes to the stabilizer, a
-        // Toffoli network on a kiloqubit device to the sparse backend.
-        for (input, device, backend) in [
-            ("bv-20", "full:25", "stabilizer"),
-            ("gen:toffoli-ripple:7", "heavy-hex:1121", "sparse"),
+        // Past the dense cap: a Clifford program goes to the stabilizer,
+        // whose verdict is exact, a Toffoli network on a kiloqubit device
+        // to the sparse backend, which samples inputs.
+        for (input, device, label) in [
+            ("bv-20", "full:25", "stabilizer backend, exact"),
+            (
+                "gen:toffoli-ripple:7",
+                "heavy-hex:1121",
+                "sparse backend, 2 sampled inputs",
+            ),
         ] {
             let out = run(&args(&["verify", input, "--device", device])).unwrap();
             assert!(
-                out.contains(&format!("VERIFIED ({backend} backend")),
+                out.contains(&format!("VERIFIED ({label}: ")),
                 "{input} on {device}:\n{out}"
             );
         }

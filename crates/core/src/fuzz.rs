@@ -9,11 +9,12 @@
 //! structured workloads from [`trios_gen`]'s families and
 //! cross-checks every cell of the `(case × device × router)` grid:
 //!
-//! * **semantics** — a [`trios_sim::Simulator`] backend replays random
-//!   states through the initial/final layouts: stabilizer tableau for
-//!   Clifford circuits at any width, dense statevector on devices up to
+//! * **semantics** — a [`trios_sim::Simulator`] backend replays the
+//!   program through the initial/final layouts. The stabilizer tableau
+//!   checks Clifford circuits exactly at any width. On random input
+//!   states, dense statevector checks devices up to
 //!   [`FuzzSpec::max_sim_qubits`] wide, and the sparse term-list backend
-//!   for non-Clifford circuits on anything wider (full Johannesburg,
+//!   checks non-Clifford circuits on anything wider (full Johannesburg,
 //!   127-qubit-class heavy-hex grids) while the amplitude count stays
 //!   under [`FuzzSpec::max_terms`]. A cell whose equivalence cannot run
 //!   is recorded in [`FuzzReport::skips`] with its reason — never
@@ -96,7 +97,8 @@ pub struct FuzzSpec {
     /// [`Backend::Auto`]), and always keep the legality and invariant
     /// checks.
     pub max_sim_qubits: usize,
-    /// Random-state trials per equivalence check.
+    /// Random-state trials per sampled (dense or sparse) equivalence
+    /// check; the stabilizer's exact check runs once and ignores it.
     pub trials: usize,
     /// Equivalence backend policy: [`Backend::Auto`] picks per cell,
     /// `Dense`/`Stabilizer`/`Sparse` force one backend. Cells a forced

@@ -9,9 +9,9 @@
 //! | [`SparseSimulator`] | term list ([`SparseState`]) | ≤ [`SPARSE_MAX_QUBITS`] (more via compaction) | any unitary, ≤ `max_terms` amplitudes |
 //!
 //! The fuzz harness asks [`auto_backend`] to pick per cell: stabilizer
-//! whenever the pair is all-Clifford (exact and effectively free at any
-//! width), dense while the device fits under the dense cap (exhaustive
-//! gate coverage), and sparse for non-Clifford circuits on wide devices —
+//! whenever the pair is all-Clifford (exact, one run per side at any
+//! width), dense while the device fits under the dense cap (any gate,
+//! sampled inputs), and sparse for non-Clifford circuits on wide devices —
 //! which is exactly the situation for routed Toffoli networks on the
 //! 20-qubit Johannesburg device or 127-qubit-class heavy-hex grids. Only
 //! a sparse budget blow-up leaves a cell unverified.
@@ -21,7 +21,6 @@
 
 use crate::equivalence::check_layout;
 use crate::sparse::SparseSimulator;
-use crate::state::SplitMix64;
 use crate::tableau::first_non_clifford;
 use crate::{SimError, State, Tableau, C64, MAX_QUBITS};
 use trios_ir::Circuit;
@@ -31,6 +30,9 @@ use trios_ir::Circuit;
 pub struct Capability {
     /// Backend name used in reports and error messages.
     pub name: &'static str,
+    /// `true` if a verdict covers every input; `false` if it covers only
+    /// the `trials` seeded inputs it ran.
+    pub exact: bool,
 }
 
 /// Which simulation backend to use for equivalence checking.
@@ -77,15 +79,17 @@ impl std::fmt::Display for Backend {
 }
 
 /// A verification backend: reports its capability and checks compiled
-/// circuits against originals.
+/// circuits against originals, up to one global phase.
 ///
-/// Both checks are sampled: each trial prepares a seeded random input,
-/// runs it through both sides and compares the outputs up to one global
-/// phase. Trial `t` uses seed `seed + t`, and every backend runs at least
-/// one trial, so `trials = 0` still checks one input: a checker never
-/// passes a pair it did not run. The exact all-basis-state comparison is
-/// the free function [`circuits_equivalent`](crate::circuits_equivalent),
-/// which only the dense engine can compute.
+/// The stabilizer's check is exact ([`Capability::exact`]): one run
+/// covers every input, and it ignores `trials` and `seed`. The dense and
+/// sparse checks are sampled: each trial prepares a seeded random input
+/// and runs it through both sides. Trial `t` uses seed `seed + t`, and
+/// they run at least one trial, so `trials = 0` still checks one input:
+/// a checker never passes a pair it did not run. For small circuits of
+/// any gate set, the free function
+/// [`circuits_equivalent`](crate::circuits_equivalent) compares whole
+/// unitaries on the dense engine.
 pub trait Simulator {
     /// The name this backend reports under.
     fn capability(&self) -> Capability;
@@ -99,8 +103,8 @@ pub trait Simulator {
     fn supports_circuit(&self, circuit: &Circuit) -> Result<(), SimError>;
 
     /// Verifies a routed physical-register circuit against the original
-    /// logical circuit through its initial/final layouts, on `trials`
-    /// random logical inputs.
+    /// logical circuit through its initial/final layouts: on every input
+    /// if the backend is exact, else on `trials` random logical inputs.
     ///
     /// `initial_layout[l]` is the physical home of logical qubit `l`
     /// before the compiled circuit runs, and `final_layout[l]` its home
@@ -123,9 +127,9 @@ pub trait Simulator {
         seed: u64,
     ) -> Result<bool, SimError>;
 
-    /// Sampled unitary-equivalence check of two same-width circuits on
-    /// `trials` random inputs (global phase ignored): by default
-    /// [`Simulator::compiled_equivalent`] through identity layouts.
+    /// Unitary-equivalence check of two same-width circuits (global phase
+    /// ignored): by default [`Simulator::compiled_equivalent`] through
+    /// identity layouts.
     ///
     /// [`SparseSimulator`] overrides it to compact a pair wider than
     /// [`SPARSE_MAX_QUBITS`] onto the qubits either circuit touches,
@@ -177,7 +181,10 @@ impl DenseSimulator {
 
 impl Simulator for DenseSimulator {
     fn capability(&self) -> Capability {
-        Capability { name: "dense" }
+        Capability {
+            name: "dense",
+            exact: false,
+        }
     }
 
     fn supports_circuit(&self, circuit: &Circuit) -> Result<(), SimError> {
@@ -257,10 +264,14 @@ fn embed(logical: &State, n_phys: usize, layout: &[usize]) -> Result<State, SimE
 
 /// Stabilizer tableau backend (Clifford gates, hundreds of qubits).
 ///
-/// Equivalence trials prepare seeded random *stabilizer* states (a random
-/// word of H/S/CX gates on the logical register), push them through both
-/// sides, and compare canonical stabilizer groups exactly — no floating
-/// point in the comparison.
+/// Its check is exact and takes one run per side, so it ignores `trials`
+/// and `seed`. Each logical qubit `l` gets a reference qubit, Bell-paired
+/// with its physical home before the circuits run: with
+/// `initial_layout[l]` on the compiled side, with `final_layout[l]` on
+/// the reference side. The two stabilizer states (the circuits' Choi
+/// states) are equal exactly when the circuits agree on every input up
+/// to one global phase, and the tableau compares them with no floating
+/// point.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StabilizerSimulator;
 
@@ -271,43 +282,25 @@ impl StabilizerSimulator {
     }
 }
 
-/// A seeded random Clifford word (H/S/CX) on `n` qubits, used to prepare
-/// random stabilizer states for equivalence trials. Empty when `n` is
-/// zero.
-fn random_clifford_prep(n: usize, seed: u64) -> Circuit {
-    let mut rng = SplitMix64::new(seed);
-    let mut c = Circuit::new(n);
-    if n == 0 {
-        return c;
+/// An `n_phys + layout.len()`-qubit tableau in which reference qubit
+/// `n_phys + l` is Bell-paired with physical qubit `layout[l]`; every
+/// other physical qubit is `|0⟩`.
+fn bell_paired(n_phys: usize, layout: &[usize]) -> Result<Tableau, SimError> {
+    let mut bell = Circuit::new(n_phys + layout.len());
+    for (l, &home) in layout.iter().enumerate() {
+        bell.h(n_phys + l).cx(n_phys + l, home);
     }
-    let gates = 3 * n + 2;
-    for _ in 0..gates {
-        let q = (rng.next_u64() % n as u64) as usize;
-        match rng.next_u64() % 10 {
-            0..=3 => {
-                c.h(q);
-            }
-            4..=6 => {
-                c.s(q);
-            }
-            _ if n >= 2 => {
-                let mut t = (rng.next_u64() % (n as u64 - 1)) as usize;
-                if t >= q {
-                    t += 1;
-                }
-                c.cx(q, t);
-            }
-            _ => {
-                c.h(q);
-            }
-        }
-    }
-    c
+    let mut tableau = Tableau::new(bell.num_qubits());
+    tableau.apply_circuit(&bell)?;
+    Ok(tableau)
 }
 
 impl Simulator for StabilizerSimulator {
     fn capability(&self) -> Capability {
-        Capability { name: "stabilizer" }
+        Capability {
+            name: "stabilizer",
+            exact: true,
+        }
     }
 
     fn supports_circuit(&self, circuit: &Circuit) -> Result<(), SimError> {
@@ -326,8 +319,8 @@ impl Simulator for StabilizerSimulator {
         compiled: &Circuit,
         initial_layout: &[usize],
         final_layout: &[usize],
-        trials: usize,
-        seed: u64,
+        _trials: usize,
+        _seed: u64,
     ) -> Result<bool, SimError> {
         let n_log = original.num_qubits();
         let n_phys = compiled.num_qubits();
@@ -337,33 +330,17 @@ impl Simulator for StabilizerSimulator {
         self.supports_circuit(original)?;
         self.supports_circuit(compiled)?;
 
-        for t in 0..trials.max(1) {
-            let prep = random_clifford_prep(n_log, seed.wrapping_add(t as u64));
-
-            // Compiled side: prep embedded through the initial layout,
-            // then the physical circuit verbatim.
-            let mut got = Tableau::new(n_phys);
-            got.apply_circuit_mapped(&prep, initial_layout)?;
-            got.apply_circuit(compiled)?;
-
-            // Reference side: prep and original both embedded through the
-            // final layout (embedding commutes with circuit application;
-            // unmapped physical qubits stay |0⟩ on both sides).
-            let mut expected = Tableau::new(n_phys);
-            expected.apply_circuit_mapped(&prep, final_layout)?;
-            expected.apply_circuit_mapped(original, final_layout)?;
-
-            if !got.state_eq(&expected) {
-                return Ok(false);
-            }
-        }
-        Ok(true)
+        let mut got = bell_paired(n_phys, initial_layout)?;
+        got.apply_circuit(compiled)?;
+        let mut expected = bell_paired(n_phys, final_layout)?;
+        expected.apply_circuit_mapped(original, final_layout)?;
+        Ok(got.state_eq(&expected))
     }
 }
 
 /// Picks a backend for verifying `circuits` on a `width`-qubit register:
-/// stabilizer when every circuit is Clifford (exact and effectively free
-/// at any width), else dense while `width ≤ max_dense_qubits`, else
+/// stabilizer when every circuit is Clifford (an exact check at any
+/// width), else dense while `width ≤ max_dense_qubits`, else
 /// sparse with the given `max_terms` budget, else `None` (equivalence
 /// must be skipped). A sparse pick can still abort mid-check with
 /// [`SimError::StateTooDense`] if the circuits entangle past the budget.
@@ -602,21 +579,5 @@ mod tests {
                 "{name} backend, repeated operand"
             );
         }
-    }
-
-    #[test]
-    fn random_prep_is_deterministic_per_seed() {
-        let a = random_clifford_prep(6, 9);
-        let b = random_clifford_prep(6, 9);
-        let c = random_clifford_prep(6, 10);
-        assert_eq!(a.instructions(), b.instructions());
-        assert_ne!(a.instructions(), c.instructions());
-        assert!(first_non_clifford(&a).is_none());
-    }
-
-    #[test]
-    fn single_qubit_prep_avoids_cx() {
-        let c = random_clifford_prep(1, 4);
-        assert!(c.iter().all(|i| i.qubits().len() == 1));
     }
 }

@@ -1,17 +1,18 @@
-//! The exact equivalence check, and the layout check every backend's
+//! The exact whole-unitary check, and the layout check every backend's
 //! replay shares.
 //!
 //! [`circuits_equivalent`] compares two circuits' whole unitaries: it
 //! runs every computational basis state through both and requires one
 //! global phase to match every column. That costs `4^n` amplitude
-//! updates, so it suits decomposition tests of a few qubits, and only
-//! the dense engine can compute it.
+//! updates, so it suits decomposition tests of a few qubits, on the
+//! dense engine.
 //!
-//! Routed and wide circuits are checked instead by the sampled
-//! [`Simulator`](crate::Simulator) methods, which compare the two sides
-//! on a few seeded random inputs through the initial and final layouts.
-//! A sampled trial can miss an inequivalence that the exact check
-//! cannot.
+//! Routed and wide circuits are checked instead by the
+//! [`Simulator`](crate::Simulator) methods, through the initial and
+//! final layouts. The stabilizer's check is exact for Clifford circuits
+//! at any width; dense and sparse compare the two sides on a few seeded
+//! random inputs, and a sampled trial can miss an inequivalence that an
+//! exact check cannot.
 
 use crate::{SimError, State, C64};
 use trios_ir::Circuit;

@@ -7,7 +7,9 @@
 //! [`DenseSimulator`] holds a statevector of up to [`MAX_QUBITS`] qubits,
 //! [`StabilizerSimulator`] a tableau for Clifford circuits of any width,
 //! and [`SparseSimulator`] a list of nonzero amplitudes for wide
-//! non-Clifford circuits. [`auto_backend`] picks one per check.
+//! non-Clifford circuits. The stabilizer's verdicts are exact; dense and
+//! sparse check seeded random inputs. [`auto_backend`] picks one per
+//! check.
 //!
 //! Gate decompositions are checked exactly instead: [`circuits_equivalent`]
 //! compares the whole unitaries of two small circuits on the dense engine.

@@ -7,8 +7,8 @@
 //! yet *low-entanglement*: pushed through from a basis-ish input they keep
 //! a tiny number of nonzero amplitudes at any register width. This module
 //! exploits that: [`SparseState`] stores only the nonzero terms, each with
-//! its basis index, and [`SparseSimulator`] verifies compiled circuits
-//! exactly at full device width (Johannesburg's 20 qubits, 127-qubit
+//! its basis index, and [`SparseSimulator`] verifies compiled circuits on
+//! seeded inputs at full device width (Johannesburg's 20 qubits, 127-qubit
 //! heavy-hex) as long as the term count stays under a [`max_terms`]
 //! budget. When a circuit *does* entangle past the budget the simulator
 //! reports [`SimError::StateTooDense`] instead of thrashing — never a
@@ -631,7 +631,10 @@ impl SparseSimulator {
 
 impl Simulator for SparseSimulator {
     fn capability(&self) -> Capability {
-        Capability { name: "sparse" }
+        Capability {
+            name: "sparse",
+            exact: false,
+        }
     }
 
     fn supports_circuit(&self, circuit: &Circuit) -> Result<(), SimError> {

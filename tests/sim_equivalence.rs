@@ -1,6 +1,8 @@
 //! Simulator-backed correctness: compiled output must implement the
 //! original program, verified by statevector replay through the
 //! initial/final layouts (`DenseSimulator`'s `Simulator::compiled_equivalent`).
+//! The last two tests hold the stabilizer's exact check to the
+//! statevector backends' verdicts on inequivalent pairs.
 //!
 //! Most tests keep the physical register small (device width = circuit
 //! width); two widen to the paper's 20-qubit Johannesburg device and the
@@ -9,9 +11,10 @@
 
 use orchestrated_trios::benchmarks::{self, Benchmark, ExtendedBenchmark};
 use orchestrated_trios::core::{Compiler, PaperConfig};
+use orchestrated_trios::gen::{Family, Params};
 use orchestrated_trios::ir::Circuit;
-use orchestrated_trios::sim::{DenseSimulator, Simulator};
-use orchestrated_trios::topology::{grid, johannesburg, line, ring, Topology};
+use orchestrated_trios::sim::{DenseSimulator, Simulator, SparseSimulator, StabilizerSimulator};
+use orchestrated_trios::topology::{grid, heavy_hex, johannesburg, line, ring, Topology};
 
 const EPS: f64 = 1e-7;
 
@@ -129,6 +132,59 @@ fn johannesburg_compilations_are_equivalent() {
     ] {
         for config in [PaperConfig::Trios, PaperConfig::QiskitEight] {
             assert_equivalent(&circuit, &jo, config, 1);
+        }
+    }
+}
+
+#[test]
+fn stabilizer_rejects_cx_against_x_at_every_seed() {
+    // CX(0,1) acts as X(1) on every input whose qubit 0 is |1⟩, so a check
+    // that samples stabilizer inputs can pass the pair; an exact one never.
+    let mut cx = Circuit::new(2);
+    cx.cx(0, 1);
+    let mut x = Circuit::new(2);
+    x.x(1);
+    let sim = StabilizerSimulator::new();
+    for seed in 0..1000 {
+        assert_eq!(
+            sim.circuits_equivalent(&cx, &x, 1, seed),
+            Ok(false),
+            "seed {seed}"
+        );
+    }
+}
+
+#[test]
+fn stabilizer_passes_no_dropped_instruction_a_statevector_check_rejects() {
+    // Routed Clifford programs with one compiled instruction dropped at 13
+    // evenly spaced points. On line:8 the one-trial stabilizer verdict
+    // must equal dense's 20-trial one; on the wider devices every mutant
+    // it passes must also pass 20 sparse trials.
+    let compiler = Compiler::builder().router("trios").build();
+    for (device, width) in [(line(8), 8), (johannesburg(), 20), (heavy_hex(7), 20)] {
+        for seed in 0..6 {
+            let circuit = Family::Clifford.generate(&Params::new(width, 60), seed);
+            let compiled = compiler.compile(&circuit, &device).unwrap();
+            let initial = compiled.initial_layout.to_mapping();
+            let fin = compiled.final_layout.to_mapping();
+            let instrs = compiled.circuit.instructions();
+            for k in 0..13 {
+                let drop = k * instrs.len() / 13;
+                let kept = instrs.iter().enumerate().filter(|&(i, _)| i != drop);
+                let mutant =
+                    Circuit::from_instructions(device.num_qubits(), kept.map(|(_, g)| *g)).unwrap();
+                let check = |sim: &dyn Simulator, trials| {
+                    sim.compiled_equivalent(&circuit, &mutant, &initial, &fin, trials, 29)
+                        .unwrap()
+                };
+                let exact = check(&StabilizerSimulator::new(), 1);
+                let case = format!("{} on {device} without instruction {drop}", circuit.name());
+                if device.num_qubits() <= 8 {
+                    assert_eq!(exact, check(&DenseSimulator::new(EPS), 20), "{case}");
+                } else if exact {
+                    assert!(check(&SparseSimulator::default(), 20), "{case}");
+                }
+            }
         }
     }
 }
