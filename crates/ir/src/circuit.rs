@@ -86,26 +86,31 @@ impl Circuit {
     }
 
     /// Number of qubit lines.
+    #[inline]
     pub fn num_qubits(&self) -> usize {
         self.num_qubits
     }
 
     /// Number of instructions.
+    #[inline]
     pub fn len(&self) -> usize {
         self.instructions.len()
     }
 
     /// `true` if the circuit has no instructions.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.instructions.is_empty()
     }
 
     /// The instruction list.
+    #[inline]
     pub fn instructions(&self) -> &[Instruction] {
         &self.instructions
     }
 
     /// Iterator over the instructions.
+    #[inline]
     pub fn iter(&self) -> std::slice::Iter<'_, Instruction> {
         self.instructions.iter()
     }
@@ -120,6 +125,7 @@ impl Circuit {
     ///
     /// Panics if the instruction references a qubit outside the circuit.
     /// Use [`try_push`](Circuit::try_push) for a fallible variant.
+    #[inline]
     pub fn push(&mut self, instruction: Instruction) -> &mut Self {
         self.try_push(instruction)
             .unwrap_or_else(|e| panic!("invalid instruction: {e}"));
@@ -132,6 +138,7 @@ impl Circuit {
     ///
     /// Returns [`CircuitError::QubitOutOfRange`] if an operand index is
     /// `>= self.num_qubits()`.
+    #[inline]
     pub fn try_push(&mut self, instruction: Instruction) -> Result<(), CircuitError> {
         if let Some(q) = instruction
             .qubits()
@@ -406,16 +413,30 @@ impl Circuit {
         let mut depth = 0;
         for instr in self.iter() {
             visit(instr);
-            let start = instr
-                .qubits()
-                .iter()
-                .map(|q| level[q.index()])
-                .max()
-                .unwrap_or(0);
-            for q in instr.qubits() {
-                level[q.index()] = start + 1;
-            }
-            depth = depth.max(start + 1);
+            // One arm per arity, not an iterator fold: this walk runs at
+            // every pass boundary of every compile.
+            let layer = match *instr.qubits() {
+                [a] => {
+                    let layer = level[a.index()] + 1;
+                    level[a.index()] = layer;
+                    layer
+                }
+                [a, b] => {
+                    let layer = level[a.index()].max(level[b.index()]) + 1;
+                    level[a.index()] = layer;
+                    level[b.index()] = layer;
+                    layer
+                }
+                [a, b, c] => {
+                    let layer = level[a.index()].max(level[b.index()]).max(level[c.index()]) + 1;
+                    level[a.index()] = layer;
+                    level[b.index()] = layer;
+                    level[c.index()] = layer;
+                    layer
+                }
+                _ => unreachable!("an instruction has one to three operands"),
+            };
+            depth = depth.max(layer);
         }
         depth
     }
@@ -458,7 +479,8 @@ impl Circuit {
         h = fnv::write_u64(h, self.instructions.len() as u64);
         for instr in &self.instructions {
             h = fnv::write_bytes(h, instr.gate().name().as_bytes());
-            for p in instr.gate().params() {
+            let (params, len) = instr.gate().param_array();
+            for p in &params[..len] {
                 h = fnv::write_u64(h, p.to_bits());
             }
             for q in instr.qubits() {
@@ -693,6 +715,19 @@ mod tests {
         let mut c = Circuit::new(1);
         c.rx(0.25, 0);
         assert_ne!(a.structural_hash(), c.structural_hash());
+    }
+
+    #[test]
+    fn structural_hash_is_pinned() {
+        // The hash keys the compilation cache, and callers salt inputs by
+        // it, so computing it differently must not change its value.
+        let mut c = Circuit::new(3);
+        c.u3(0.1, 0.2, 0.3, 0)
+            .rz(0.25, 1)
+            .cp(std::f64::consts::FRAC_PI_8, 0, 2)
+            .u2(0.4, 0.5, 2)
+            .cx(1, 2);
+        assert_eq!(c.structural_hash(), 0x0f1b_9c9d_4172_cf90);
     }
 
     #[test]

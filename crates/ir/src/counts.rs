@@ -33,22 +33,53 @@ pub struct GateCounts {
 
 impl GateCounts {
     /// Folds one gate into the summary.
+    ///
+    /// One match names every gate, so a new gate cannot join the counts
+    /// unclassified.
+    #[inline]
     pub(crate) fn record(&mut self, gate: Gate) {
         self.total += 1;
-        match gate.arity() {
-            1 if gate.is_measurement() => self.measure += 1,
-            1 => self.one_qubit += 1,
-            2 => self.two_qubit += 1,
-            3 => self.three_qubit += 1,
-            _ => unreachable!(),
-        }
         match gate {
-            Gate::Cx => self.cx += 1,
-            Gate::Swap => self.swap += 1,
-            Gate::Ccx => self.ccx += 1,
-            Gate::Ccz => self.ccz += 1,
-            Gate::Cswap => self.cswap += 1,
-            _ => {}
+            Gate::Measure => self.measure += 1,
+            Gate::I
+            | Gate::H
+            | Gate::X
+            | Gate::Y
+            | Gate::Z
+            | Gate::S
+            | Gate::Sdg
+            | Gate::T
+            | Gate::Tdg
+            | Gate::Sx
+            | Gate::Sxdg
+            | Gate::Rx(_)
+            | Gate::Ry(_)
+            | Gate::Rz(_)
+            | Gate::U1(_)
+            | Gate::U2(..)
+            | Gate::U3(..)
+            | Gate::Xpow(_) => self.one_qubit += 1,
+            Gate::Cz | Gate::Cp(_) | Gate::Cxpow(_) => self.two_qubit += 1,
+            Gate::Cx => {
+                self.two_qubit += 1;
+                self.cx += 1;
+            }
+            Gate::Swap => {
+                self.two_qubit += 1;
+                self.swap += 1;
+            }
+            Gate::Ccx => {
+                self.three_qubit += 1;
+                self.ccx += 1;
+            }
+            Gate::Ccz => {
+                self.three_qubit += 1;
+                self.ccz += 1;
+            }
+            Gate::Cswap => {
+                self.three_qubit += 1;
+                self.cswap += 1;
+            }
         }
     }
 
@@ -99,6 +130,34 @@ mod tests {
         assert_eq!(c.cx, 1);
         assert_eq!(c.swap, 1);
         assert_eq!(c.ccx, 1);
+    }
+
+    #[test]
+    fn record_classes_every_gate_by_arity_then_kind() {
+        for gate in crate::gate::EVERY_KIND {
+            let mut want = GateCounts {
+                total: 1,
+                ..GateCounts::default()
+            };
+            match gate.arity() {
+                1 if gate.is_measurement() => want.measure = 1,
+                1 => want.one_qubit = 1,
+                2 => want.two_qubit = 1,
+                3 => want.three_qubit = 1,
+                other => panic!("arity {other}"),
+            }
+            match gate {
+                Gate::Cx => want.cx = 1,
+                Gate::Swap => want.swap = 1,
+                Gate::Ccx => want.ccx = 1,
+                Gate::Ccz => want.ccz = 1,
+                Gate::Cswap => want.cswap = 1,
+                _ => {}
+            }
+            let mut got = GateCounts::default();
+            got.record(gate);
+            assert_eq!(got, want, "{gate:?}");
+        }
     }
 
     #[test]

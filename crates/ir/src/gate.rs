@@ -88,6 +88,7 @@ pub enum Gate {
 
 impl Gate {
     /// Number of qubits the gate acts on.
+    #[inline]
     pub fn arity(self) -> usize {
         match self {
             Gate::I
@@ -149,6 +150,13 @@ impl Gate {
 
     /// Continuous parameters of the gate, in declaration order.
     pub fn params(self) -> Vec<f64> {
+        let (params, len) = self.param_array();
+        params[..len].to_vec()
+    }
+
+    /// [`Gate::params`] without a heap allocation: the parameters padded
+    /// to three, and how many of them are real.
+    pub(crate) fn param_array(self) -> ([f64; 3], usize) {
         match self {
             Gate::Rx(a)
             | Gate::Ry(a)
@@ -156,34 +164,39 @@ impl Gate {
             | Gate::U1(a)
             | Gate::Cp(a)
             | Gate::Xpow(a)
-            | Gate::Cxpow(a) => vec![a],
-            Gate::U2(a, b) => vec![a, b],
-            Gate::U3(a, b, c) => vec![a, b, c],
-            _ => Vec::new(),
+            | Gate::Cxpow(a) => ([a, 0.0, 0.0], 1),
+            Gate::U2(a, b) => ([a, b, 0.0], 2),
+            Gate::U3(a, b, c) => ([a, b, c], 3),
+            _ => ([0.0; 3], 0),
         }
     }
 
     /// `true` if the gate acts on exactly one qubit (measurement included).
+    #[inline]
     pub fn is_single_qubit(self) -> bool {
         self.arity() == 1
     }
 
     /// `true` if the gate acts on exactly two qubits.
+    #[inline]
     pub fn is_two_qubit(self) -> bool {
         self.arity() == 2
     }
 
     /// `true` if the gate acts on three qubits (i.e. is a Toffoli).
+    #[inline]
     pub fn is_three_qubit(self) -> bool {
         self.arity() == 3
     }
 
     /// `true` for [`Gate::Measure`].
+    #[inline]
     pub fn is_measurement(self) -> bool {
         matches!(self, Gate::Measure)
     }
 
     /// `true` if the gate is unitary (everything except measurement).
+    #[inline]
     pub fn is_unitary(self) -> bool {
         !self.is_measurement()
     }
@@ -192,6 +205,7 @@ impl Gate {
     ///
     /// Diagonal gates commute with one another and with the control side of
     /// controlled gates; the optimizer uses this for gate cancellation.
+    #[inline]
     pub fn is_diagonal(self) -> bool {
         matches!(
             self,
@@ -211,6 +225,7 @@ impl Gate {
 
     /// `true` if the gate is in the hardware-supported set of the paper's
     /// target devices: arbitrary single-qubit gates plus CX (and measurement).
+    #[inline]
     pub fn is_hardware_supported(self) -> bool {
         match self {
             Gate::Cx => true,
@@ -226,6 +241,7 @@ impl Gate {
     }
 
     /// The inverse gate, or `None` for measurement.
+    #[inline]
     pub fn inverse(self) -> Option<Gate> {
         Some(match self {
             Gate::S => Gate::Sdg,
@@ -261,6 +277,7 @@ impl Gate {
 
     /// `true` if `self` and `other` cancel to the identity when applied in
     /// sequence to the same operands.
+    #[inline]
     pub fn cancels_with(self, other: Gate) -> bool {
         match self.inverse() {
             Some(inv) => inv == other,
@@ -287,6 +304,38 @@ impl fmt::Display for Gate {
     }
 }
 
+/// One gate of every kind, for tests that must cover the whole set.
+#[cfg(test)]
+pub(crate) const EVERY_KIND: [Gate; 27] = [
+    Gate::I,
+    Gate::H,
+    Gate::X,
+    Gate::Y,
+    Gate::Z,
+    Gate::S,
+    Gate::Sdg,
+    Gate::T,
+    Gate::Tdg,
+    Gate::Sx,
+    Gate::Sxdg,
+    Gate::Rx(0.1),
+    Gate::Ry(0.2),
+    Gate::Rz(0.3),
+    Gate::U1(0.4),
+    Gate::U2(0.5, 0.6),
+    Gate::U3(0.7, 0.8, 0.9),
+    Gate::Xpow(0.5),
+    Gate::Cxpow(0.5),
+    Gate::Cx,
+    Gate::Cz,
+    Gate::Cp(1.0),
+    Gate::Swap,
+    Gate::Ccx,
+    Gate::Ccz,
+    Gate::Cswap,
+    Gate::Measure,
+];
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -294,36 +343,7 @@ mod tests {
 
     #[test]
     fn arity_is_consistent_with_category_predicates() {
-        let gates = [
-            Gate::I,
-            Gate::H,
-            Gate::X,
-            Gate::Y,
-            Gate::Z,
-            Gate::S,
-            Gate::Sdg,
-            Gate::T,
-            Gate::Tdg,
-            Gate::Sx,
-            Gate::Sxdg,
-            Gate::Rx(0.1),
-            Gate::Ry(0.2),
-            Gate::Rz(0.3),
-            Gate::U1(0.4),
-            Gate::U2(0.5, 0.6),
-            Gate::U3(0.7, 0.8, 0.9),
-            Gate::Xpow(0.5),
-            Gate::Cxpow(0.5),
-            Gate::Cx,
-            Gate::Cz,
-            Gate::Cp(1.0),
-            Gate::Swap,
-            Gate::Ccx,
-            Gate::Ccz,
-            Gate::Cswap,
-            Gate::Measure,
-        ];
-        for g in gates {
+        for g in EVERY_KIND {
             let by_arity = match g.arity() {
                 1 => (true, false, false),
                 2 => (false, true, false),

@@ -23,6 +23,11 @@ pub struct Instruction {
     operands: Operands,
 }
 
+// Every pass copies instructions and the server's compile cache stores
+// them, so a new field must not silently regrow either type.
+const _: () = assert!(std::mem::size_of::<Instruction>() == 40);
+const _: () = assert!(std::mem::size_of::<Operands>() == 8);
+
 impl Instruction {
     /// Creates an instruction applying `gate` to `qubits`.
     ///
@@ -30,6 +35,7 @@ impl Instruction {
     ///
     /// Panics if the number of qubits does not match the gate's arity, or if
     /// the qubits are not distinct.
+    #[inline]
     pub fn new(gate: Gate, qubits: &[Qubit]) -> Self {
         assert_eq!(
             qubits.len(),
@@ -49,16 +55,19 @@ impl Instruction {
     }
 
     /// The gate being applied.
+    #[inline]
     pub fn gate(&self) -> Gate {
         self.gate
     }
 
     /// The qubits the gate acts on (controls first, target last).
+    #[inline]
     pub fn qubits(&self) -> &[Qubit] {
         self.operands.as_slice()
     }
 
     /// The operand list.
+    #[inline]
     pub fn operands(&self) -> &Operands {
         &self.operands
     }
@@ -68,6 +77,7 @@ impl Instruction {
     /// # Panics
     ///
     /// Panics if `i >= self.qubits().len()`.
+    #[inline]
     pub fn qubit(&self, i: usize) -> Qubit {
         self.operands[i]
     }
@@ -83,6 +93,7 @@ impl Instruction {
     }
 
     /// The inverse instruction, or `None` if the gate is a measurement.
+    #[inline]
     pub fn inverse(&self) -> Option<Instruction> {
         self.gate.inverse().map(|gate| Instruction {
             gate,
@@ -91,6 +102,7 @@ impl Instruction {
     }
 
     /// `true` if this instruction shares at least one qubit with `other`.
+    #[inline]
     pub fn overlaps(&self, other: &Instruction) -> bool {
         self.qubits().iter().any(|q| other.operands.contains(*q))
     }

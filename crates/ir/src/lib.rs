@@ -49,4 +49,4 @@ pub use error::CircuitError;
 pub use gate::Gate;
 pub use instruction::Instruction;
 pub use operands::Operands;
-pub use qubit::Qubit;
+pub use qubit::{Qubit, MAX_QUBITS};

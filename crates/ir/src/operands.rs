@@ -27,6 +27,7 @@ pub struct Operands {
 
 impl Operands {
     /// Operand list for a single-qubit instruction.
+    #[inline]
     pub fn one(q: Qubit) -> Self {
         Operands {
             qubits: [q, Qubit::new(0), Qubit::new(0)],
@@ -35,6 +36,7 @@ impl Operands {
     }
 
     /// Operand list for a two-qubit instruction (control first).
+    #[inline]
     pub fn two(a: Qubit, b: Qubit) -> Self {
         Operands {
             qubits: [a, b, Qubit::new(0)],
@@ -43,6 +45,7 @@ impl Operands {
     }
 
     /// Operand list for a three-qubit instruction (controls first).
+    #[inline]
     pub fn three(a: Qubit, b: Qubit, c: Qubit) -> Self {
         Operands {
             qubits: [a, b, c],
@@ -55,6 +58,7 @@ impl Operands {
     /// # Panics
     ///
     /// Panics if `slice` has length 0 or greater than 3.
+    #[inline]
     pub fn from_slice(slice: &[Qubit]) -> Self {
         match *slice {
             [a] => Operands::one(a),
@@ -66,26 +70,31 @@ impl Operands {
 
     /// Number of operands (1, 2, or 3).
     #[allow(clippy::len_without_is_empty)] // operands are never empty
+    #[inline]
     pub fn len(&self) -> usize {
         self.len as usize
     }
 
     /// View of the operands as a slice.
+    #[inline]
     pub fn as_slice(&self) -> &[Qubit] {
         &self.qubits[..self.len as usize]
     }
 
     /// Iterator over the operands.
+    #[inline]
     pub fn iter(&self) -> std::slice::Iter<'_, Qubit> {
         self.as_slice().iter()
     }
 
     /// `true` if `q` is one of the operands.
+    #[inline]
     pub fn contains(&self, q: Qubit) -> bool {
         self.as_slice().contains(&q)
     }
 
     /// `true` if no qubit appears twice.
+    #[inline]
     pub fn are_distinct(&self) -> bool {
         let s = self.as_slice();
         match s.len() {
@@ -97,6 +106,7 @@ impl Operands {
     }
 
     /// Returns a copy with every qubit replaced by `f(qubit)`.
+    #[inline]
     pub fn map(&self, mut f: impl FnMut(Qubit) -> Qubit) -> Self {
         let mut out = *self;
         for q in out.qubits[..out.len as usize].iter_mut() {
@@ -106,6 +116,7 @@ impl Operands {
     }
 
     /// The largest qubit index among the operands.
+    #[inline]
     pub fn max_index(&self) -> usize {
         self.iter().map(|q| q.index()).max().expect("non-empty")
     }
@@ -114,6 +125,7 @@ impl Operands {
 impl Index<usize> for Operands {
     type Output = Qubit;
 
+    #[inline]
     fn index(&self, index: usize) -> &Qubit {
         &self.as_slice()[index]
     }
@@ -123,6 +135,7 @@ impl<'a> IntoIterator for &'a Operands {
     type Item = &'a Qubit;
     type IntoIter = std::slice::Iter<'a, Qubit>;
 
+    #[inline]
     fn into_iter(self) -> Self::IntoIter {
         self.iter()
     }

@@ -21,18 +21,30 @@ use std::fmt;
 /// assert_eq!(q.to_string(), "q3");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct Qubit(u32);
+pub struct Qubit(u16);
+
+/// The most qubits a register can hold: every [`Qubit`] index is below
+/// it.
+///
+/// A `Qubit` is a 16-bit index, which packs an
+/// [`Instruction`](crate::Instruction) into 40 bytes. External input
+/// stops far below this (`trios_qasm::MAX_QUBITS` and
+/// `trios_topology::MAX_SPEC_QUBITS` are 4,096 qubits); constructors
+/// called from code take up to this many.
+pub const MAX_QUBITS: usize = 1 << 16;
 
 impl Qubit {
     /// Creates a qubit with the given index.
     ///
     /// # Panics
     ///
-    /// Panics if `index` does not fit in `u32` (circuits anywhere near that
-    /// size are far outside this library's simulation range).
+    /// Panics if `index` is not below [`MAX_QUBITS`] (65,536).
     #[inline]
     pub fn new(index: usize) -> Self {
-        Qubit(u32::try_from(index).expect("qubit index exceeds u32::MAX"))
+        match u16::try_from(index) {
+            Ok(index) => Qubit(index),
+            Err(_) => panic!("qubit index {index} is not below MAX_QUBITS ({MAX_QUBITS})"),
+        }
     }
 
     /// Returns the index as a `usize`, suitable for array indexing.
@@ -48,8 +60,8 @@ impl fmt::Display for Qubit {
     }
 }
 
-impl From<u32> for Qubit {
-    fn from(index: u32) -> Self {
+impl From<u16> for Qubit {
+    fn from(index: u16) -> Self {
         Qubit(index)
     }
 }
@@ -78,6 +90,18 @@ mod tests {
     }
 
     #[test]
+    fn the_widest_index_round_trips() {
+        assert_eq!(Qubit::new(MAX_QUBITS - 1).index(), 65_535);
+        assert_eq!(Qubit::from(u16::MAX), Qubit::new(65_535));
+    }
+
+    #[test]
+    #[should_panic(expected = "qubit index 65536 is not below MAX_QUBITS (65536)")]
+    fn new_rejects_an_index_past_the_ceiling() {
+        Qubit::new(MAX_QUBITS);
+    }
+
+    #[test]
     fn display_uses_q_prefix() {
         assert_eq!(Qubit::new(0).to_string(), "q0");
         assert_eq!(Qubit::new(19).to_string(), "q19");
@@ -87,7 +111,7 @@ mod tests {
     fn conversions() {
         let q: Qubit = 5usize.into();
         assert_eq!(q, Qubit::new(5));
-        let q: Qubit = 7u32.into();
+        let q: Qubit = 7u16.into();
         assert_eq!(q.index(), 7);
         let i: usize = Qubit::new(9).into();
         assert_eq!(i, 9);

@@ -69,6 +69,11 @@ pub use parser::parse;
 /// compiler builds is wider.
 pub const MAX_QUBITS: usize = 4096;
 
+// The stabilizer backend verifies a compile on a register of the device's
+// qubits plus one reference qubit per program qubit, so twice this cap must
+// still be a register `trios_ir::Qubit` can index.
+const _: () = assert!(2 * MAX_QUBITS <= trios_ir::MAX_QUBITS);
+
 /// The most instructions broadcasts may take a program to. A broadcast
 /// yields one instruction per qubit of its register, so a few bytes such
 /// as `h q;` can ask for thousands; one that would take the program past

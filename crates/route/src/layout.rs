@@ -41,7 +41,8 @@ pub struct Layout {
 const EMPTY: u32 = u32::MAX;
 
 /// Panics unless every slot index of an `n_physical`-slot layout is
-/// below [`EMPTY`]; [`trios_ir::Qubit`] indices are `u32` too.
+/// below [`EMPTY`]. ([`trios_ir::Qubit`] indices are narrower still:
+/// routing a device past [`trios_ir::MAX_QUBITS`] panics in `Qubit::new`.)
 fn check_width(n_physical: usize) {
     assert!(
         n_physical <= EMPTY as usize,
@@ -50,6 +51,7 @@ fn check_width(n_physical: usize) {
 }
 
 /// A `phys_to_log` entry as the public API spells it.
+#[inline]
 fn occupant(entry: u32) -> Option<usize> {
     (entry != EMPTY).then_some(entry as usize)
 }
@@ -149,11 +151,13 @@ impl Layout {
     }
 
     /// Number of logical qubits.
+    #[inline]
     pub fn num_logical(&self) -> usize {
         self.log_to_phys.len()
     }
 
     /// Number of physical qubits.
+    #[inline]
     pub fn num_physical(&self) -> usize {
         self.phys_to_log.len()
     }
@@ -163,6 +167,7 @@ impl Layout {
     /// # Panics
     ///
     /// Panics if `l` is out of range.
+    #[inline]
     pub fn physical(&self, l: usize) -> usize {
         self.log_to_phys[l] as usize
     }
@@ -173,6 +178,7 @@ impl Layout {
     /// # Panics
     ///
     /// Panics if `p` is out of range.
+    #[inline]
     pub fn logical(&self, p: usize) -> Option<usize> {
         occupant(self.phys_to_log[p])
     }
@@ -183,6 +189,7 @@ impl Layout {
     /// # Panics
     ///
     /// Panics if either slot is out of range.
+    #[inline]
     pub fn swap_physical(&mut self, p1: usize, p2: usize) {
         debug_assert!(
             p1 < self.phys_to_log.len() && p2 < self.phys_to_log.len(),

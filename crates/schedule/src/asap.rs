@@ -86,17 +86,34 @@ fn walk_asap(
     let mut qubit_free = vec![0.0f64; circuit.num_qubits()];
     let mut total = 0.0f64;
     for instr in circuit.iter() {
-        let start = instr
-            .qubits()
-            .iter()
-            .map(|q| qubit_free[q.index()])
-            .fold(0.0, f64::max);
         let duration = durations.of(instr.gate());
-        let end = start + duration;
-        for q in instr.qubits() {
-            qubit_free[q.index()] = end;
-        }
-        total = total.max(end);
+        // One arm per arity, each taking the same maxima in the same order
+        // as a fold from 0.0, so every total is the fold's bit for bit.
+        let start = match *instr.qubits() {
+            [a] => {
+                let start = 0.0f64.max(qubit_free[a.index()]);
+                qubit_free[a.index()] = start + duration;
+                start
+            }
+            [a, b] => {
+                let start = 0.0f64.max(qubit_free[a.index()]).max(qubit_free[b.index()]);
+                qubit_free[a.index()] = start + duration;
+                qubit_free[b.index()] = start + duration;
+                start
+            }
+            [a, b, c] => {
+                let start = 0.0f64
+                    .max(qubit_free[a.index()])
+                    .max(qubit_free[b.index()])
+                    .max(qubit_free[c.index()]);
+                qubit_free[a.index()] = start + duration;
+                qubit_free[b.index()] = start + duration;
+                qubit_free[c.index()] = start + duration;
+                start
+            }
+            _ => unreachable!("an instruction has one to three operands"),
+        };
+        total = total.max(start + duration);
         visit(instr, start, duration);
     }
     total

@@ -271,7 +271,8 @@ fn embed(logical: &State, n_phys: usize, layout: &[usize]) -> Result<State, SimE
 /// the reference side. The two stabilizer states (the circuits' Choi
 /// states) are equal exactly when the circuits agree on every input up
 /// to one global phase, and the tableau compares them with no floating
-/// point.
+/// point. The physical and reference qubits together must fit in
+/// [`trios_ir::MAX_QUBITS`], or the check is [`SimError::TooManyQubits`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StabilizerSimulator;
 
@@ -326,6 +327,12 @@ impl Simulator for StabilizerSimulator {
         let n_phys = compiled.num_qubits();
         for layout in [initial_layout, final_layout] {
             check_layout(layout, n_log, n_phys)?;
+        }
+        if n_phys + n_log > trios_ir::MAX_QUBITS {
+            return Err(SimError::TooManyQubits {
+                requested: n_phys + n_log,
+                max: trios_ir::MAX_QUBITS,
+            });
         }
         self.supports_circuit(original)?;
         self.supports_circuit(compiled)?;
@@ -492,6 +499,29 @@ mod tests {
         assert!(!sim
             .compiled_equivalent(&full, &missing, &identity, &identity, 4, 3)
             .unwrap());
+    }
+
+    #[test]
+    fn stabilizer_refuses_a_choi_register_past_the_qubit_ceiling() {
+        // 40,000 physical plus 30,000 reference qubits: each side fits a
+        // `Qubit`, their Choi register does not.
+        let (n_phys, n_log) = (40_000, 30_000);
+        let identity: Vec<usize> = (0..n_log).collect();
+        let result = StabilizerSimulator::new().compiled_equivalent(
+            &Circuit::new(n_log),
+            &Circuit::new(n_phys),
+            &identity,
+            &identity,
+            1,
+            0,
+        );
+        assert_eq!(
+            result,
+            Err(SimError::TooManyQubits {
+                requested: 70_000,
+                max: trios_ir::MAX_QUBITS
+            })
+        );
     }
 
     #[test]

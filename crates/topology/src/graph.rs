@@ -140,6 +140,7 @@ enum NeighborsInner<'a> {
 impl Iterator for Neighbors<'_> {
     type Item = usize;
 
+    #[inline]
     fn next(&mut self) -> Option<usize> {
         match &mut self.inner {
             NeighborsInner::Slice(it) => it.next().copied(),
@@ -273,6 +274,7 @@ impl Topology {
     /// The hop distances from `source` to every qubit, running the BFS
     /// that fills the row if no query has needed it yet. `None` for
     /// complete devices, whose distances are closed-form.
+    #[inline]
     fn row(&self, source: usize) -> Option<&[u32]> {
         match &self.repr {
             Repr::Explicit { adj, rows, .. } => {
@@ -288,6 +290,7 @@ impl Topology {
     }
 
     /// Number of physical qubits.
+    #[inline]
     pub fn num_qubits(&self) -> usize {
         self.num_qubits
     }
@@ -323,6 +326,7 @@ impl Topology {
     }
 
     /// Neighbors of `q`, in ascending order.
+    #[inline]
     pub fn neighbors(&self, q: usize) -> Neighbors<'_> {
         let inner = match &self.repr {
             Repr::Explicit { adj, .. } => NeighborsInner::Slice(adj[q].iter()),
@@ -344,6 +348,7 @@ impl Topology {
     }
 
     /// `true` if `a` and `b` share an edge.
+    #[inline]
     pub fn are_adjacent(&self, a: usize, b: usize) -> bool {
         match &self.repr {
             Repr::Explicit { adj, .. } => adj[a].binary_search(&b).is_ok(),
@@ -356,6 +361,7 @@ impl Topology {
     ///
     /// Reads the row of `b`, like [`Topology::shortest_path`], so a
     /// distance test followed by a path query fills one row, not two.
+    #[inline]
     pub fn distance(&self, a: usize, b: usize) -> Option<usize> {
         match self.row(b) {
             Some(row) => (row[a] != UNREACHABLE).then_some(row[a] as usize),

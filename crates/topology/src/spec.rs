@@ -22,8 +22,14 @@ use std::fmt;
 /// holds one entry per qubit (at 4096 qubits, all rows take 64 MiB).
 /// 4096 is over three times the largest device used anywhere in the
 /// repository (`grid:34x33`, 1122 qubits). Constructors called from code
-/// take any size.
+/// take up to the 65,536 qubits a `trios_ir::Qubit` can index.
 pub const MAX_SPEC_QUBITS: usize = 4096;
+
+// The stabilizer backend verifies a compile on a register of the device's
+// qubits plus one reference qubit per program qubit, so twice this cap must
+// still be a register `trios_ir::Qubit` can index (`trios_ir::MAX_QUBITS`,
+// 2^16; this crate does not depend on trios-ir).
+const _: () = assert!(2 * MAX_SPEC_QUBITS <= 1 << 16);
 
 /// The most qubits one cluster of `clusters:KxS` may hold. Each cluster
 /// is a complete graph, so its couplings grow with the square of its

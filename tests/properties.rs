@@ -11,7 +11,7 @@ use trios_core::{
     CachedCompilation, CompilationCache, CompileOptions, CompileReport, CompileStats,
     CompiledProgram, Compiler, DirectionPolicy, ShardedCache,
 };
-use trios_ir::{Circuit, Gate, Instruction, Qubit};
+use trios_ir::{Circuit, Gate, GateCounts, Instruction, Qubit};
 use trios_route::{check_legal, Layout, LookaheadConfig, ToffoliPolicy};
 use trios_schedule::{asap_total_us, schedule_asap, GateDurations};
 use trios_sim::{DenseSimulator, Simulator};
@@ -677,12 +677,73 @@ fn lazy_distance_rows_match_reference_bfs_on_the_named_zoo() {
     }
 }
 
+/// `(counts(), depth())` as an iterate-and-fold scan: each gate classed
+/// by arity and then by kind, each instruction one layer after the
+/// latest of its operands. The reference for the per-arity walks.
+fn reference_counts_and_depth(circuit: &Circuit) -> (GateCounts, usize) {
+    let mut counts = GateCounts::default();
+    let mut level = vec![0usize; circuit.num_qubits()];
+    let mut depth = 0;
+    for instr in circuit.iter() {
+        let gate = instr.gate();
+        counts.total += 1;
+        match gate.arity() {
+            1 if gate.is_measurement() => counts.measure += 1,
+            1 => counts.one_qubit += 1,
+            2 => counts.two_qubit += 1,
+            3 => counts.three_qubit += 1,
+            other => panic!("arity {other}"),
+        }
+        match gate {
+            Gate::Cx => counts.cx += 1,
+            Gate::Swap => counts.swap += 1,
+            Gate::Ccx => counts.ccx += 1,
+            Gate::Ccz => counts.ccz += 1,
+            Gate::Cswap => counts.cswap += 1,
+            _ => {}
+        }
+        let start = instr
+            .qubits()
+            .iter()
+            .map(|q| level[q.index()])
+            .max()
+            .unwrap_or(0);
+        for q in instr.qubits() {
+            level[q.index()] = start + 1;
+        }
+        depth = depth.max(start + 1);
+    }
+    (counts, depth)
+}
+
+/// The ASAP total Δ as an iterate-and-fold scan: each instruction starts
+/// at the fold from 0.0 of its operands' free times. The reference for
+/// the per-arity walk behind `asap_total_us`.
+fn reference_asap_total_us(circuit: &Circuit, durations: &GateDurations) -> f64 {
+    let mut qubit_free = vec![0.0f64; circuit.num_qubits()];
+    let mut total = 0.0f64;
+    for instr in circuit.iter() {
+        let start = instr
+            .qubits()
+            .iter()
+            .map(|q| qubit_free[q.index()])
+            .fold(0.0, f64::max);
+        let end = start + durations.of(instr.gate());
+        for q in instr.qubits() {
+            qubit_free[q.index()] = end;
+        }
+        total = total.max(end);
+    }
+    total
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The pass manager's fused scan equals `(counts(), depth())`, and the
-    /// schedule-free Δ equals the ASAP schedule's total bit for bit, on
-    /// circuits mixing one-, two- and three-qubit gates with SWAPs and
+    /// The pass manager's fused scan, `counts()` and `depth()` equal the
+    /// iterate-and-fold reference, and the schedule-free Δ equals both its
+    /// reference and the ASAP schedule's total bit for bit, on circuits
+    /// mixing one-, two- and three-qubit gates with SWAPs and
     /// measurements, under the Johannesburg table and another one.
     #[test]
     fn fused_scan_and_schedule_free_delta_match_the_full_scans(
@@ -699,15 +760,20 @@ proptest! {
             }
         }
         let circuit = Circuit::from_instructions(7, instructions).unwrap();
-        prop_assert_eq!(circuit.counts_and_depth(), (circuit.counts(), circuit.depth()));
+        let (counts, depth) = reference_counts_and_depth(&circuit);
+        prop_assert_eq!(circuit.counts_and_depth(), (counts, depth));
+        prop_assert_eq!(circuit.counts(), counts);
+        prop_assert_eq!(circuit.depth(), depth);
         let other = GateDurations {
             one_qubit_us: 0.035,
             two_qubit_us: 0.3,
             measure_us: 1.2,
         };
         for durations in [GateDurations::johannesburg(), other] {
+            let total = asap_total_us(&circuit, &durations).to_bits();
+            prop_assert_eq!(total, reference_asap_total_us(&circuit, &durations).to_bits());
             prop_assert_eq!(
-                asap_total_us(&circuit, &durations).to_bits(),
+                total,
                 schedule_asap(&circuit, &durations).total_duration_us().to_bits()
             );
         }
