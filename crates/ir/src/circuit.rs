@@ -395,11 +395,6 @@ impl Circuit {
         (counts, depth)
     }
 
-    /// Number of two-qubit gates (the paper's primary static metric).
-    pub fn two_qubit_gate_count(&self) -> usize {
-        self.counts().two_qubit
-    }
-
     /// Circuit depth in gate layers: the longest chain of instructions that
     /// share qubits. Measurements count as a layer.
     pub fn depth(&self) -> usize {
@@ -578,7 +573,6 @@ mod tests {
         assert_eq!(counts.cx, 2);
         assert_eq!(counts.swap, 1);
         assert_eq!(counts.ccx, 1);
-        assert_eq!(c.two_qubit_gate_count(), 3);
     }
 
     #[test]

@@ -195,12 +195,6 @@ impl Gate {
         matches!(self, Gate::Measure)
     }
 
-    /// `true` if the gate is unitary (everything except measurement).
-    #[inline]
-    pub fn is_unitary(self) -> bool {
-        !self.is_measurement()
-    }
-
     /// `true` if the gate is diagonal in the computational basis.
     ///
     /// Diagonal gates commute with one another and with the control side of

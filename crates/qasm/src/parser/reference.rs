@@ -288,7 +288,9 @@ impl Parser {
             match self.next() {
                 Some(Tok::Punct('{')) => depth += 1,
                 Some(Tok::Punct('}')) => {
-                    depth -= 1;
+                    depth = depth
+                        .checked_sub(1)
+                        .expect("'}' closes a gate body that never opened");
                     if depth == 0 {
                         return Ok(());
                     }

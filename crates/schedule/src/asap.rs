@@ -30,8 +30,8 @@ pub struct Schedule {
 }
 
 impl Schedule {
-    /// Assembles a schedule from already-computed parts (used by the ALAP
-    /// scheduler).
+    /// Assembles a schedule from already-computed parts (used by
+    /// [`schedule_crosstalk_aware`](crate::schedule_crosstalk_aware)).
     pub(crate) fn from_parts(ops: Vec<ScheduledOp>, total_duration_us: f64) -> Self {
         Schedule {
             ops,

@@ -115,47 +115,10 @@ pub fn schedule_crosstalk_aware(
     Schedule::from_parts(ops, total)
 }
 
-/// ALAP scheduling with the same crosstalk avoidance: gates are pushed as
-/// late as dependencies allow, and a two-qubit gate is additionally pulled
-/// *earlier* (toward the circuit start) rather than ever overlapping a
-/// coupled two-qubit gate.
-///
-/// Implemented by the standard reversal identity `ALAP(C) =
-/// mirror(ASAP(reverse(C)))`: the instruction list is reversed, scheduled
-/// with [`schedule_crosstalk_aware`], and every interval is reflected
-/// about the total duration. Reflection preserves both interval overlap
-/// and qubit dependencies, so the result is conflict-free
-/// ([`crosstalk_conflicts`] `== 0`) with the same total duration as the
-/// forward crosstalk-aware schedule of the reversed circuit, and ops stay
-/// in program order.
-pub fn schedule_crosstalk_aware_alap(
-    circuit: &Circuit,
-    durations: &GateDurations,
-    topology: &Topology,
-) -> Schedule {
-    let mut reversed = Circuit::new(circuit.num_qubits());
-    for instr in circuit.iter().rev() {
-        reversed.push(*instr);
-    }
-    let forward = schedule_crosstalk_aware(&reversed, durations, topology);
-    let total = forward.total_duration_us();
-    let ops: Vec<ScheduledOp> = forward
-        .ops()
-        .iter()
-        .rev()
-        .map(|op| ScheduledOp {
-            instruction: op.instruction,
-            start_us: total - op.end_us(),
-            duration_us: op.duration_us,
-        })
-        .collect();
-    Schedule::from_parts(ops, total)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{schedule_alap, schedule_asap};
+    use crate::schedule_asap;
     use trios_ir::Circuit;
     use trios_topology::{grid, line};
 
@@ -231,75 +194,6 @@ mod tests {
         assert!(ops[2].start_us >= ops[1].end_us() - 1e-12);
         // The 1q gate is never delayed.
         assert_eq!(ops[3].start_us, 0.0);
-    }
-
-    #[test]
-    fn crosstalk_policy_serializes_neighbors_under_asap_and_alap() {
-        // The constructed case: CX(0,1) and CX(2,3) on a 4-qubit line are
-        // dependency-free, so both plain schedulers run them in parallel —
-        // and the edge (1,2) couples them, which the crosstalk policy must
-        // serialize in *both* scheduling directions.
-        let mut c = Circuit::new(4);
-        c.cx(0, 1).cx(2, 3);
-        let topo = line(4);
-        let d = durations();
-
-        // Both plain schedules exhibit the conflict.
-        assert_eq!(crosstalk_conflicts(&schedule_asap(&c, &d), &topo), 1);
-        assert_eq!(crosstalk_conflicts(&schedule_alap(&c, &d), &topo), 1);
-
-        // Both crosstalk-aware schedules serialize it: zero conflicts and
-        // exactly the doubled two-gate duration.
-        for schedule in [
-            schedule_crosstalk_aware(&c, &d, &topo),
-            schedule_crosstalk_aware_alap(&c, &d, &topo),
-        ] {
-            assert_eq!(crosstalk_conflicts(&schedule, &topo), 0);
-            assert!((schedule.total_duration_us() - 2.0 * 0.559).abs() < 1e-12);
-            // The two gates may not overlap in either direction.
-            let (a, b) = (&schedule.ops()[0], &schedule.ops()[1]);
-            assert!(
-                a.end_us() <= b.start_us + 1e-12 || b.end_us() <= a.start_us + 1e-12,
-                "gates still overlap: {a:?} vs {b:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn alap_aware_pushes_gates_late_and_respects_dependencies() {
-        // One early H far before a dependent CX: the ALAP variant slides
-        // the H to end exactly when its CX begins, while staying
-        // conflict-free on the coupled pair.
-        let mut c = Circuit::new(4);
-        c.h(0).cx(0, 1).cx(2, 3);
-        let topo = line(4);
-        let aware_alap = schedule_crosstalk_aware_alap(&c, &durations(), &topo);
-        assert_eq!(crosstalk_conflicts(&aware_alap, &topo), 0);
-        let ops = aware_alap.ops();
-        // Ops come back in program order.
-        assert_eq!(ops[0].instruction, *c.instructions().first().unwrap());
-        // The H ends exactly when its dependent CX starts (ALAP: no slack).
-        assert!((ops[0].end_us() - ops[1].start_us).abs() < 1e-12);
-        // Dependencies hold for every op pair sharing a qubit.
-        assert!(ops[1].start_us >= ops[0].end_us() - 1e-12);
-        // Everything fits the declared makespan.
-        for op in ops {
-            assert!(op.start_us >= -1e-12);
-            assert!(op.end_us() <= aware_alap.total_duration_us() + 1e-12);
-        }
-    }
-
-    #[test]
-    fn alap_aware_keeps_uncoupled_parallelism() {
-        let mut c = Circuit::new(6);
-        c.cx(0, 1).cx(4, 5);
-        let topo = line(6);
-        let aware = schedule_crosstalk_aware_alap(&c, &durations(), &topo);
-        assert_eq!(crosstalk_conflicts(&aware, &topo), 0);
-        assert!(
-            (aware.total_duration_us() - 0.559).abs() < 1e-12,
-            "uncoupled gates must still run in parallel"
-        );
     }
 
     #[test]

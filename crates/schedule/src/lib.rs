@@ -1,4 +1,4 @@
-//! # trios-schedule — ASAP/ALAP scheduling and duration models
+//! # trios-schedule — ASAP and crosstalk-aware scheduling, duration models
 //!
 //! The last pass of both compilation pipelines (paper Fig. 2): assign each
 //! instruction a start time, exploiting parallelism between gates on
@@ -7,9 +7,10 @@
 //! model (§2.6) — fewer/shorter SWAP chains mean a shorter Δ and a better
 //! chance the qubits survive the program.
 //!
-//! Beyond the paper's ASAP pass, [`schedule_alap`] provides
-//! as-late-as-possible scheduling and [`idle_report`] quantifies per-qubit
-//! idle exposure — the decoherence-relevant refinement that ALAP improves.
+//! [`schedule_crosstalk_aware`] delays a two-qubit gate while a coupled
+//! two-qubit gate runs, and [`crosstalk_conflicts`] counts the coupled
+//! pairs a schedule runs at once; the success model's crosstalk policies
+//! read both.
 //!
 //! # Examples
 //!
@@ -26,12 +27,10 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod alap;
 mod asap;
 mod crosstalk;
 mod durations;
 
-pub use alap::{alap_idle_us, asap_idle_us, idle_report, schedule_alap, IdleReport};
 pub use asap::{asap_total_us, schedule_asap, Schedule, ScheduledOp};
-pub use crosstalk::{crosstalk_conflicts, schedule_crosstalk_aware, schedule_crosstalk_aware_alap};
+pub use crosstalk::{crosstalk_conflicts, schedule_crosstalk_aware};
 pub use durations::GateDurations;

@@ -1,13 +1,18 @@
 //! Cross-crate integration tests: every benchmark, through both
 //! pipelines, on every paper device, must produce a hardware-legal
-//! circuit; the smaller ones are additionally verified semantically
-//! against the original program with the statevector simulator.
+//! circuit with a sound crosstalk-aware schedule; the smaller ones are
+//! additionally verified semantically against the original program with
+//! the statevector simulator.
 
 use orchestrated_trios::benchmarks::Benchmark;
 use orchestrated_trios::core::{Compiler, PaperConfig};
+use orchestrated_trios::ir::Circuit;
 use orchestrated_trios::route::{check_legal, ToffoliPolicy};
+use orchestrated_trios::schedule::{
+    asap_total_us, crosstalk_conflicts, schedule_crosstalk_aware, GateDurations,
+};
 use orchestrated_trios::sim::{DenseSimulator, Simulator};
-use orchestrated_trios::topology::PaperDevice;
+use orchestrated_trios::topology::{PaperDevice, Topology};
 
 /// The baseline and full-Trios paper configurations: one per pipeline of
 /// the paper's Figure 2.
@@ -21,8 +26,52 @@ fn compiler(config: PaperConfig, seed: u64) -> Compiler {
     Compiler::builder().seed(seed).config(config).build()
 }
 
+/// Checks the crosstalk-aware schedule of a routed `circuit` on `topo`:
+/// no coupled two-qubit gates overlap, there is one op per instruction in
+/// program order, each op starts once its qubits are free, and the total
+/// is the latest op end, no shorter than the ASAP total. Every comparison
+/// is exact: each bound is the same f64 the scheduler computed.
+fn assert_crosstalk_aware_schedule_is_sound(
+    circuit: &Circuit,
+    topo: &Topology,
+    durations: &GateDurations,
+    context: &str,
+) {
+    let schedule = schedule_crosstalk_aware(circuit, durations, topo);
+    assert_eq!(
+        crosstalk_conflicts(&schedule, topo),
+        0,
+        "{context}: coupled gates overlap"
+    );
+    assert_eq!(schedule.ops().len(), circuit.len(), "{context}: op count");
+    let mut qubit_free = vec![0.0f64; circuit.num_qubits()];
+    let mut latest_end = 0.0f64;
+    for (i, (op, instr)) in schedule.ops().iter().zip(circuit.iter()).enumerate() {
+        assert_eq!(op.instruction, *instr, "{context}: op {i} out of order");
+        for q in instr.qubits() {
+            assert!(
+                op.start_us >= qubit_free[q.index()],
+                "{context}: op {i} starts before q{} is free",
+                q.index()
+            );
+            qubit_free[q.index()] = op.end_us();
+        }
+        latest_end = latest_end.max(op.end_us());
+    }
+    assert_eq!(
+        schedule.total_duration_us(),
+        latest_end,
+        "{context}: total is not the latest op end"
+    );
+    assert!(
+        schedule.total_duration_us() >= asap_total_us(circuit, durations),
+        "{context}: shorter than the ASAP schedule"
+    );
+}
+
 #[test]
 fn every_benchmark_compiles_legally_on_every_device() {
+    let durations = GateDurations::johannesburg();
     for b in Benchmark::ALL {
         let circuit = b.build();
         for device in PaperDevice::ALL {
@@ -38,6 +87,12 @@ fn every_benchmark_compiles_legally_on_every_device() {
                 check_legal(&compiled.circuit, &topo, ToffoliPolicy::Forbid).unwrap_or_else(|v| {
                     panic!("{b} on {device:?} ({config:?}): illegal output: {v}")
                 });
+                assert_crosstalk_aware_schedule_is_sound(
+                    &compiled.circuit,
+                    &topo,
+                    &durations,
+                    &format!("{b} on {device:?} ({config:?})"),
+                );
             }
         }
     }
