@@ -89,11 +89,11 @@ impl CompilationCache {
     /// collision requires a 64-bit hash collision, not merely "similar"
     /// jobs. Circuit and device *names* do not participate.
     pub fn key(circuit: &Circuit, topology: &Topology, options: &CompileOptions) -> u64 {
-        let mut h = hash::OFFSET;
-        h = hash::write_u64(h, circuit.structural_hash());
-        h = hash::write_u64(h, topology.structural_hash());
-        h = hash::write_u64(h, options_hash(options));
-        h
+        combine_key(
+            circuit.structural_hash(),
+            topology.structural_hash(),
+            options_hash(options),
+        )
     }
 
     /// The cached compilation for `key`, if present; refreshes its recency
@@ -301,6 +301,18 @@ impl fmt::Debug for CompilationCache {
     }
 }
 
+/// The cache key of a job from [`Circuit::structural_hash`],
+/// [`Topology::structural_hash`] and [`options_hash`]. Both
+/// [`CompilationCache::key`] and a sweep's check for recurring jobs, which
+/// hashes each circuit and each batch's options once, combine through
+/// here, so their keys cannot drift apart.
+pub(crate) fn combine_key(circuit: u64, topology: u64, options: u64) -> u64 {
+    let mut h = hash::OFFSET;
+    h = hash::write_u64(h, circuit);
+    h = hash::write_u64(h, topology);
+    hash::write_u64(h, options)
+}
+
 fn write_f64(h: u64, value: f64) -> u64 {
     hash::write_u64(h, value.to_bits())
 }
@@ -318,7 +330,7 @@ fn write_str(h: u64, value: &str) -> u64 {
 /// deliberate: adding a field to [`CompileOptions`] (or the nested option
 /// structs) fails compilation here, forcing the new knob into the key
 /// instead of silently aliasing cache entries across configurations.
-fn options_hash(options: &CompileOptions) -> u64 {
+pub(crate) fn options_hash(options: &CompileOptions) -> u64 {
     let CompileOptions {
         router,
         decomposer,

@@ -4,6 +4,7 @@
 
 use crate::context::{CompileContext, ProgramSchedule, RouterTrace, SwapTrace};
 use crate::Diagnostic;
+use std::sync::OnceLock;
 use trios_passes::{
     decompose_toffolis, lower_to_hardware_gates, optimize, DecomposerHandle, DecomposerRegistry,
     DecompositionStrategy,
@@ -283,12 +284,15 @@ impl Pass for LowerPass {
         // should have eliminated; lower it with the configured strategy
         // when that strategy is a standard executable one, else with
         // `standard` (custom registrations live in the route pass — this
-        // safety net must not reject them).
-        let strategy = DecomposerRegistry::standard()
+        // safety net must not reject them). The standard registry is built
+        // once per process, not once per compile.
+        static STANDARD: OnceLock<DecomposerRegistry> = OnceLock::new();
+        let registry = STANDARD.get_or_init(DecomposerRegistry::standard);
+        let strategy = registry
             .get(cx.options.decomposer_name())
             .filter(|s| s.executable())
             .unwrap_or_else(|| {
-                DecomposerRegistry::standard()
+                registry
                     .get("standard")
                     .expect("standard registry always has 'standard'")
             });

@@ -55,7 +55,7 @@
 //! }
 //! ```
 
-use crate::cache::CompilationCache;
+use crate::cache::{self, CompilationCache};
 use crate::{Compiler, Diagnostic, SchedulePass};
 use std::collections::HashSet;
 use std::error::Error;
@@ -712,15 +712,24 @@ struct Batch {
 /// `true` if some job of the sweep has the cache key of an earlier one,
 /// so that a [`CompilationCache`] could answer it. A key hashes the
 /// circuit, the topology and the compiler's options, the router among
-/// them.
+/// them; each circuit and each batch's options are hashed once, and the
+/// hashes combine as [`CompilationCache::key`] combines them.
 fn some_job_recurs(spec: &SweepSpec, batches: &[Batch], groups: &[Vec<usize>]) -> bool {
+    let circuits: Vec<u64> = spec
+        .benchmarks
+        .iter()
+        .map(|bench| bench.circuit.structural_hash())
+        .collect();
+    let options: Vec<u64> = batches
+        .iter()
+        .map(|batch| cache::options_hash(batch.compiler.options()))
+        .collect();
     let mut seen = HashSet::new();
     for (_, topology) in &spec.devices {
-        for batch in batches {
+        let device = topology.structural_hash();
+        for (batch, &options) in batches.iter().zip(&options) {
             for &bi in &groups[batch.group] {
-                let circuit = &spec.benchmarks[bi].circuit;
-                let key = CompilationCache::key(circuit, topology, batch.compiler.options());
-                if !seen.insert(key) {
+                if !seen.insert(cache::combine_key(circuits[bi], device, options)) {
                     return true;
                 }
             }

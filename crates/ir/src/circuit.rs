@@ -155,6 +155,12 @@ impl Circuit {
         Ok(())
     }
 
+    /// Reserves room for at least `additional` more instructions, so that
+    /// a pass that knows how much it will emit grows the list once.
+    pub fn reserve(&mut self, additional: usize) {
+        self.instructions.reserve(additional);
+    }
+
     /// Appends `gate` applied to `qubits` (given as plain indices).
     ///
     /// # Panics

@@ -182,24 +182,28 @@ fn middle_operand(placement: TrioPlacement) -> usize {
     }
 }
 
+/// The operands other than the `middle` one, in operand order.
+fn ends(instr: &Instruction, middle: usize) -> (Qubit, Qubit) {
+    let (first, second) = match middle {
+        0 => (1, 2),
+        1 => (0, 2),
+        _ => (0, 1),
+    };
+    (instr.qubit(first), instr.qubit(second))
+}
+
 /// The 8-CNOT Toffoli with the placement-appropriate middle operand.
 fn lower_ccx_eight(instr: &Instruction, placement: TrioPlacement) -> Vec<Instruction> {
     let middle = middle_operand(placement);
-    let ends: Vec<Qubit> = (0..3)
-        .filter(|&i| i != middle)
-        .map(|i| instr.qubit(i))
-        .collect();
-    toffoli_8cnot_linear(ends[0], instr.qubit(middle), ends[1], instr.qubit(2))
+    let (end1, end2) = ends(instr, middle);
+    toffoli_8cnot_linear(end1, instr.qubit(middle), end2, instr.qubit(2))
 }
 
 /// The 8-CNOT CCZ with the placement-appropriate middle operand.
 fn lower_ccz_eight(instr: &Instruction, placement: TrioPlacement) -> Vec<Instruction> {
     let middle = middle_operand(placement);
-    let ends: Vec<Qubit> = (0..3)
-        .filter(|&i| i != middle)
-        .map(|i| instr.qubit(i))
-        .collect();
-    ccz_8cnot_linear(ends[0], instr.qubit(middle), ends[1])
+    let (end1, end2) = ends(instr, middle);
+    ccz_8cnot_linear(end1, instr.qubit(middle), end2)
 }
 
 /// The connectivity-aware lowering shared by `standard` and

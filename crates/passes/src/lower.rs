@@ -5,9 +5,12 @@ use crate::DecompositionStrategy;
 use std::f64::consts::{FRAC_PI_2, PI};
 use trios_ir::{Circuit, Gate, Instruction, Qubit};
 
+/// The number of instructions a SWAP lowers to.
+const SWAP_LEN: usize = 3;
+
 /// Expands a SWAP into its standard 3-CNOT implementation (paper §2.2:
 /// "each of these SWAPs is usually decomposed as a series of 3 CNOT gates").
-pub fn swap_to_cnots(a: Qubit, b: Qubit) -> [Instruction; 3] {
+pub fn swap_to_cnots(a: Qubit, b: Qubit) -> [Instruction; SWAP_LEN] {
     [
         Instruction::new(Gate::Cx, &[a, b]),
         Instruction::new(Gate::Cx, &[b, a]),
@@ -30,13 +33,16 @@ pub fn lower_swaps(circuit: &Circuit) -> Circuit {
     out
 }
 
+/// The number of instructions a controlled-`X^t` lowers to.
+const CXPOW_LEN: usize = 7;
+
 /// Decomposes a controlled-`X^t` into 2 CNOTs and single-qubit gates
 /// (standard ABC construction; the control picks up the `u1(πt/2)` phase
 /// that accounts for `det(X^t) ≠ 1`).
-pub fn cxpow_to_cx(t: f64, control: Qubit, target: Qubit) -> Vec<Instruction> {
+pub fn cxpow_to_cx(t: f64, control: Qubit, target: Qubit) -> [Instruction; CXPOW_LEN] {
     let i = |g: Gate, qs: &[Qubit]| Instruction::new(g, qs);
     let theta = PI * t;
-    vec![
+    [
         i(Gate::U1(theta / 2.0), &[control]),
         i(Gate::Rz(FRAC_PI_2), &[target]),
         i(Gate::Cx, &[control, target]),
@@ -47,10 +53,13 @@ pub fn cxpow_to_cx(t: f64, control: Qubit, target: Qubit) -> Vec<Instruction> {
     ]
 }
 
+/// The number of instructions a controlled-phase lowers to.
+const CP_LEN: usize = 5;
+
 /// Decomposes a controlled-phase `cp(λ)` into 2 CNOTs and three `u1`s.
-pub fn cp_to_cx(lambda: f64, a: Qubit, b: Qubit) -> Vec<Instruction> {
+pub fn cp_to_cx(lambda: f64, a: Qubit, b: Qubit) -> [Instruction; CP_LEN] {
     let i = |g: Gate, qs: &[Qubit]| Instruction::new(g, qs);
-    vec![
+    [
         i(Gate::U1(lambda / 2.0), &[a]),
         i(Gate::Cx, &[a, b]),
         i(Gate::U1(-lambda / 2.0), &[b]),
@@ -59,8 +68,11 @@ pub fn cp_to_cx(lambda: f64, a: Qubit, b: Qubit) -> Vec<Instruction> {
     ]
 }
 
+/// The number of instructions a CZ lowers to.
+const CZ_LEN: usize = 3;
+
 /// Decomposes a CZ into `H(t) · CX · H(t)`.
-pub fn cz_to_cx(a: Qubit, b: Qubit) -> [Instruction; 3] {
+pub fn cz_to_cx(a: Qubit, b: Qubit) -> [Instruction; CZ_LEN] {
     [
         Instruction::new(Gate::H, &[b]),
         Instruction::new(Gate::Cx, &[a, b]),
@@ -76,9 +88,12 @@ pub fn cz_to_cx(a: Qubit, b: Qubit) -> [Instruction; 3] {
 /// eliminate Toffolis earlier (baseline before routing, Trios during), so
 /// this is a safety net that keeps the pass total.
 ///
+/// The output is reserved once, for the expansions this function makes
+/// itself; a leftover Toffoli grows it.
+///
 /// [`merge_single_qubit_runs`]: crate::merge_single_qubit_runs
 pub fn lower_to_hardware_gates(circuit: &Circuit, strategy: &dyn DecompositionStrategy) -> Circuit {
-    let mut out = Vec::with_capacity(circuit.len());
+    let mut out = Vec::with_capacity(circuit.iter().map(|i| lowered_len(i.gate())).sum());
     for instr in circuit.iter() {
         match instr.gate() {
             Gate::Swap => out.extend(swap_to_cnots(instr.qubit(0), instr.qubit(1))),
@@ -96,6 +111,18 @@ pub fn lower_to_hardware_gates(circuit: &Circuit, strategy: &dyn DecompositionSt
     out.set_name(circuit.name());
     debug_assert!(out.is_hardware_lowered());
     out
+}
+
+/// How many instructions [`lower_to_hardware_gates`] emits for `gate`,
+/// counting a leftover three-qubit gate as one.
+fn lowered_len(gate: Gate) -> usize {
+    match gate {
+        Gate::Swap => SWAP_LEN,
+        Gate::Cz => CZ_LEN,
+        Gate::Cp(_) => CP_LEN,
+        Gate::Cxpow(_) => CXPOW_LEN,
+        _ => 1,
+    }
 }
 
 #[cfg(test)]

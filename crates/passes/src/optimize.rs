@@ -67,8 +67,9 @@ impl OptimizeOptions {
 /// Runs the selected optimizations, in this order:
 ///
 /// 1. drop trivial gates ([`remove_trivial_gates`]);
-/// 2. cancel adjacent inverse pairs, round after round until a round
-///    removes nothing ([`cancel_adjacent_inverses`]);
+/// 2. cancel adjacent inverse pairs, round after round, stopping after
+///    the round that leaves no adjacent pair
+///    ([`cancel_adjacent_inverses`]);
 /// 3. when enabled, the commutation-aware passes:
 ///    [`cancel_commuting_inverses`](crate::cancel_commuting_inverses), then
 ///    [`merge_commuting_rotations`](crate::merge_commuting_rotations)
@@ -145,7 +146,7 @@ pub fn remove_trivial_gates(circuit: &Circuit) -> Circuit {
     rebuild(circuit, kept)
 }
 
-/// Cancels adjacent inverse pairs, iterating to a fixpoint so that
+/// Cancels adjacent inverse pairs, round after round, so that
 /// cancellations exposed by earlier ones (e.g. `H · CX · CX · H`) are also
 /// removed.
 ///
@@ -153,6 +154,13 @@ pub fn remove_trivial_gates(circuit: &Circuit) -> Circuit {
 /// between, their gates are mutual inverses, and their operand orders are
 /// compatible (exact match, except that the symmetric gates CZ/CP/SWAP may
 /// have their operands flipped, and Toffoli controls may commute).
+///
+/// A round can only expose a pair where it cancelled one: the later gate
+/// of a new pair is the first gate the round kept on a qubit after a
+/// cancellation there. So each round tests just those gates against their
+/// nearest kept predecessors, and another round runs only if one of them
+/// would cancel. The rounds and the result are those of repeating rounds
+/// until one removes nothing, without that last, confirming round.
 pub fn cancel_adjacent_inverses(circuit: &Circuit) -> Circuit {
     rebuild(
         circuit,
@@ -160,42 +168,64 @@ pub fn cancel_adjacent_inverses(circuit: &Circuit) -> Circuit {
     )
 }
 
-/// Marks a qubit no kept instruction has touched in the current round, or
-/// whose last toucher was just cancelled.
-const UNTOUCHED: usize = usize::MAX;
+/// A `top` entry of a qubit no kept instruction has touched this round.
+const NONE: usize = usize::MAX >> 1;
 
-/// Runs cancellation rounds until one removes nothing. The first round
-/// reads `input` directly; later rounds alternate between two buffers.
+/// Set in a `top` entry while a cancellation is the newest event on the
+/// qubit: the instruction it names is then no candidate, and the next
+/// instruction kept there is rechecked after the round.
+const RESET: usize = !NONE;
+
+/// Runs cancellation rounds until no adjacent pair is left. `input` is
+/// copied into one buffer, which every round compacts in place.
 fn cancel_to_fixpoint(
     num_qubits: usize,
     input: impl Iterator<Item = Instruction>,
 ) -> Vec<Instruction> {
+    let mut instrs = Vec::with_capacity(input.size_hint().1.unwrap_or(0));
+    instrs.extend(input);
     let mut round = CancelRound {
-        last_touch: vec![UNTOUCHED; num_qubits],
-        dead: Vec::new(),
+        top: vec![NONE; num_qubits],
+        kept: Vec::with_capacity(instrs.len()),
+        recheck: Vec::new(),
     };
-    let mut current = Vec::with_capacity(input.size_hint().1.unwrap_or(0));
-    let mut changed = round.run(input, &mut current);
-    let mut next = Vec::with_capacity(current.len());
-    while changed {
-        changed = round.run(current.iter().copied(), &mut next);
-        std::mem::swap(&mut current, &mut next);
-    }
-    current
+    while round.run(&mut instrs) {}
+    instrs
+}
+
+#[cfg(test)]
+thread_local! {
+    /// The cancellation rounds this thread has run, for the tests.
+    static ROUNDS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// Working state of one cancellation round, reused across rounds.
 struct CancelRound {
-    /// Per qubit, the index in the round's output of the last kept
-    /// instruction touching it, or [`UNTOUCHED`].
-    last_touch: Vec<usize>,
-    /// Per output index, whether a later instruction cancelled it.
-    dead: Vec<bool>,
+    /// Per qubit, the index in the round's output of the nearest kept
+    /// instruction touching it, or [`NONE`], with [`RESET`] set after a
+    /// cancellation on the qubit until the round keeps another
+    /// instruction there.
+    top: Vec<usize>,
+    /// Per output index, what the round knows of that instruction.
+    kept: Vec<Kept>,
+    /// Output indices of the instructions kept first on a qubit after a
+    /// cancellation there.
+    recheck: Vec<usize>,
+}
+
+/// One kept instruction of a round.
+#[derive(Clone, Copy)]
+struct Kept {
+    /// Per operand, the nearest kept instruction on that qubit before this
+    /// one ([`RESET`] cleared), or [`NONE`].
+    below: [usize; 3],
+    /// Whether a later instruction cancelled it.
+    dead: bool,
 }
 
 impl CancelRound {
-    /// Copies `input` into `out` minus the pairs that cancel, returning
-    /// whether any did.
+    /// Removes the pairs that cancel from `instrs`, keeping the rest in
+    /// order, and returns whether another round would cancel more.
     ///
     /// The candidate for an instruction is the last kept instruction to
     /// touch *all* of its qubits, and it must touch exactly those qubits.
@@ -203,46 +233,75 @@ impl CancelRound {
     /// of the cancelled instruction's qubits, so no qubit is left pointing
     /// at it. Within one round a later gate therefore never reaches past a
     /// cancelled pair to an older instruction; the next round does.
-    fn run(
-        &mut self,
-        input: impl Iterator<Item = Instruction>,
-        out: &mut Vec<Instruction>,
-    ) -> bool {
-        out.clear();
-        self.dead.clear();
-        self.last_touch.fill(UNTOUCHED);
+    ///
+    /// The next round cancels something exactly when the output holds a
+    /// gate whose nearest kept predecessor on every one of its qubits is
+    /// one instruction it cancels with. Such a gate was kept first on some
+    /// qubit after a cancellation there, or this round would have
+    /// cancelled it, so only those gates are tested. Their predecessors
+    /// are final when they are kept: cancelling an instruction needs it to
+    /// be the candidate on all of its qubits.
+    fn run(&mut self, instrs: &mut Vec<Instruction>) -> bool {
+        #[cfg(test)]
+        ROUNDS.with(|rounds| rounds.set(rounds.get() + 1));
+        self.kept.clear();
+        self.recheck.clear();
+        self.top.fill(NONE);
         let mut changed = false;
-        for instr in input {
+        // The kept instructions fill `instrs` from the front: slot `len`
+        // is never ahead of the one being read.
+        let mut len = 0;
+        for read in 0..instrs.len() {
+            let instr = instrs[read];
             let qubits = instr.qubits();
-            let first = self.last_touch[qubits[0].index()];
-            let cancels = first != UNTOUCHED
-                && qubits[1..]
-                    .iter()
-                    .all(|q| self.last_touch[q.index()] == first)
-                && out[first].qubits().len() == qubits.len()
-                && operands_cancel(&out[first], &instr);
+            let first = self.top[qubits[0].index()];
+            let cancels = first < NONE
+                && qubits[1..].iter().all(|q| self.top[q.index()] == first)
+                && instrs[first].qubits().len() == qubits.len()
+                && operands_cancel(&instrs[first], &instr);
             if cancels {
-                self.dead[first] = true;
-                for q in qubits {
-                    self.last_touch[q.index()] = UNTOUCHED;
+                let kept = &mut self.kept[first];
+                kept.dead = true;
+                for (q, below) in instrs[first].qubits().iter().zip(kept.below) {
+                    self.top[q.index()] = below | RESET;
                 }
                 changed = true;
             } else {
-                for q in qubits {
-                    self.last_touch[q.index()] = out.len();
+                let mut below = [NONE; 3];
+                let mut after_reset = false;
+                for (q, below) in qubits.iter().zip(&mut below) {
+                    let top = self.top[q.index()];
+                    after_reset |= top & RESET != 0;
+                    *below = top & !RESET;
+                    self.top[q.index()] = len;
                 }
-                out.push(instr);
-                self.dead.push(false);
+                if after_reset {
+                    self.recheck.push(len);
+                }
+                instrs[len] = instr;
+                len += 1;
+                self.kept.push(Kept { below, dead: false });
             }
         }
+        instrs.truncate(len);
+        let again = self.recheck.iter().any(|&i| {
+            let Kept { below, dead } = self.kept[i];
+            let arity = instrs[i].qubits().len();
+            let p = below[0];
+            !dead
+                && p != NONE
+                && below[1..arity].iter().all(|&b| b == p)
+                && instrs[p].qubits().len() == arity
+                && operands_cancel(&instrs[p], &instrs[i])
+        });
         if changed {
             let mut index = 0;
-            out.retain(|_| {
+            instrs.retain(|_| {
                 index += 1;
-                !self.dead[index - 1]
+                !self.kept[index - 1].dead
             });
         }
-        changed
+        again
     }
 }
 
@@ -708,17 +767,25 @@ mod tests {
     /// One instruction's mnemonic, exact parameter bits and operands.
     type InstructionBits = (&'static str, Vec<u64>, Vec<usize>);
 
-    /// The width, name and every instruction's bits of `c`.
-    fn instruction_bits(c: &Circuit) -> (usize, String, Vec<InstructionBits>) {
-        let instrs = c
+    /// Every instruction's bits of `instrs`.
+    fn bits_of(instrs: &[Instruction]) -> Vec<InstructionBits> {
+        instrs
             .iter()
             .map(|i| {
                 let params = i.gate().params().iter().map(|p| p.to_bits()).collect();
                 let qubits = i.qubits().iter().map(|q| q.index()).collect();
                 (i.gate().name(), params, qubits)
             })
-            .collect();
-        (c.num_qubits(), c.name().to_string(), instrs)
+            .collect()
+    }
+
+    /// The width, name and every instruction's bits of `c`.
+    fn instruction_bits(c: &Circuit) -> (usize, String, Vec<InstructionBits>) {
+        (
+            c.num_qubits(),
+            c.name().to_string(),
+            bits_of(c.instructions()),
+        )
     }
 
     /// The options whose five flags are the low bits of `bits`.
@@ -895,6 +962,78 @@ mod tests {
         }
     }
 
+    /// Builds a circuit over `width` (1 to 4) qubits from drawn ops, each
+    /// `(slot, angle, pick, inverse)`: the gate of kind `palette[slot]`
+    /// ([`gate_of_kind`] short of `measure`), or its inverse, on the
+    /// `pick`-th ordered choice of distinct operands, so every operand
+    /// order of the symmetric and three-qubit gates occurs. A palette of
+    /// one to four kinds makes cancelling neighbours, and pairs exposed
+    /// by them, common. Gates wider than the circuit are skipped.
+    /// `mirror` appends the inverse of the whole circuit.
+    fn cancellation_circuit(
+        width: usize,
+        palette: &[usize],
+        ops: &[(usize, usize, usize, bool)],
+        mirror: bool,
+    ) -> Circuit {
+        let mut c = Circuit::new(width);
+        for &(slot, angle, pick, inverse) in ops {
+            let gate = gate_of_kind(palette[slot % palette.len()], angle);
+            if gate.arity() > width {
+                continue;
+            }
+            let gate = match gate.inverse() {
+                Some(inv) if inverse => inv,
+                _ => gate,
+            };
+            let mut free: Vec<usize> = (0..width).collect();
+            let mut pick = pick;
+            let operands: Vec<usize> = (0..gate.arity())
+                .map(|_| {
+                    let choices = free.len();
+                    let q = free.remove(pick % choices);
+                    pick /= choices;
+                    q
+                })
+                .collect();
+            c.apply(gate, &operands);
+        }
+        if mirror {
+            let forward: Vec<Instruction> = c.instructions().to_vec();
+            for instr in forward.iter().rev() {
+                c.push(instr.inverse().expect("every drawn gate is unitary"));
+            }
+        }
+        c
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+
+        /// Stopping at the round that leaves no adjacent pair returns
+        /// exactly what repeating rounds until one removes nothing
+        /// returns, and saves exactly that last, confirming round.
+        #[test]
+        fn cancellation_stops_without_a_confirming_round(
+            width in 1usize..5,
+            palette in proptest::collection::vec(0usize..GATE_KINDS - 1, 1..5),
+            ops in proptest::collection::vec(
+                (0usize..4, 3usize..5, 0usize..24, proptest::any::<bool>()),
+                0..24,
+            ),
+            mirror in proptest::any::<bool>(),
+        ) {
+            let circuit = cancellation_circuit(width, &palette, &ops, mirror);
+            let before = ROUNDS.with(std::cell::Cell::get);
+            let fast = cancel_to_fixpoint(width, circuit.iter().copied());
+            let rounds = ROUNDS.with(std::cell::Cell::get) - before;
+            let (slow, old_rounds) = reference::cancel_rounds(width, circuit.instructions());
+            prop_assert_eq!(bits_of(&fast), bits_of(&slow));
+            prop_assert!(rounds <= old_rounds, "{rounds} rounds against {old_rounds}");
+            prop_assert_eq!(rounds, old_rounds.saturating_sub(1).max(1));
+        }
+    }
+
     /// The optimizer as it was written step by step: every step builds a
     /// new circuit, cancellation rounds collect into `Option` slots. Kept
     /// as the oracle the kernels are checked against.
@@ -954,18 +1093,29 @@ mod tests {
         }
 
         pub(super) fn cancel_adjacent_inverses(circuit: &Circuit) -> Circuit {
-            let mut instrs: Vec<Instruction> = circuit.instructions().to_vec();
-            loop {
-                let (next, changed) = cancel_pass(circuit.num_qubits(), &instrs);
-                instrs = next;
-                if !changed {
-                    break;
-                }
-            }
+            let (instrs, _) = cancel_rounds(circuit.num_qubits(), circuit.instructions());
             let mut out = Circuit::from_instructions(circuit.num_qubits(), instrs)
                 .expect("cancellation preserves validity");
             out.set_name(circuit.name());
             out
+        }
+
+        /// Cancellation rounds until one removes nothing: the kept
+        /// instructions and the number of rounds, that last one included.
+        pub(super) fn cancel_rounds(
+            num_qubits: usize,
+            instrs: &[Instruction],
+        ) -> (Vec<Instruction>, usize) {
+            let mut instrs = instrs.to_vec();
+            let mut rounds = 0;
+            loop {
+                let (next, changed) = cancel_pass(num_qubits, &instrs);
+                instrs = next;
+                rounds += 1;
+                if !changed {
+                    return (instrs, rounds);
+                }
+            }
         }
 
         fn cancel_pass(num_qubits: usize, instrs: &[Instruction]) -> (Vec<Instruction>, bool) {

@@ -71,31 +71,47 @@ pub fn cswap_via_ccx(c: Qubit, a: Qubit, b: Qubit) -> Vec<Instruction> {
 /// point. The strategy's [`plan`](DecompositionStrategy::plan) is computed
 /// once over the whole circuit, so analyses like the `relative-phase`
 /// compute/uncompute pairing work on this pre-route path too.
+///
+/// The output is reserved once, with room for the 15 instructions of a
+/// 6-CNOT Toffoli per three-qubit gate, and every gate is lowered straight
+/// into it.
 pub fn decompose_three_qubit_gates(
     circuit: &Circuit,
     strategy: &dyn DecompositionStrategy,
 ) -> Circuit {
     let mut plan = strategy.plan(circuit);
-    let mut out = Circuit::with_name(circuit.num_qubits(), circuit.name().to_string());
+    let reserved = circuit
+        .iter()
+        .map(|i| {
+            if i.gate().is_three_qubit() {
+                RESERVED_PER_TRIO
+            } else {
+                1
+            }
+        })
+        .sum();
+    let mut out = Vec::with_capacity(reserved);
     for instr in circuit.iter() {
-        match instr.gate() {
-            Gate::Ccx | Gate::Ccz | Gate::Cswap => {
-                let mut lowered = Vec::new();
-                lower_recursive(instr, strategy, &mut plan, &mut lowered);
-                for li in lowered {
-                    out.push(li);
-                }
-            }
-            _ => {
-                out.push(*instr);
-            }
+        if instr.gate().is_three_qubit() {
+            lower_recursive(instr, strategy, &mut plan, &mut out);
+        } else {
+            out.push(*instr);
         }
     }
+    let mut out = Circuit::from_instructions(circuit.num_qubits(), out)
+        .expect("decomposition keeps every instruction on the circuit's qubits");
+    out.set_name(circuit.name());
     out
 }
 
-/// Lowers one three-qubit instruction, re-lowering any three-qubit gates in
-/// its expansion (the `cswap` expansions contain a `ccx`).
+/// The room reserved for one three-qubit gate's lowering: the 15
+/// instructions of the 6-CNOT Toffoli, which `standard` lowers every
+/// `ccx` to before routing. Other lowerings fit or grow the buffer.
+const RESERVED_PER_TRIO: usize = 15;
+
+/// Lowers one three-qubit instruction into `out`, re-lowering any
+/// three-qubit gates in its expansion (the `cswap` expansions contain a
+/// `ccx`).
 fn lower_recursive(
     instr: &Instruction,
     strategy: &dyn DecompositionStrategy,

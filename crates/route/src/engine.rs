@@ -15,7 +15,7 @@ use crate::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use trios_ir::{Circuit, Gate, Instruction, Qubit};
 use trios_passes::{DecompositionPlan, DecompositionStrategy, TrioPlacement};
@@ -49,7 +49,7 @@ pub struct RoutingEngine<'a> {
     out: Circuit,
     trace: RoutingTrace,
     rng: StdRng,
-    weights: Option<WeightTable>,
+    weights: Option<WeightedPaths>,
     decomposer: Arc<dyn DecompositionStrategy>,
     plan: DecompositionPlan,
 }
@@ -103,7 +103,10 @@ impl<'a> RoutingEngine<'a> {
         }
         let weights = match &opts.metric {
             PathMetric::Hops => None,
-            PathMetric::EdgeWeights(w) => Some(WeightTable::new(topo, w)?),
+            PathMetric::EdgeWeights(w) => Some(WeightedPaths {
+                table: WeightTable::new(topo, w)?,
+                memo: HashMap::new(),
+            }),
         };
         let decomposer = opts
             .decomposer
@@ -172,6 +175,8 @@ impl<'a> RoutingEngine<'a> {
         // compute/uncompute pairing) are computed over the logical circuit
         // before any gate moves.
         self.plan = self.decomposer.plan(circuit);
+        // Every input gate emits at least one instruction.
+        self.out.reserve(circuit.len());
         let mut queue: VecDeque<Instruction> = circuit.iter().copied().collect();
         let mut index = 0usize;
         while let Some(instr) = queue.pop_front() {
@@ -234,16 +239,19 @@ impl<'a> RoutingEngine<'a> {
 
     /// Shortest physical path under the configured metric.
     ///
+    /// Under [`PathMetric::EdgeWeights`], the first query of an ordered
+    /// pair runs Dijkstra, and a repeated one reads that answer from a
+    /// memo kept for this routing run. The weights do not change while the
+    /// engine routes, so the memo answers as a new search would; keeping
+    /// it is why this method takes `&mut self`.
+    ///
     /// # Errors
     ///
     /// Returns [`RouteError::Disconnected`] if no path exists.
-    pub fn path(&self, a: usize, b: usize) -> Result<Vec<usize>, RouteError> {
-        let path = match &self.weights {
+    pub fn path(&mut self, a: usize, b: usize) -> Result<Vec<usize>, RouteError> {
+        let path = match &mut self.weights {
             None => self.topo.shortest_path(a, b),
-            Some(w) => self
-                .topo
-                .shortest_path_weighted(a, b, &|x, y| w.weight(x, y))
-                .map(|(p, _)| p),
+            Some(w) => w.path(self.topo, a, b),
         };
         path.ok_or(RouteError::Disconnected { a, b })
     }
@@ -456,8 +464,11 @@ impl<'a> RoutingEngine<'a> {
     ///
     /// Returns [`RouteError::Disconnected`] if the trio cannot be joined.
     pub fn gather_trio(&mut self, instr: &Instruction) -> Result<Vec<Instruction>, RouteError> {
-        let logical: Vec<usize> = instr.qubits().iter().map(|q| q.index()).collect();
-        let phys: Vec<usize> = logical.iter().map(|&l| self.layout.physical(l)).collect();
+        let logical = match *instr.qubits() {
+            [a, b, c] => [a.index(), b.index(), c.index()],
+            _ => unreachable!("a trio has three operands"),
+        };
+        let phys = logical.map(|l| self.layout.physical(l));
         let gather_distance = self
             .topo
             .triple_distance(phys[0], phys[1], phys[2])
@@ -476,14 +487,13 @@ impl<'a> RoutingEngine<'a> {
                 .layout
                 .logical(dest_phys)
                 .expect("destination holds one of the trio");
-            let movers: Vec<usize> = logical
-                .iter()
-                .copied()
-                .filter(|&l| l != dest_logical)
-                .collect();
+            let mut movers = logical.into_iter().filter(|&l| l != dest_logical);
+            let (m1, m2) = match (movers.next(), movers.next()) {
+                (Some(m1), Some(m2)) => (m1, m2),
+                _ => unreachable!("the destination holds one of three distinct operands"),
+            };
 
             // First mover: stop on the neighbor of the destination.
-            let m1 = movers[0];
             let path1 = self.path(self.layout.physical(m1), dest_phys)?;
             for i in 0..path1.len().saturating_sub(2) {
                 self.emit_swap(path1[i], path1[i + 1]);
@@ -493,7 +503,6 @@ impl<'a> RoutingEngine<'a> {
             // stopping point is where the first mover now sits, stop one
             // step earlier — the first mover becomes the middle qubit
             // (saves one SWAP; paper §4).
-            let m2 = movers[1];
             let path2 = self.path(self.layout.physical(m2), dest_phys)?;
             let mut swaps = path2.len().saturating_sub(2);
             if swaps > 0 && path2[path2.len() - 2] == self.layout.physical(m1) {
@@ -576,6 +585,27 @@ impl<'a> RoutingEngine<'a> {
             }
         }
         Ok(best.expect("candidate list is non-empty").0)
+    }
+}
+
+/// The weighted shortest paths of one routing run: the metric, and every
+/// path found so far by its ordered endpoints.
+struct WeightedPaths {
+    table: WeightTable,
+    memo: HashMap<(usize, usize), Vec<usize>>,
+}
+
+impl WeightedPaths {
+    /// The weighted shortest path from `a` to `b`, searched once per
+    /// ordered pair and run.
+    fn path(&mut self, topo: &Topology, a: usize, b: usize) -> Option<Vec<usize>> {
+        if let Some(path) = self.memo.get(&(a, b)) {
+            return Some(path.clone());
+        }
+        let table = &self.table;
+        let (path, _) = topo.shortest_path_weighted(a, b, &|x, y| table.weight(x, y))?;
+        self.memo.insert((a, b), path.clone());
+        Some(path)
     }
 }
 
@@ -810,7 +840,15 @@ mod tests {
     fn weighted_paths_match_a_lookup_of_each_edge_in_a_map() {
         // The table must answer every Dijkstra exactly as a per-call map
         // lookup of the canonical edge did, ties included: weights come
-        // from a few repeated values and a few random ones.
+        // from a few repeated values (zero among them) and a few random
+        // ones. Every ordered pair is asked twice, so the second round
+        // reads only the memo, and each answer is checked against a new
+        // search from that pair's first endpoint. On the square 0-1-3-2-0
+        // the two routes between 0 and 3 tie, and the search from 0 takes
+        // 0-2-3 where the one from 3 takes 3-1-0: the memo must not answer
+        // one pair with the other reversed.
+        let square = Topology::from_edges("square", 4, &[(0, 1), (0, 2), (1, 3), (2, 3)]).unwrap();
+        let mut devices = vec![("square", square, vec![1.0, 0.0, 0.0, 1.0])];
         for spec in ["johannesburg", "grid", "line", "clusters", "heavy-hex:127"] {
             let topo = trios_topology::parse_spec(spec).unwrap();
             let mut rng = StdRng::seed_from_u64(topo.num_edges() as u64);
@@ -821,6 +859,9 @@ mod tests {
                     _ => rng.gen_range(0.0..2.0),
                 })
                 .collect();
+            devices.push((spec, topo, weights));
+        }
+        for (spec, topo, weights) in devices {
             let map: std::collections::HashMap<(usize, usize), f64> = topo
                 .edges()
                 .iter()
@@ -831,16 +872,22 @@ mod tests {
                 metric: PathMetric::EdgeWeights(weights),
                 ..RouterOptions::deterministic()
             };
-            let engine = weighted_engine(&topo, &options).unwrap();
+            let mut engine = weighted_engine(&topo, &options).unwrap();
             let by_map = |x: usize, y: usize| *map.get(&(x.min(y), x.max(y))).unwrap_or(&1.0);
+            if spec == "square" {
+                assert_eq!(engine.path(0, 3), Ok(vec![0, 2, 3]));
+                assert_eq!(engine.path(3, 0), Ok(vec![3, 1, 0]));
+            }
             let n = topo.num_qubits();
-            for a in 0..n {
-                for b in 0..n {
-                    let expected = topo
-                        .shortest_path_weighted(a, b, &by_map)
-                        .map(|(path, _)| path)
-                        .ok_or(RouteError::Disconnected { a, b });
-                    assert_eq!(engine.path(a, b), expected, "{spec}: {a} -> {b}");
+            for round in ["searched", "memoized"] {
+                for a in 0..n {
+                    for b in 0..n {
+                        let expected = topo
+                            .shortest_path_weighted(a, b, &by_map)
+                            .map(|(path, _)| path)
+                            .ok_or(RouteError::Disconnected { a, b });
+                        assert_eq!(engine.path(a, b), expected, "{spec}: {a} -> {b}, {round}");
+                    }
                 }
             }
         }

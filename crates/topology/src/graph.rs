@@ -431,8 +431,10 @@ impl Topology {
         // Walk greedily from a toward b along those distances. The qubit
         // index is part of the key: `min_by_key` alone would resolve
         // equal-distance neighbors by iteration order, which is an
-        // accident of adjacency-list construction, not a guarantee.
-        let mut path = vec![a];
+        // accident of adjacency-list construction, not a guarantee. The
+        // distance is the hop count, so the path is allocated once.
+        let mut path = Vec::with_capacity(to_b[a] as usize + 1);
+        path.push(a);
         let mut cur = a;
         while cur != b {
             let next = *adj[cur]
