@@ -78,10 +78,11 @@ impl PassManager {
                 decomposers.clone(),
             ));
         }
-        manager.push(
-            RoutePass::with_registry(router, registry.clone())
-                .with_decomposers(decomposers.clone()),
-        );
+        manager.push(RoutePass::with_registries(
+            router,
+            registry.clone(),
+            decomposers.clone(),
+        ));
         manager.push(LowerPass);
         manager.push(OptimizePass);
         if options.validate {

@@ -4,7 +4,6 @@
 
 use crate::context::{CompileContext, ProgramSchedule, RouterTrace, SwapTrace};
 use crate::Diagnostic;
-use std::sync::OnceLock;
 use trios_passes::{
     decompose_toffolis, lower_to_hardware_gates, optimize, DecomposerHandle, DecomposerRegistry,
     DecompositionStrategy,
@@ -191,10 +190,20 @@ impl RoutePass {
     ///
     /// [`RoutingStrategy`]: trios_route::RoutingStrategy
     pub fn with_registry(router: impl Into<String>, registry: StrategyRegistry) -> Self {
+        RoutePass::with_registries(router, registry, DecomposerRegistry::standard())
+    }
+
+    /// A routing pass resolving `router` in `registry` and the decomposer
+    /// in `decomposers`.
+    pub(crate) fn with_registries(
+        router: impl Into<String>,
+        registry: StrategyRegistry,
+        decomposers: DecomposerRegistry,
+    ) -> Self {
         RoutePass {
             router: router.into(),
             registry,
-            decomposers: DecomposerRegistry::standard(),
+            decomposers,
         }
     }
 
@@ -284,10 +293,8 @@ impl Pass for LowerPass {
         // should have eliminated; lower it with the configured strategy
         // when that strategy is a standard executable one, else with
         // `standard` (custom registrations live in the route pass — this
-        // safety net must not reject them). The standard registry is built
-        // once per process, not once per compile.
-        static STANDARD: OnceLock<DecomposerRegistry> = OnceLock::new();
-        let registry = STANDARD.get_or_init(DecomposerRegistry::standard);
+        // safety net must not reject them).
+        let registry = DecomposerRegistry::standard();
         let strategy = registry
             .get(cx.options.decomposer_name())
             .filter(|s| s.executable())

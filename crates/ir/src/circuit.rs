@@ -60,13 +60,7 @@ impl Circuit {
     ) -> Result<Self, CircuitError> {
         let instructions: Vec<Instruction> = instructions.into_iter().collect();
         for (i, instr) in instructions.iter().enumerate() {
-            if let Some(q) = instr.qubits().iter().find(|q| q.index() >= num_qubits) {
-                return Err(CircuitError::QubitOutOfRange {
-                    instruction: i,
-                    qubit: q.index(),
-                    num_qubits,
-                });
-            }
+            check_in_range(instr, i, num_qubits)?;
         }
         Ok(Circuit {
             num_qubits,
@@ -140,17 +134,7 @@ impl Circuit {
     /// `>= self.num_qubits()`.
     #[inline]
     pub fn try_push(&mut self, instruction: Instruction) -> Result<(), CircuitError> {
-        if let Some(q) = instruction
-            .qubits()
-            .iter()
-            .find(|q| q.index() >= self.num_qubits)
-        {
-            return Err(CircuitError::QubitOutOfRange {
-                instruction: self.instructions.len(),
-                qubit: q.index(),
-                num_qubits: self.num_qubits,
-            });
-        }
+        check_in_range(&instruction, self.instructions.len(), self.num_qubits)?;
         self.instructions.push(instruction);
         Ok(())
     }
@@ -539,6 +523,33 @@ impl<'a> IntoIterator for &'a Circuit {
     }
 }
 
+/// Checks that every operand of `instruction`, the `index`-th of its
+/// circuit, is below `num_qubits`.
+///
+/// [`Operands::max_index`](crate::Operands::max_index) decides the check
+/// without a loop; the operands are searched only to name the first
+/// offending qubit.
+#[inline]
+fn check_in_range(
+    instruction: &Instruction,
+    index: usize,
+    num_qubits: usize,
+) -> Result<(), CircuitError> {
+    if instruction.operands().max_index() < num_qubits {
+        return Ok(());
+    }
+    let qubit = instruction
+        .qubits()
+        .iter()
+        .find(|q| q.index() >= num_qubits)
+        .expect("the largest operand is out of range");
+    Err(CircuitError::QubitOutOfRange {
+        instruction: index,
+        qubit: qubit.index(),
+        num_qubits,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -568,6 +579,46 @@ mod tests {
             err,
             CircuitError::QubitOutOfRange { qubit: 1, .. }
         ));
+
+        // The error names the first operand out of range, wherever it
+        // sits, and the same through both ways into a circuit.
+        let q = Qubit::new;
+        let ccx = |a, b, t| Instruction::new(Gate::Ccx, &[q(a), q(b), q(t)]);
+        let h0 = Instruction::new(Gate::H, &[q(0)]);
+        for (width, bad, qubit) in [
+            (4, ccx(7, 1, 2), 7),
+            (4, ccx(1, 7, 2), 7),
+            (4, ccx(1, 2, 7), 7),
+            (4, ccx(5, 1, 6), 5),
+            (4, ccx(1, 6, 5), 6),
+            (4, ccx(0, 1, 4), 4),
+            (0, h0, 0),
+            (0, ccx(0, 1, 2), 0),
+            (0, ccx(2, 1, 0), 2),
+            (0, Instruction::new(Gate::Cx, &[q(1), q(0)]), 1),
+        ] {
+            // On a zero-width circuit no instruction fits, so nothing
+            // precedes the bad one.
+            let before: &[Instruction] = if width > 0 { &[h0] } else { &[] };
+            let expected = CircuitError::QubitOutOfRange {
+                instruction: before.len(),
+                qubit,
+                num_qubits: width,
+            };
+            let mut c = Circuit::from_instructions(width, before.iter().copied()).unwrap();
+            assert_eq!(c.try_push(bad), Err(expected.clone()), "try_push of {bad}");
+            assert_eq!(
+                c.len(),
+                before.len(),
+                "a refused instruction is not appended"
+            );
+            let parts = before.iter().chain([&bad]).chain(before).copied();
+            assert_eq!(
+                Circuit::from_instructions(width, parts),
+                Err(expected),
+                "from_instructions with {bad}"
+            );
+        }
     }
 
     #[test]

@@ -105,20 +105,35 @@ impl Operands {
         }
     }
 
-    /// Returns a copy with every qubit replaced by `f(qubit)`.
+    /// Returns a copy with every qubit replaced by `f(qubit)`, calling `f`
+    /// once per operand, in operand order.
+    ///
+    /// The array is built whole, so a caller reading the result as one
+    /// value does not wait on slot-by-slot stores.
     #[inline]
     pub fn map(&self, mut f: impl FnMut(Qubit) -> Qubit) -> Self {
-        let mut out = *self;
-        for q in out.qubits[..out.len as usize].iter_mut() {
-            *q = f(*q);
+        let [a, b, c] = self.qubits;
+        // Array elements evaluate left to right: `f` sees the operands in
+        // order. Unused slots keep qubit 0.
+        let qubits = match self.len {
+            1 => [f(a), b, c],
+            2 => [f(a), f(b), c],
+            _ => [f(a), f(b), f(c)],
+        };
+        Operands {
+            qubits,
+            len: self.len,
         }
-        out
     }
 
     /// The largest qubit index among the operands.
+    ///
+    /// Every constructor leaves the unused slots at qubit 0, so the
+    /// largest of all three slots is the answer, read without a loop.
     #[inline]
     pub fn max_index(&self) -> usize {
-        self.iter().map(|q| q.index()).max().expect("non-empty")
+        let [a, b, c] = self.qubits;
+        a.index().max(b.index()).max(c.index())
     }
 }
 
@@ -200,6 +215,30 @@ mod tests {
     fn map_applies_to_all() {
         let ops = Operands::three(q(0), q(1), q(2)).map(|x| Qubit::new(x.index() + 10));
         assert_eq!(ops.as_slice(), &[q(10), q(11), q(12)]);
+        for original in [
+            Operands::one(q(7)),
+            Operands::two(q(7), q(3)),
+            Operands::three(q(7), q(3), q(5)),
+        ] {
+            let mut seen = Vec::new();
+            let mapped = original.map(|x| {
+                seen.push(x);
+                Qubit::new(x.index() + 20)
+            });
+            assert_eq!(
+                seen,
+                original.as_slice(),
+                "f runs once per operand, in order"
+            );
+            assert_eq!(mapped.len(), original.len());
+            let shifted: Vec<Qubit> = original.iter().map(|x| q(x.index() + 20)).collect();
+            assert_eq!(mapped.as_slice(), shifted.as_slice());
+            assert_eq!(
+                mapped.qubits[original.len()..],
+                original.qubits[original.len()..],
+                "unused slots are unchanged"
+            );
+        }
     }
 
     #[test]
@@ -213,5 +252,8 @@ mod tests {
         assert!(ops.contains(q(7)));
         assert!(!ops.contains(q(4)));
         assert_eq!(ops.max_index(), 7);
+        assert_eq!(Operands::one(q(0)).max_index(), 0);
+        assert_eq!(Operands::three(q(2), q(9), q(4)).max_index(), 9);
+        assert_eq!(Operands::from_slice(&[q(5)]).map(|_| q(1)).max_index(), 1);
     }
 }

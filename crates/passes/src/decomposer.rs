@@ -25,7 +25,7 @@ use crate::{
 };
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use trios_ir::{Circuit, Gate, Instruction, Qubit};
 
 /// Where the router put a gathered trio when a lowering is requested.
@@ -552,7 +552,8 @@ pub type DecomposerConstructor = Arc<dyn Fn() -> Box<dyn DecompositionStrategy> 
 /// select them by name through the same CLI/server/core seam.
 #[derive(Clone, Default)]
 pub struct DecomposerRegistry {
-    entries: Vec<(String, DecomposerConstructor)>,
+    /// Shared between clones; [`DecomposerRegistry::register`] copies on write.
+    entries: Arc<Vec<(String, DecomposerConstructor)>>,
 }
 
 impl DecomposerRegistry {
@@ -563,15 +564,23 @@ impl DecomposerRegistry {
 
     /// The registry of built-in strategies: `standard`, `six`, `eight`,
     /// `tdepth`, `relative-phase`, `qutrit`, in that listing order.
+    ///
+    /// Built once per process; each call clones it, which shares its
+    /// entries.
     pub fn standard() -> Self {
-        let mut registry = DecomposerRegistry::empty();
-        registry.register("standard", || Box::new(StandardDecomposition));
-        registry.register("six", || Box::new(SixCnotDecomposition));
-        registry.register("eight", || Box::new(EightCnotDecomposition));
-        registry.register("tdepth", || Box::new(TDepthDecomposition));
-        registry.register("relative-phase", || Box::new(RelativePhaseDecomposition));
-        registry.register("qutrit", || Box::new(QutritCostModel));
-        registry
+        static STANDARD: OnceLock<DecomposerRegistry> = OnceLock::new();
+        STANDARD
+            .get_or_init(|| {
+                let mut registry = DecomposerRegistry::empty();
+                registry.register("standard", || Box::new(StandardDecomposition));
+                registry.register("six", || Box::new(SixCnotDecomposition));
+                registry.register("eight", || Box::new(EightCnotDecomposition));
+                registry.register("tdepth", || Box::new(TDepthDecomposition));
+                registry.register("relative-phase", || Box::new(RelativePhaseDecomposition));
+                registry.register("qutrit", || Box::new(QutritCostModel));
+                registry
+            })
+            .clone()
     }
 
     /// Registers `constructor` under `name`, replacing any existing entry
@@ -583,9 +592,10 @@ impl DecomposerRegistry {
     ) -> &mut Self {
         let name = name.into();
         let constructor: DecomposerConstructor = Arc::new(constructor);
-        match self.entries.iter_mut().find(|(n, _)| *n == name) {
+        let entries = Arc::make_mut(&mut self.entries);
+        match entries.iter_mut().find(|(n, _)| *n == name) {
             Some(entry) => entry.1 = constructor,
-            None => self.entries.push((name, constructor)),
+            None => entries.push((name, constructor)),
         }
         self
     }
@@ -940,6 +950,14 @@ mod tests {
         assert_eq!(registry.len(), 7, "replacement keeps order and count");
         let debug = format!("{registry:?}");
         assert!(debug.contains("custom"), "{debug}");
+        // Registering on a copy leaves the registry it was cloned from,
+        // and the process-wide standard one, as they were.
+        let mut copy = registry.clone();
+        copy.register("standard", || Box::new(SixCnotDecomposition));
+        assert_eq!(copy.get("standard").unwrap().name(), "six");
+        assert_eq!(registry.get("standard").unwrap().name(), "standard");
+        assert_eq!(registry.len(), 7);
+        assert_eq!(DecomposerRegistry::standard().len(), 6);
     }
 
     fn cx_count(instrs: &[Instruction]) -> usize {

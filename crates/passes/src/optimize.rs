@@ -223,6 +223,10 @@ struct Kept {
     dead: bool,
 }
 
+// A round writes one `Kept` per kept instruction; a new field must not
+// silently grow it.
+const _: () = assert!(std::mem::size_of::<Kept>() == 32);
+
 impl CancelRound {
     /// Removes the pairs that cancel from `instrs`, keeping the rest in
     /// order, and returns whether another round would cancel more.
@@ -267,20 +271,26 @@ impl CancelRound {
                 }
                 changed = true;
             } else {
-                let mut below = [NONE; 3];
-                let mut after_reset = false;
-                for (q, below) in qubits.iter().zip(&mut below) {
-                    let top = self.top[q.index()];
-                    after_reset |= top & RESET != 0;
-                    *below = top & !RESET;
-                    self.top[q.index()] = len;
-                }
-                if after_reset {
+                // The record is built whole from values in registers: one
+                // written slot by slot would be reloaded whole by the push,
+                // which waits for every slot's store. Each operand's `top`
+                // is read, then set, in operand order.
+                let mut keep = |q: &Qubit| std::mem::replace(&mut self.top[q.index()], len);
+                let [a, b, c] = match qubits {
+                    [a] => [keep(a), NONE, NONE],
+                    [a, b] => [keep(a), keep(b), NONE],
+                    [a, b, c] => [keep(a), keep(b), keep(c)],
+                    _ => unreachable!("IR gates have arity 1..=3"),
+                };
+                if (a | b | c) & RESET != 0 {
                     self.recheck.push(len);
                 }
                 instrs[len] = instr;
                 len += 1;
-                self.kept.push(Kept { below, dead: false });
+                self.kept.push(Kept {
+                    below: [a & !RESET, b & !RESET, c & !RESET],
+                    dead: false,
+                });
             }
         }
         instrs.truncate(len);
@@ -361,9 +371,15 @@ enum Run {
     /// A run of one parameterized gate, whose matrix is not formed unless
     /// another gate joins it.
     One(Gate),
-    /// The product of any other run so far.
-    Product(Mat2),
+    /// Any other run: its product so far is the qubit's entry of the
+    /// product table, which keeps the 64-byte matrix out of every copy
+    /// of a run.
+    Product,
 }
+
+// `merge_runs` reads and writes one `Run` per gate; a variant that holds
+// a matrix again must not silently regrow it.
+const _: () = assert!(std::mem::size_of::<Run>() == 32);
 
 /// Merges single-qubit runs over `instrs`, dropping an emitted `u3` that
 /// [`is_trivial`] when `drop_trivial` is set.
@@ -373,39 +389,49 @@ fn merge_runs(num_qubits: usize, instrs: &[Instruction], drop_trivial: bool) -> 
         memo: RunMemo::new(),
     };
     let mut pending = vec![Run::Empty; num_qubits];
+    let mut products = vec![MAT2_IDENTITY; num_qubits];
     let mut out = Vec::with_capacity(instrs.len());
     for instr in instrs {
         let gate = instr.gate();
         if gate.is_single_qubit() && !gate.is_measurement() {
             let q = instr.qubit(0).index();
-            pending[q] = match (pending[q], parameterless_slot(gate)) {
-                (Run::Empty, Some(slot)) => Run::Word {
-                    word: nibble(slot),
-                    len: 1,
-                },
-                (Run::Empty, None) => Run::One(gate),
-                (Run::Word { word, len }, Some(slot)) if len < WORD_GATES => Run::Word {
-                    word: word | nibble(slot) << (4 * len),
-                    len: len + 1,
-                },
+            // The run is updated in place, field by field: reading it
+            // whole would wait on those field stores.
+            let (run, product) = (&mut pending[q], &mut products[q]);
+            match (&mut *run, parameterless_slot(gate)) {
+                (Run::Empty, Some(slot)) => {
+                    *run = Run::Word {
+                        word: nibble(slot),
+                        len: 1,
+                    }
+                }
+                (Run::Empty, None) => *run = Run::One(gate),
+                (Run::Word { word, len }, Some(slot)) if *len < WORD_GATES => {
+                    *word |= nibble(slot) << (4 * *len);
+                    *len += 1;
+                }
                 (Run::Word { word, .. }, _) => {
-                    Run::Product(mat2_mul(&gate_matrix(gate), &word_product(word)))
+                    *product = mat2_mul(&gate_matrix(gate), &word_product(*word));
+                    *run = Run::Product;
                 }
                 (Run::One(first), _) => {
-                    Run::Product(mat2_mul(&gate_matrix(gate), &run_start(first)))
+                    *product = mat2_mul(&gate_matrix(gate), &run_start(*first));
+                    *run = Run::Product;
                 }
-                (Run::Product(acc), _) => Run::Product(mat2_mul(&gate_matrix(gate), &acc)),
-            };
+                (Run::Product, _) => *product = mat2_mul(&gate_matrix(gate), product),
+            }
             continue;
         }
         for &q in instr.qubits() {
-            let run = std::mem::replace(&mut pending[q.index()], Run::Empty);
-            emitter.flush(&mut out, run, q);
+            let run = &mut pending[q.index()];
+            if !matches!(run, Run::Empty) {
+                emitter.flush(&mut out, run, &products[q.index()], q);
+            }
         }
         out.push(*instr);
     }
-    for (q, run) in pending.into_iter().enumerate() {
-        emitter.flush(&mut out, run, Qubit::new(q));
+    for (q, run) in pending.iter_mut().enumerate() {
+        emitter.flush(&mut out, run, &products[q], Qubit::new(q));
     }
     out
 }
@@ -534,10 +560,13 @@ struct RunEmitter {
 
 impl RunEmitter {
     /// Appends the `u3` for `run` on `qubit` to `out`, unless the run is
-    /// empty, the identity up to phase, or (when dropping) trivial.
-    fn flush(&mut self, out: &mut Vec<Instruction>, run: Run, qubit: Qubit) {
+    /// empty, the identity up to phase, or (when dropping) trivial, and
+    /// leaves `run` empty. `product` is the qubit's product table entry,
+    /// read when the run is a [`Run::Product`].
+    fn flush(&mut self, out: &mut Vec<Instruction>, run: &mut Run, product: &Mat2, qubit: Qubit) {
         let drop_trivial = self.drop_trivial;
-        let gate = match run {
+        // Matching the place reads only the fields an arm binds.
+        let gate = match *run {
             Run::Empty => return,
             Run::Word { word, .. } if word < SHORT_WORDS => *self.memo.short[word as usize]
                 .get_or_insert_with(|| resynthesize(&word_product(word), drop_trivial)),
@@ -551,8 +580,9 @@ impl RunEmitter {
                 .lone
                 .entry(lone_key(gate))
                 .or_insert_with(|| resynthesize(&run_start(gate), drop_trivial)),
-            Run::Product(m) => resynthesize(&m, drop_trivial),
+            Run::Product => resynthesize(product, drop_trivial),
         };
+        *run = Run::Empty;
         if let Some(gate) = gate {
             out.push(Instruction::new(gate, &[qubit]));
         }
@@ -758,7 +788,7 @@ mod tests {
             Gate::Rz(-0.0),
             Gate::U2(-0.0, 0.7),
         ] {
-            emitter.flush(&mut out, Run::One(gate), Qubit::new(0));
+            emitter.flush(&mut out, &mut Run::One(gate), &MAT2_IDENTITY, Qubit::new(0));
         }
         assert_eq!(emitter.memo.lone.len(), 5);
         assert_eq!(out.len(), 4, "the two rz(±0) runs are the identity");

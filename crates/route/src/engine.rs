@@ -19,7 +19,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use trios_ir::{Circuit, Gate, Instruction, Qubit};
 use trios_passes::{DecompositionPlan, DecompositionStrategy, TrioPlacement};
-use trios_topology::{Topology, TripleShape};
+use trios_topology::{SearchScratch, Topology, TripleShape};
 
 /// The shared routing core: a live layout, an output circuit under
 /// construction, and every primitive a routing strategy needs (SWAP
@@ -50,6 +50,8 @@ pub struct RoutingEngine<'a> {
     trace: RoutingTrace,
     rng: StdRng,
     weights: Option<WeightedPaths>,
+    /// The path buffer every SWAP walk of the run fills.
+    path: Vec<usize>,
     decomposer: Arc<dyn DecompositionStrategy>,
     plan: DecompositionPlan,
 }
@@ -106,6 +108,7 @@ impl<'a> RoutingEngine<'a> {
             PathMetric::EdgeWeights(w) => Some(WeightedPaths {
                 table: WeightTable::new(topo, w)?,
                 memo: HashMap::new(),
+                scratch: SearchScratch::new(),
             }),
         };
         let decomposer = opts
@@ -133,6 +136,7 @@ impl<'a> RoutingEngine<'a> {
             trace: RoutingTrace::new(),
             rng: StdRng::seed_from_u64(opts.seed),
             weights,
+            path: Vec::new(),
             decomposer,
             plan,
         })
@@ -249,11 +253,36 @@ impl<'a> RoutingEngine<'a> {
     ///
     /// Returns [`RouteError::Disconnected`] if no path exists.
     pub fn path(&mut self, a: usize, b: usize) -> Result<Vec<usize>, RouteError> {
-        let path = match &mut self.weights {
-            None => self.topo.shortest_path(a, b),
-            Some(w) => w.path(self.topo, a, b),
+        let mut path = Vec::new();
+        self.path_into(a, b, &mut path)?;
+        Ok(path)
+    }
+
+    /// [`RoutingEngine::path`] into `path`, which is cleared first.
+    fn path_into(&mut self, a: usize, b: usize, path: &mut Vec<usize>) -> Result<(), RouteError> {
+        let found = match &mut self.weights {
+            None => self.topo.shortest_path_into(a, b, path),
+            Some(w) => w.path_into(self.topo, a, b, path),
         };
-        path.ok_or(RouteError::Disconnected { a, b })
+        if found {
+            Ok(())
+        } else {
+            Err(RouteError::Disconnected { a, b })
+        }
+    }
+
+    /// Finds the path from `a` to `b` in the run's path buffer and hands
+    /// it to `walk`, which may emit SWAPs along it.
+    fn with_path<T>(
+        &mut self,
+        a: usize,
+        b: usize,
+        walk: impl FnOnce(&mut Self, &[usize]) -> T,
+    ) -> Result<T, RouteError> {
+        let mut path = std::mem::take(&mut self.path);
+        let walked = self.path_into(a, b, &mut path).map(|()| walk(self, &path));
+        self.path = path;
+        walked
     }
 
     /// Inserts SWAPs until logical qubits `la` and `lb` are physically
@@ -268,28 +297,29 @@ impl<'a> RoutingEngine<'a> {
         if self.topo.are_adjacent(pa, pb) {
             return Ok(());
         }
-        let path = self.path(pa, pb)?;
-        let hops = path.len() - 2; // SWAPs needed
-        let first_moves = match self.opts.direction {
-            DirectionPolicy::MoveFirst => hops,
-            DirectionPolicy::MoveSecond => 0,
-            DirectionPolicy::Stochastic => {
-                if self.rng.gen_bool(0.5) {
-                    hops
-                } else {
-                    0
+        self.with_path(pa, pb, |engine, path| {
+            let hops = path.len() - 2; // SWAPs needed
+            let first_moves = match engine.opts.direction {
+                DirectionPolicy::MoveFirst => hops,
+                DirectionPolicy::MoveSecond => 0,
+                DirectionPolicy::Stochastic => {
+                    if engine.rng.gen_bool(0.5) {
+                        hops
+                    } else {
+                        0
+                    }
                 }
+                DirectionPolicy::MeetInMiddle => hops / 2,
+            };
+            // First operand walks forward to path[first_moves] …
+            for i in 0..first_moves {
+                engine.emit_swap(path[i], path[i + 1]);
             }
-            DirectionPolicy::MeetInMiddle => hops / 2,
-        };
-        // First operand walks forward to path[first_moves] …
-        for i in 0..first_moves {
-            self.emit_swap(path[i], path[i + 1]);
-        }
-        // … second operand walks backward to path[first_moves + 1].
-        for i in ((first_moves + 2)..path.len()).rev() {
-            self.emit_swap(path[i], path[i - 1]);
-        }
+            // … second operand walks backward to path[first_moves + 1].
+            for i in ((first_moves + 2)..path.len()).rev() {
+                engine.emit_swap(path[i], path[i - 1]);
+            }
+        })?;
         debug_assert!(self
             .topo
             .are_adjacent(self.layout.physical(la), self.layout.physical(lb)));
@@ -315,10 +345,9 @@ impl<'a> RoutingEngine<'a> {
         // The middle must come from the *hop*-shortest path: a weighted
         // metric can prefer a longer detour whose second node is not a
         // common neighbor, and a bridge over such an "m" would emit CNOTs
-        // on non-edges. (The hop path at distance 2 always has length 3.)
-        let m = match self.topo.shortest_path(pa, pb) {
-            Some(path) if path.len() == 3 => path[1],
-            _ => return false,
+        // on non-edges.
+        let Some(m) = bridge_middle(self.topo, pa, pb) else {
+            return false;
         };
         debug_assert!(self.topo.are_adjacent(pa, m) && self.topo.are_adjacent(m, pb));
         let q = Qubit::new;
@@ -494,23 +523,25 @@ impl<'a> RoutingEngine<'a> {
             };
 
             // First mover: stop on the neighbor of the destination.
-            let path1 = self.path(self.layout.physical(m1), dest_phys)?;
-            for i in 0..path1.len().saturating_sub(2) {
-                self.emit_swap(path1[i], path1[i + 1]);
-            }
+            self.with_path(self.layout.physical(m1), dest_phys, |engine, path1| {
+                for i in 0..path1.len().saturating_sub(2) {
+                    engine.emit_swap(path1[i], path1[i + 1]);
+                }
+            })?;
 
             // Second mover: recompute from the updated layout. If its
             // stopping point is where the first mover now sits, stop one
             // step earlier — the first mover becomes the middle qubit
             // (saves one SWAP; paper §4).
-            let path2 = self.path(self.layout.physical(m2), dest_phys)?;
-            let mut swaps = path2.len().saturating_sub(2);
-            if swaps > 0 && path2[path2.len() - 2] == self.layout.physical(m1) {
-                swaps -= 1;
-            }
-            for i in 0..swaps {
-                self.emit_swap(path2[i], path2[i + 1]);
-            }
+            self.with_path(self.layout.physical(m2), dest_phys, |engine, path2| {
+                let mut swaps = path2.len().saturating_sub(2);
+                if swaps > 0 && path2[path2.len() - 2] == engine.layout.physical(m1) {
+                    swaps -= 1;
+                }
+                for i in 0..swaps {
+                    engine.emit_swap(path2[i], path2[i + 1]);
+                }
+            })?;
         }
 
         let shape = self.topo.triple_shape(
@@ -588,24 +619,43 @@ impl<'a> RoutingEngine<'a> {
     }
 }
 
-/// The weighted shortest paths of one routing run: the metric, and every
-/// path found so far by its ordered endpoints.
+/// The middle qubit of the hop-shortest path from `pa` to `pb`, two hops
+/// apart: the lowest-index neighbor of `pa` at distance 1 from `pb`,
+/// which is the qubit `topo.shortest_path(pa, pb)[1]` returns, found
+/// without building the path.
+fn bridge_middle(topo: &Topology, pa: usize, pb: usize) -> Option<usize> {
+    topo.neighbors(pa)
+        .find(|&m| topo.distance(m, pb) == Some(1))
+}
+
+/// The weighted shortest paths of one routing run: the metric, every
+/// path found so far by its ordered endpoints, and the buffers the
+/// searches run in.
 struct WeightedPaths {
     table: WeightTable,
     memo: HashMap<(usize, usize), Vec<usize>>,
+    scratch: SearchScratch,
 }
 
 impl WeightedPaths {
-    /// The weighted shortest path from `a` to `b`, searched once per
-    /// ordered pair and run.
-    fn path(&mut self, topo: &Topology, a: usize, b: usize) -> Option<Vec<usize>> {
-        if let Some(path) = self.memo.get(&(a, b)) {
-            return Some(path.clone());
+    /// Writes the weighted shortest path from `a` to `b` into `path`,
+    /// searched once per ordered pair and run; `false` if there is none.
+    fn path_into(&mut self, topo: &Topology, a: usize, b: usize, path: &mut Vec<usize>) -> bool {
+        if let Some(found) = self.memo.get(&(a, b)) {
+            path.clear();
+            path.extend_from_slice(found);
+            return true;
         }
         let table = &self.table;
-        let (path, _) = topo.shortest_path_weighted(a, b, &|x, y| table.weight(x, y))?;
+        let weight = |x, y| table.weight(x, y);
+        if topo
+            .shortest_path_weighted_into(a, b, &weight, &mut self.scratch, path)
+            .is_none()
+        {
+            return false;
+        }
         self.memo.insert((a, b), path.clone());
-        Some(path)
+        true
     }
 }
 
@@ -890,6 +940,90 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// Every named spec, some parameterized ones, both complete
+    /// families, and a device in two components.
+    fn search_devices() -> Vec<Topology> {
+        let mut devices: Vec<Topology> = [
+            "johannesburg",
+            "heavy-hex",
+            "grid",
+            "line",
+            "clusters",
+            "grid:5x5",
+            "heavy-hex:127",
+            "full:6",
+            "alltoall:6",
+        ]
+        .into_iter()
+        .map(|spec| trios_topology::parse_spec(spec).unwrap())
+        .collect();
+        devices.push(split_topology());
+        devices
+    }
+
+    #[test]
+    fn weighted_search_in_kept_buffers_answers_as_the_allocating_one() {
+        // Under the noise router's sampled weights, every ordered pair is
+        // searched twice through one scratch and one path buffer, so an
+        // entry left stale by an earlier search would show.
+        for topo in search_devices() {
+            let errors = trios_noise::Calibration::johannesburg_2020_08_19().sampled_edge_errors(
+                topo.num_edges(),
+                crate::NOISE_AWARE_DEFAULT_SPREAD,
+                topo.num_qubits() as u64,
+            );
+            let PathMetric::EdgeWeights(sampled) = PathMetric::from_edge_errors(&errors) else {
+                unreachable!("edge errors make edge weights")
+            };
+            let table = WeightTable::new(&topo, &sampled).unwrap();
+            let weight = |u: usize, v: usize| table.weight(u, v);
+            let mut scratch = SearchScratch::new();
+            let mut path = vec![usize::MAX; 3];
+            let n = topo.num_qubits();
+            for round in ["first", "second"] {
+                for a in 0..n {
+                    for b in 0..n {
+                        let cost = topo.shortest_path_weighted_into(
+                            a,
+                            b,
+                            &weight,
+                            &mut scratch,
+                            &mut path,
+                        );
+                        let (want_path, want_cost) =
+                            match topo.shortest_path_weighted(a, b, &weight) {
+                                Some((p, c)) => (p, Some(c.to_bits())),
+                                None => (Vec::new(), None),
+                            };
+                        assert_eq!(cost.map(f64::to_bits), want_cost, "{topo}: {a} -> {b}");
+                        assert_eq!(path, want_path, "{topo}: {a} -> {b}, {round}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bridge_middle_is_the_second_qubit_of_the_hop_path() {
+        for spec in ["johannesburg", "grid:5x5", "heavy-hex:127"] {
+            let topo = trios_topology::parse_spec(spec).unwrap();
+            let n = topo.num_qubits();
+            let mut pairs = 0;
+            for pa in 0..n {
+                for pb in (0..n).filter(|&pb| topo.distance(pa, pb) == Some(2)) {
+                    let path = topo.shortest_path(pa, pb).unwrap();
+                    assert_eq!(
+                        bridge_middle(&topo, pa, pb),
+                        Some(path[1]),
+                        "{spec}: {pa} -> {pb}"
+                    );
+                    pairs += 1;
+                }
+            }
+            assert!(pairs > 0, "{spec} has pairs two hops apart");
         }
     }
 

@@ -17,7 +17,7 @@
 use crate::engine::RoutingEngine;
 use crate::{Layout, LookaheadConfig, PathMetric, RouteError, RoutedCircuit, RouterOptions};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use trios_ir::Circuit;
 use trios_noise::Calibration;
 use trios_topology::Topology;
@@ -310,7 +310,8 @@ pub type StrategyConstructor = Arc<dyn Fn() -> Box<dyn RoutingStrategy> + Send +
 /// ```
 #[derive(Clone, Default)]
 pub struct StrategyRegistry {
-    entries: Vec<(String, StrategyConstructor)>,
+    /// Shared between clones; [`StrategyRegistry::register`] copies on write.
+    entries: Arc<Vec<(String, StrategyConstructor)>>,
 }
 
 impl StrategyRegistry {
@@ -321,15 +322,23 @@ impl StrategyRegistry {
 
     /// The registry of built-in strategies: `baseline`, `trios`,
     /// `trios-lookahead`, `trios-noise`, in that listing order.
+    ///
+    /// Built once per process; each call clones it, which shares its
+    /// entries.
     pub fn standard() -> Self {
-        let mut registry = StrategyRegistry::empty();
-        registry.register("baseline", || Box::new(DecomposeFirst));
-        registry.register("trios", || Box::new(OrchestratedTrios));
-        registry.register("trios-lookahead", || Box::new(LookaheadTrios::default()));
-        registry.register("trios-noise", || {
-            Box::new(NoiseAwareTrios::from_calibration())
-        });
-        registry
+        static STANDARD: OnceLock<StrategyRegistry> = OnceLock::new();
+        STANDARD
+            .get_or_init(|| {
+                let mut registry = StrategyRegistry::empty();
+                registry.register("baseline", || Box::new(DecomposeFirst));
+                registry.register("trios", || Box::new(OrchestratedTrios));
+                registry.register("trios-lookahead", || Box::new(LookaheadTrios::default()));
+                registry.register("trios-noise", || {
+                    Box::new(NoiseAwareTrios::from_calibration())
+                });
+                registry
+            })
+            .clone()
     }
 
     /// Registers `constructor` under `name`, replacing any existing entry
@@ -341,9 +350,10 @@ impl StrategyRegistry {
     ) -> &mut Self {
         let name = name.into();
         let constructor: StrategyConstructor = Arc::new(constructor);
-        match self.entries.iter_mut().find(|(n, _)| *n == name) {
+        let entries = Arc::make_mut(&mut self.entries);
+        match entries.iter_mut().find(|(n, _)| *n == name) {
             Some(entry) => entry.1 = constructor,
-            None => self.entries.push((name, constructor)),
+            None => entries.push((name, constructor)),
         }
         self
     }
@@ -680,5 +690,14 @@ mod tests {
         assert_eq!(registry.names().last(), Some("custom"));
         let debug = format!("{registry:?}");
         assert!(debug.contains("custom"), "{debug}");
+        // Registering on a copy leaves the registry it was cloned from,
+        // and the process-wide standard one, as they were.
+        let mut copy = registry.clone();
+        copy.register("trios", || Box::new(Reversed));
+        copy.register("other", || Box::new(Reversed));
+        assert_eq!(copy.get("trios").unwrap().name(), "custom");
+        assert_eq!(registry.get("trios").unwrap().name(), "trios");
+        assert_eq!(registry.len(), 5);
+        assert_eq!(StrategyRegistry::standard().len(), 4);
     }
 }

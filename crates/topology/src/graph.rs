@@ -416,24 +416,39 @@ impl Topology {
     /// Ties are broken toward lower qubit indices, so routing — and
     /// anything keyed on routed output, like compilation caches — is
     /// reproducible regardless of how the adjacency lists happen to be
-    /// ordered.
+    /// ordered. [`Topology::shortest_path_into`] answers the same query
+    /// into a buffer the caller keeps.
     pub fn shortest_path(&self, a: usize, b: usize) -> Option<Vec<usize>> {
+        let mut path = Vec::new();
+        self.shortest_path_into(a, b, &mut path).then_some(path)
+    }
+
+    /// [`Topology::shortest_path`] into `path`, which is cleared first:
+    /// returns `false`, leaving `path` empty, if `a` and `b` are
+    /// disconnected. A caller that keeps `path` across queries allocates
+    /// only when a path outgrows it.
+    pub fn shortest_path_into(&self, a: usize, b: usize, path: &mut Vec<usize>) -> bool {
+        path.clear();
         let Repr::Explicit { adj, .. } = &self.repr else {
-            return Some(if a == b { vec![a] } else { vec![a, b] });
+            path.push(a);
+            if a != b {
+                path.push(b);
+            }
+            return true;
         };
         // Distances are symmetric, so the row of the target `b` holds
         // every `d(v, b)` the walk needs: one row per query, not one per
         // hop.
         let to_b = self.row(b).expect("explicit devices have distance rows");
         if to_b[a] == UNREACHABLE {
-            return None;
+            return false;
         }
         // Walk greedily from a toward b along those distances. The qubit
         // index is part of the key: `min_by_key` alone would resolve
         // equal-distance neighbors by iteration order, which is an
         // accident of adjacency-list construction, not a guarantee. The
-        // distance is the hop count, so the path is allocated once.
-        let mut path = Vec::with_capacity(to_b[a] as usize + 1);
+        // distance is the hop count, so the path grows at most once.
+        path.reserve(to_b[a] as usize + 1);
         path.push(a);
         let mut cur = a;
         while cur != b {
@@ -444,7 +459,7 @@ impl Topology {
             path.push(next);
             cur = next;
         }
-        Some(path)
+        true
     }
 
     /// Dijkstra shortest path under a per-edge weight function (used by
@@ -455,18 +470,47 @@ impl Topology {
     /// this replaced was `O(n²)` per query, which dominated noise-aware
     /// setup on kiloqubit devices. Weights must be non-negative; ties
     /// break toward lower indices, exactly as the linear scan did.
+    /// [`Topology::shortest_path_weighted_into`] runs the same search in
+    /// buffers the caller keeps.
     pub fn shortest_path_weighted(
         &self,
         a: usize,
         b: usize,
         weight: &dyn Fn(usize, usize) -> f64,
     ) -> Option<(Vec<usize>, f64)> {
-        let n = self.num_qubits;
-        let mut dist = vec![f64::INFINITY; n];
-        let mut prev = vec![usize::MAX; n];
-        let mut done = vec![false; n];
-        let mut heap: BinaryHeap<Reverse<HeapEntry>> = BinaryHeap::new();
+        let mut path = Vec::new();
+        let cost =
+            self.shortest_path_weighted_into(a, b, weight, &mut SearchScratch::new(), &mut path)?;
+        Some((path, cost))
+    }
+
+    /// [`Topology::shortest_path_weighted`] in buffers the caller keeps:
+    /// the path goes into `path`, which is cleared first, and the search
+    /// runs in `scratch`. Returns the path's cost, or `None`, leaving
+    /// `path` empty, if `a` and `b` are disconnected.
+    ///
+    /// A search resets only the entries of `scratch` the one before it
+    /// reached, so a router that keeps one scratch and one path buffer
+    /// for a run allocates only when a search outgrows them.
+    pub fn shortest_path_weighted_into(
+        &self,
+        a: usize,
+        b: usize,
+        weight: &dyn Fn(usize, usize) -> f64,
+        scratch: &mut SearchScratch,
+        path: &mut Vec<usize>,
+    ) -> Option<f64> {
+        path.clear();
+        scratch.reset(self.num_qubits);
+        let SearchScratch {
+            dist,
+            prev,
+            done,
+            heap,
+            reached,
+        } = scratch;
         dist[a] = 0.0;
+        reached.push(a);
         heap.push(Reverse(HeapEntry { cost: 0.0, node: a }));
         while let Some(Reverse(HeapEntry { node: u, .. })) = heap.pop() {
             if u == b {
@@ -481,6 +525,9 @@ impl Topology {
                 debug_assert!(w >= 0.0, "edge weights must be non-negative");
                 let nd = dist[u] + w;
                 if nd < dist[v] - 1e-15 {
+                    if dist[v] == f64::INFINITY {
+                        reached.push(v);
+                    }
                     dist[v] = nd;
                     prev[v] = u;
                     heap.push(Reverse(HeapEntry { cost: nd, node: v }));
@@ -490,14 +537,21 @@ impl Topology {
         if dist[b].is_infinite() {
             return None;
         }
-        let mut path = vec![b];
+        // Walk back once to count the hops, then write the path front to
+        // back, so it is sized once.
+        let mut hops = 0;
         let mut cur = b;
         while cur != a {
             cur = prev[cur];
-            path.push(cur);
+            hops += 1;
         }
-        path.reverse();
-        Some((path, dist[b]))
+        path.resize(hops + 1, a);
+        let mut cur = b;
+        for slot in path.iter_mut().rev() {
+            *slot = cur;
+            cur = prev[cur];
+        }
+        Some(dist[b])
     }
 
     /// Single-source Dijkstra distances under a per-edge weight function:
@@ -688,10 +742,53 @@ impl Topology {
     }
 }
 
+/// The working buffers of [`Topology::shortest_path_weighted_into`], kept
+/// by a caller that runs many searches.
+///
+/// A search sizes the buffers to its device on first use and afterwards
+/// resets only the entries the search before it reached, so one scratch
+/// serves searches on any devices, in any order.
+#[derive(Debug, Clone, Default)]
+pub struct SearchScratch {
+    /// Best cost found so far per qubit, infinite where not reached.
+    dist: Vec<f64>,
+    /// Per reached qubit, its predecessor on the best path so far. Read
+    /// only along a path of reached qubits, so it is never reset.
+    prev: Vec<usize>,
+    /// Whether a qubit has been settled.
+    done: Vec<bool>,
+    heap: BinaryHeap<Reverse<HeapEntry>>,
+    /// The qubits whose `dist` the current search has set.
+    reached: Vec<usize>,
+}
+
+impl SearchScratch {
+    /// Empty buffers; the first search sizes them.
+    pub fn new() -> Self {
+        SearchScratch::default()
+    }
+
+    /// Readies the buffers for a search on an `n`-qubit device.
+    fn reset(&mut self, n: usize) {
+        if self.dist.len() == n {
+            for &v in &self.reached {
+                self.dist[v] = f64::INFINITY;
+                self.done[v] = false;
+            }
+        } else {
+            self.dist = vec![f64::INFINITY; n];
+            self.prev = vec![usize::MAX; n];
+            self.done = vec![false; n];
+        }
+        self.reached.clear();
+        self.heap.clear();
+    }
+}
+
 /// Heap entry ordered by `(cost, node)` — the node index tie-break keeps
 /// Dijkstra's settling order identical to the old lowest-index linear
 /// scan, so weighted routing stays byte-for-byte reproducible.
-#[derive(Debug, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 struct HeapEntry {
     cost: f64,
     node: usize,
@@ -929,6 +1026,51 @@ mod tests {
                 .unwrap();
         assert_eq!(ring6.shortest_path(0, 3).unwrap(), vec![0, 1, 2, 3]);
         assert_eq!(ring6.shortest_path(3, 0).unwrap(), vec![3, 2, 1, 0]);
+    }
+
+    /// Every named spec, some parameterized ones, both complete
+    /// families, and a device in two components.
+    fn search_devices() -> Vec<Topology> {
+        let mut devices: Vec<Topology> = [
+            "johannesburg",
+            "heavy-hex",
+            "grid",
+            "line",
+            "clusters",
+            "grid:5x5",
+            "heavy-hex:127",
+            "full:6",
+            "alltoall:6",
+        ]
+        .into_iter()
+        .map(|spec| crate::parse_spec(spec).unwrap())
+        .collect();
+        devices.push(Topology::from_edges("split", 4, &[(0, 1), (2, 3)]).unwrap());
+        devices
+    }
+
+    #[test]
+    fn shortest_path_into_a_kept_buffer_answers_as_shortest_path() {
+        // Every ordered pair is asked twice through one buffer, so a
+        // query that left part of an earlier path behind would show.
+        for topo in search_devices() {
+            let n = topo.num_qubits();
+            let mut path = vec![usize::MAX; 3];
+            for round in ["first", "second"] {
+                for a in 0..n {
+                    for b in 0..n {
+                        let found = topo.shortest_path_into(a, b, &mut path);
+                        let expected = topo.shortest_path(a, b);
+                        assert_eq!(found, expected.is_some(), "{topo}: {a} -> {b}, {round}");
+                        assert_eq!(
+                            path,
+                            expected.unwrap_or_default(),
+                            "{topo}: {a} -> {b}, {round}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

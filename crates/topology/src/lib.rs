@@ -30,7 +30,7 @@ mod render;
 mod spec;
 
 pub use error::TopologyError;
-pub use graph::{Neighbors, Topology, TripleShape};
+pub use graph::{Neighbors, SearchScratch, Topology, TripleShape};
 pub use named::{
     alltoall, clusters, full, grid, heavy_hex, heavy_hex_falcon27, heavy_hex_qubits, johannesburg,
     line, ring, PaperDevice,
