@@ -539,6 +539,7 @@ fn run_fuzz_command(options: &FuzzOptions) -> Result<String, CliError> {
 }
 
 fn run_serve(options: &ServeOptions) -> Result<String, CliError> {
+    use serde_json::Value;
     use trios_server::{Client, Server, ServerConfig};
     let config = ServerConfig {
         // --check must not collide with a real daemon on the default port.
@@ -562,28 +563,47 @@ fn run_serve(options: &ServeOptions) -> Result<String, CliError> {
 
     if options.check {
         // Smoke probe: a real client on a real socket round-trips the
-        // whole stack — ping, one compile, stats, drained shutdown.
+        // whole stack — ping, one compile and its cache hit, stats,
+        // drained shutdown.
         let mut client = Client::connect(addr)?;
         client.ping()?;
-        let response = client.call(
-            "compile",
-            r#"{"benchmark": "cnx_inplace-4", "device": "line:6"}"#,
-        )?;
-        if !response.contains("\"ok\":true") {
-            return Err(CliError::Usage(format!(
-                "serve check: compile round-trip failed: {response}"
-            )));
+        let failed = |what: &str, reply: &str| {
+            CliError::Usage(format!("serve check: {what} failed: {reply}"))
+        };
+        let mut compile = |round: &str| {
+            let reply = client.call(
+                "compile",
+                r#"{"benchmark": "cnx_inplace-4", "device": "line:6"}"#,
+            )?;
+            let result = serde_json::from_str(&reply)
+                .ok()
+                .filter(|reply| reply.get("ok").and_then(Value::as_bool) == Some(true))
+                .and_then(|reply| reply.get("result").cloned())
+                .ok_or_else(|| failed(&format!("{round} compile round-trip"), &reply))?;
+            Ok::<_, CliError>((reply, result))
+        };
+        let (_, cold) = compile("first")?;
+        let (reply, warm) = compile("repeated")?;
+        if warm.get("cached").and_then(Value::as_bool) != Some(true)
+            || warm.get("stats") != cold.get("stats")
+        {
+            return Err(failed("cache hit (cached, equal stats)", &reply));
         }
         let stats = client.call("stats", "{}")?;
-        if !stats.contains("\"served\"") {
-            return Err(CliError::Usage(format!(
-                "serve check: stats round-trip failed: {stats}"
-            )));
+        let cache = serde_json::from_str(&stats)
+            .ok()
+            .and_then(|reply| reply.get("result")?.get("cache").cloned());
+        let count = |field| cache.as_ref()?.get(field)?.as_u64();
+        if (count("hits"), count("misses"), count("collisions")) != (Some(1), Some(1), Some(0)) {
+            return Err(failed(
+                "stats round-trip (1 hit, 1 miss, 0 collisions)",
+                &stats,
+            ));
         }
         let _ = client.call("shutdown", "{}")?;
         server.join();
         return Ok(format!(
-            "serve check: ok ({addr}, ping + compile + stats round-tripped, drained)\n"
+            "serve check: ok ({addr}, ping + compile + cached compile + stats round-tripped, drained)\n"
         ));
     }
 
@@ -1645,8 +1665,11 @@ mod tests {
 
     #[test]
     fn serve_check_round_trips_a_real_socket() {
+        // The check fails unless the repeated compile is a cache hit with
+        // equal stats, and `stats` reads 1 hit, 1 miss and 0 collisions.
         let out = run(&args(&["serve", "--check", "--workers", "2"])).unwrap();
         assert!(out.contains("serve check: ok"), "{out}");
+        assert!(out.contains("cached compile"), "{out}");
         assert!(out.contains("drained"), "{out}");
     }
 

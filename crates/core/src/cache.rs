@@ -7,20 +7,90 @@
 //! byte-identical output, and returning a cached result is
 //! indistinguishable from recompiling (timings in the cached
 //! [`CompileReport`] aside, which record the original compile).
+//!
+//! Each entry is stored once, behind an [`Arc`], beside the
+//! [`CompileJob`] it answers. A hit copies the pointer, not the program,
+//! and only after comparing that job with its own: equal keys are not
+//! trusted to mean equal jobs.
 
 use crate::report::CompileReport;
 use crate::{CompileOptions, CompiledProgram};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use trios_ir::{hash, Circuit};
 use trios_passes::OptimizeOptions;
 use trios_route::{DirectionPolicy, InitialMapping, LookaheadConfig, PathMetric};
 use trios_topology::Topology;
 
-/// What the cache stores per key: the compiled program plus the report of
-/// the compile that produced it.
+/// The compiled program plus the report of the compile that produced it,
+/// as owned values.
 pub type CachedCompilation = (CompiledProgram, CompileReport);
+
+/// The job a cached compilation answers: the circuit compiled, the
+/// structural hash of the device it was compiled for, and the options.
+#[derive(Debug)]
+pub struct CompileJob {
+    circuit: Arc<Circuit>,
+    /// [`Topology::structural_hash`] of the device.
+    device: u64,
+    options: CompileOptions,
+}
+
+impl CompileJob {
+    /// The job of compiling `circuit` for `device` under `options`.
+    pub fn new(circuit: Arc<Circuit>, device: &Topology, options: CompileOptions) -> Self {
+        CompileJob {
+            circuit,
+            device: device.structural_hash(),
+            options,
+        }
+    }
+
+    /// `true` when compiling `circuit` for `device` under `options` is
+    /// this job, compared field by field as [`CompilationCache::key`]
+    /// hashes them: circuits by [`Circuit::same_structure`] (names
+    /// ignored), devices by structural hash, options by resolved router
+    /// and decomposer names and every other knob, floats by their bits.
+    fn answers(&self, circuit: &Circuit, device: &Topology, options: &CompileOptions) -> bool {
+        self.device == device.structural_hash()
+            && options_eq(&self.options, options)
+            && self.circuit.same_structure(circuit)
+    }
+}
+
+/// One cached compilation, shared by every hit on it.
+#[derive(Debug)]
+pub struct CacheEntry {
+    /// `None` for an entry stored by the unchecked
+    /// [`CompilationCache::insert`]: it answers no checked lookup.
+    job: Option<CompileJob>,
+    /// The compiled program.
+    pub program: CompiledProgram,
+    /// The report of the compile that produced it.
+    pub report: CompileReport,
+}
+
+impl CacheEntry {
+    /// An entry holding only what it uses: the program's instruction
+    /// buffer, and the job's circuit when the entry holds its only
+    /// reference, lose their spare capacity in place.
+    fn new(
+        mut job: Option<CompileJob>,
+        mut program: CompiledProgram,
+        report: CompileReport,
+    ) -> Self {
+        program.circuit.shrink_to_fit();
+        if let Some(circuit) = job.as_mut().and_then(|job| Arc::get_mut(&mut job.circuit)) {
+            circuit.shrink_to_fit();
+        }
+        CacheEntry {
+            job,
+            program,
+            report,
+        }
+    }
+}
 
 /// A bounded, least-recently-used cache of finished compilations.
 ///
@@ -29,6 +99,11 @@ pub type CachedCompilation = (CompiledProgram, CompileReport);
 /// kept across batches so repeated workload sweeps (the paper's ablation
 /// studies recompile the same benchmarks under many configurations) pay
 /// for each distinct job once.
+///
+/// [`lookup`](Self::lookup) and [`store`](Self::store) are the checked
+/// pair: a hit shares the stored [`CacheEntry`] and answers only the job
+/// it was stored for. A lookup that finds another job under its key is a
+/// miss, counted in [`CacheStats::collisions`] as well.
 ///
 /// A capacity of `0` disables storage entirely: every lookup misses and
 /// every insert is dropped, so `CompilationCache::new(0)` is a convenient
@@ -65,10 +140,11 @@ struct Inner {
     tick: u64,
     hits: u64,
     misses: u64,
+    collisions: u64,
 }
 
 struct Entry {
-    value: CachedCompilation,
+    value: Arc<CacheEntry>,
     last_used: u64,
 }
 
@@ -96,33 +172,102 @@ impl CompilationCache {
         )
     }
 
-    /// The cached compilation for `key`, if present; refreshes its recency
-    /// and counts a hit (or a miss).
+    /// The state behind the lock, recovered if a thread panicked while
+    /// holding it. That is sound because every critical section leaves a
+    /// valid cache at any point it could unwind: the code under the lock
+    /// is map operations on `u64` keys, counter increments and job
+    /// comparisons, none of which panics, and each section changes the
+    /// map before the counters that record the change, so an unwind could
+    /// at worst leave one lookup uncounted, never an entry half-stored.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The shared entry for `key` if it answers the job of compiling
+    /// `circuit` for `device` under `options`: the same circuit structure
+    /// (names ignored), device structure and options as the key hashes.
+    /// A hit copies a pointer and refreshes the entry's recency; an entry
+    /// of another job, or one stored without a job, is a miss and a
+    /// collision.
+    pub fn lookup(
+        &self,
+        key: u64,
+        circuit: &Circuit,
+        device: &Topology,
+        options: &CompileOptions,
+    ) -> Option<Arc<CacheEntry>> {
+        self.find(key, |entry| {
+            entry
+                .job
+                .as_ref()
+                .is_some_and(|job| job.answers(circuit, device, options))
+        })
+    }
+
+    /// Stores the compilation of `job` under `key` without copying it,
+    /// evicting the least-recently-used entry when the cache is full, and
+    /// returns the shared entry (also at capacity 0, which stores nothing).
+    pub fn store(
+        &self,
+        key: u64,
+        job: CompileJob,
+        program: CompiledProgram,
+        report: CompileReport,
+    ) -> Arc<CacheEntry> {
+        let entry = Arc::new(CacheEntry::new(Some(job), program, report));
+        self.put(key, Arc::clone(&entry));
+        entry
+    }
+
+    /// The compilation stored under `key`, copied out, with no check of
+    /// the job it answers; counts a hit or a miss.
+    ///
+    /// Kept, with [`insert`](Self::insert), for perfbench's traced serve
+    /// replay alone; both go once that replay moves to
+    /// [`lookup`](Self::lookup) and [`store`](Self::store).
     pub fn get(&self, key: u64) -> Option<CachedCompilation> {
-        let mut inner = self.inner.lock().expect("cache lock poisoned");
+        self.find(key, |_| true)
+            .map(|entry| (entry.program.clone(), entry.report.clone()))
+    }
+
+    /// Stores `value` under `key` without a job, so no checked
+    /// [`lookup`](Self::lookup) answers from it. Kept for perfbench's
+    /// traced serve replay alone, like [`get`](Self::get).
+    pub fn insert(&self, key: u64, value: CachedCompilation) {
+        self.put(key, Arc::new(CacheEntry::new(None, value.0, value.1)));
+    }
+
+    /// The entry under `key` if `accept` takes it; counts a hit, or a
+    /// miss, and a collision when an entry was there but refused.
+    fn find(&self, key: u64, accept: impl FnOnce(&CacheEntry) -> bool) -> Option<Arc<CacheEntry>> {
+        let mut guard = self.lock();
+        let inner = &mut *guard;
         inner.tick += 1;
-        let tick = inner.tick;
-        match inner.entries.get_mut(&key) {
-            Some(entry) => {
-                entry.last_used = tick;
-                let value = entry.value.clone();
-                inner.hits += 1;
-                Some(value)
+        let found = match inner.entries.get_mut(&key) {
+            Some(entry) if accept(&entry.value) => {
+                entry.last_used = inner.tick;
+                Some(Arc::clone(&entry.value))
             }
-            None => {
-                inner.misses += 1;
+            Some(_) => {
+                inner.collisions += 1;
                 None
             }
+            None => None,
+        };
+        match found {
+            Some(_) => inner.hits += 1,
+            None => inner.misses += 1,
         }
+        found
     }
 
     /// Stores `value` under `key`, evicting the least-recently-used entry
     /// when the cache is full. A no-op at capacity 0.
-    pub fn insert(&self, key: u64, value: CachedCompilation) {
+    fn put(&self, key: u64, value: Arc<CacheEntry>) {
         if self.capacity == 0 {
             return;
         }
-        let mut inner = self.inner.lock().expect("cache lock poisoned");
+        let mut inner = self.lock();
         inner.tick += 1;
         let tick = inner.tick;
         if let Some(entry) = inner.entries.get_mut(&key) {
@@ -159,11 +304,7 @@ impl CompilationCache {
 
     /// Current number of cached compilations.
     pub fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("cache lock poisoned")
-            .entries
-            .len()
+        self.lock().entries.len()
     }
 
     /// `true` when nothing is cached.
@@ -174,19 +315,17 @@ impl CompilationCache {
     /// Total lookups that found an entry, since construction (or the last
     /// [`clear`](CompilationCache::clear)).
     pub fn hits(&self) -> u64 {
-        self.inner.lock().expect("cache lock poisoned").hits
+        self.lock().hits
     }
 
     /// Total lookups that found nothing.
     pub fn misses(&self) -> u64 {
-        self.inner.lock().expect("cache lock poisoned").misses
+        self.lock().misses
     }
 
     /// Fraction of lookups that hit, or `None` before any lookup.
     pub fn hit_rate(&self) -> Option<f64> {
-        let inner = self.inner.lock().expect("cache lock poisoned");
-        let total = inner.hits + inner.misses;
-        (total > 0).then(|| inner.hits as f64 / total as f64)
+        self.stats().hit_rate()
     }
 
     /// One consistent snapshot of every counter, read under a single lock
@@ -195,27 +334,30 @@ impl CompilationCache {
     /// take the lock once each, so concurrent traffic can slip between
     /// the reads and produce counters that never coexisted.
     pub fn stats(&self) -> CacheStats {
-        let inner = self.inner.lock().expect("cache lock poisoned");
+        let inner = self.lock();
         CacheStats {
             hits: inner.hits,
             misses: inner.misses,
+            collisions: inner.collisions,
             len: inner.entries.len(),
             capacity: self.capacity,
         }
     }
 
-    /// Drops every entry and resets the hit/miss counters.
+    /// Drops every entry and resets the counters.
     pub fn clear(&self) {
-        let mut inner = self.inner.lock().expect("cache lock poisoned");
+        let mut inner = self.lock();
         inner.entries.clear();
         inner.hits = 0;
         inner.misses = 0;
+        inner.collisions = 0;
     }
 }
 
-/// One atomic snapshot of a cache's counters: hits, misses, occupancy,
-/// and capacity read together under a single lock, so the numbers are
-/// mutually consistent even while other threads keep hitting the cache.
+/// One atomic snapshot of a cache's counters: hits, misses, collisions,
+/// occupancy, and capacity read together under a single lock, so the
+/// numbers are mutually consistent even while other threads keep hitting
+/// the cache.
 ///
 /// Produced by [`CompilationCache::stats`] and
 /// [`ShardedCache::stats`](crate::ShardedCache::stats); rendered by the
@@ -226,6 +368,8 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that found nothing.
     pub misses: u64,
+    /// Misses that found an entry of another job under their key.
+    pub collisions: u64,
     /// Entries currently cached.
     pub len: usize,
     /// Maximum entries (0 = caching disabled).
@@ -248,6 +392,7 @@ impl CacheStats {
         CacheStats {
             hits: self.hits + other.hits,
             misses: self.misses + other.misses,
+            collisions: self.collisions + other.collisions,
             len: self.len + other.len,
             capacity: self.capacity + other.capacity,
         }
@@ -278,9 +423,10 @@ mod cache_stats_serde {
 
     impl Serialize for CacheStats {
         fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-            let mut s = serializer.serialize_struct("CacheStats", 5)?;
+            let mut s = serializer.serialize_struct("CacheStats", 6)?;
             s.serialize_field("hits", &self.hits)?;
             s.serialize_field("misses", &self.misses)?;
+            s.serialize_field("collisions", &self.collisions)?;
             s.serialize_field("len", &self.len)?;
             s.serialize_field("capacity", &self.capacity)?;
             s.serialize_field("hit_rate", &self.hit_rate())?;
@@ -291,16 +437,16 @@ mod cache_stats_serde {
 
 impl fmt::Debug for CompilationCache {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let inner = self.inner.lock().expect("cache lock poisoned");
+        let stats = self.stats();
         f.debug_struct("CompilationCache")
-            .field("capacity", &self.capacity)
-            .field("len", &inner.entries.len())
-            .field("hits", &inner.hits)
-            .field("misses", &inner.misses)
+            .field("capacity", &stats.capacity)
+            .field("len", &stats.len)
+            .field("hits", &stats.hits)
+            .field("misses", &stats.misses)
+            .field("collisions", &stats.collisions)
             .finish()
     }
 }
-
 /// The cache key of a job from [`Circuit::structural_hash`],
 /// [`Topology::structural_hash`] and [`options_hash`]. Both
 /// [`CompilationCache::key`] and a sweep's check for recurring jobs, which
@@ -426,11 +572,68 @@ pub(crate) fn options_hash(options: &CompileOptions) -> u64 {
     h
 }
 
+/// `true` when `a` and `b` are the same options as [`options_hash`] reads
+/// them: resolved router and decomposer names, every other knob, and
+/// floats by their bits. The exhaustive destructuring is there for the
+/// reason it is in [`options_hash`]: a new knob must be compared too.
+fn options_eq(a: &CompileOptions, b: &CompileOptions) -> bool {
+    let CompileOptions {
+        router: _,
+        decomposer: _,
+        mapping,
+        direction,
+        metric,
+        seed,
+        optimize,
+        lookahead,
+        bridge,
+        validate,
+    } = a;
+    let same_bits = |x: &[f64], y: &[f64]| {
+        x.len() == y.len() && x.iter().zip(y).all(|(x, y)| x.to_bits() == y.to_bits())
+    };
+    let same_mapping = match (mapping, &b.mapping) {
+        (InitialMapping::Trivial, InitialMapping::Trivial)
+        | (InitialMapping::GreedyInteraction, InitialMapping::GreedyInteraction) => true,
+        (InitialMapping::Fixed(x), InitialMapping::Fixed(y)) => x == y,
+        (InitialMapping::Random { seed: x }, InitialMapping::Random { seed: y }) => x == y,
+        (
+            InitialMapping::NoiseAware { edge_errors: x },
+            InitialMapping::NoiseAware { edge_errors: y },
+        ) => same_bits(x, y),
+        _ => false,
+    };
+    let same_metric = match (metric, &b.metric) {
+        (PathMetric::Hops, PathMetric::Hops) => true,
+        (PathMetric::EdgeWeights(x), PathMetric::EdgeWeights(y)) => same_bits(x, y),
+        _ => false,
+    };
+    let same_lookahead = match (lookahead, &b.lookahead) {
+        (None, None) => true,
+        (Some(x), Some(y)) => {
+            x.window == y.window
+                && x.weight.to_bits() == y.weight.to_bits()
+                && x.decay.to_bits() == y.decay.to_bits()
+        }
+        _ => false,
+    };
+    a.router_name() == b.router_name()
+        && a.decomposer_name() == b.decomposer_name()
+        && same_mapping
+        && direction == &b.direction
+        && same_metric
+        && *seed == b.seed
+        && optimize == &b.optimize
+        && same_lookahead
+        && *bridge == b.bridge
+        && *validate == b.validate
+}
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::report::CompileStats;
     use crate::PaperConfig;
+    use trios_ir::{Gate, Instruction};
     use trios_route::Layout;
     use trios_topology::{line, ring};
 
@@ -629,5 +832,168 @@ mod tests {
         let text = format!("{cache:?}");
         assert!(text.contains("capacity: 2"));
         assert!(text.contains("len: 1"));
+    }
+
+    /// The job and program of circuit `a` stored under key 1 of a fresh
+    /// cache: `a` is every kind of instruction the check reads.
+    fn cache_with_a() -> (CompilationCache, Circuit, Arc<CacheEntry>) {
+        let mut a = Circuit::with_name(3, "a");
+        a.h(0).rz(0.25, 1).cx(0, 1).ccx(0, 1, 2);
+        let cache = CompilationCache::new(4);
+        let (program, report) = dummy(5);
+        let job = CompileJob::new(Arc::new(a.clone()), &line(4), CompileOptions::default());
+        let entry = cache.store(1, job, program, report);
+        (cache, a, entry)
+    }
+
+    #[test]
+    fn a_lookup_answers_only_the_job_it_was_stored_for() {
+        let (dev, opts) = (line(4), CompileOptions::default());
+        let (_, a, _) = cache_with_a();
+        let edit = |f: fn(&Instruction) -> Instruction| {
+            Circuit::from_instructions(3, a.iter().map(f)).unwrap()
+        };
+        let others = [
+            (
+                "gate",
+                edit(|i| match i.gate() {
+                    Gate::H => Instruction::new(Gate::X, i.qubits()),
+                    _ => *i,
+                }),
+                dev.clone(),
+                opts.clone(),
+            ),
+            (
+                "parameter bit",
+                edit(|i| match i.gate() {
+                    Gate::Rz(t) => {
+                        Instruction::new(Gate::Rz(f64::from_bits(t.to_bits() ^ 1)), i.qubits())
+                    }
+                    _ => *i,
+                }),
+                dev.clone(),
+                opts.clone(),
+            ),
+            (
+                "operand",
+                edit(|i| match i.gate() {
+                    Gate::Cx => Instruction::new(Gate::Cx, &[i.qubits()[1], i.qubits()[0]]),
+                    _ => *i,
+                }),
+                dev.clone(),
+                opts.clone(),
+            ),
+            (
+                "width",
+                Circuit::from_instructions(4, a.iter().copied()).unwrap(),
+                dev.clone(),
+                opts.clone(),
+            ),
+            ("device", a.clone(), ring(4), opts.clone()),
+            (
+                "options",
+                a.clone(),
+                dev.clone(),
+                CompileOptions::with_seed(9),
+            ),
+        ];
+        for (what, circuit, device, options) in &others {
+            let (cache, _, _) = cache_with_a();
+            assert!(
+                cache.lookup(1, circuit, device, options).is_none(),
+                "another {what} must not hit"
+            );
+            let stats = cache.stats();
+            assert_eq!(
+                (stats.hits, stats.misses, stats.collisions),
+                (0, 1, 1),
+                "another {what}"
+            );
+        }
+
+        // The same job hits however its circuit is named, and two hits
+        // share the stored entry instead of copying it.
+        let (cache, a, stored) = cache_with_a();
+        let mut renamed = a.clone();
+        renamed.set_name("another name");
+        let first = cache.lookup(1, &renamed, &dev, &opts).expect("renamed hit");
+        let second = cache.lookup(1, &a, &dev, &opts).expect("hit");
+        assert!(Arc::ptr_eq(&first, &stored) && Arc::ptr_eq(&first, &second));
+        assert_eq!(first.program.circuit.len(), 5);
+        assert!(first.job.as_ref().unwrap().circuit.same_structure(&a));
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.collisions), (2, 0, 0));
+        // Unset router and decomposer names resolve to the ones they run.
+        let named = CompileOptions {
+            router: Some("trios".into()),
+            decomposer: Some("standard".into()),
+            ..CompileOptions::default()
+        };
+        assert!(cache.lookup(1, &a, &dev, &named).is_some());
+    }
+
+    #[test]
+    fn floats_compare_by_their_bits() {
+        let mut nan = Circuit::new(1);
+        nan.rz(f64::NAN, 0);
+        let weights = |w: f64| CompileOptions {
+            metric: PathMetric::EdgeWeights(vec![w; 3]),
+            lookahead: Some(LookaheadConfig {
+                window: 4,
+                weight: f64::NAN,
+                decay: 0.5,
+            }),
+            ..CompileOptions::default()
+        };
+        let cache = CompilationCache::new(2);
+        let job = CompileJob::new(Arc::new(nan.clone()), &line(4), weights(0.0));
+        let (program, report) = dummy(1);
+        cache.store(7, job, program, report);
+        assert!(cache.lookup(7, &nan, &line(4), &weights(0.0)).is_some());
+        assert!(cache.lookup(7, &nan, &line(4), &weights(-0.0)).is_none());
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.collisions), (1, 1, 1));
+    }
+
+    #[test]
+    fn entries_without_a_job_answer_no_checked_lookup() {
+        let (cache, a, _) = cache_with_a();
+        // The unchecked lookup copies a stored entry out.
+        let (program, _) = cache.get(1).expect("unchecked hit");
+        assert_eq!(program.circuit.len(), 5);
+        cache.insert(2, dummy(3));
+        assert_eq!(cache.get(2).map(|(p, _)| p.circuit.len()), Some(3));
+        let opts = CompileOptions::default();
+        assert!(cache.lookup(2, &a, &line(4), &opts).is_none());
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.collisions), (2, 1, 1));
+    }
+
+    #[test]
+    fn a_poisoned_lock_is_recovered() {
+        let (cache, a, _) = cache_with_a();
+        let panicked = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _held = cache.inner.lock().unwrap();
+                    panic!("a panic while the cache lock is held");
+                })
+                .join()
+        });
+        assert!(panicked.is_err());
+        assert!(cache.inner.is_poisoned());
+        let (dev, opts) = (line(4), CompileOptions::default());
+        assert!(cache.lookup(1, &a, &dev, &opts).is_some());
+        assert!(cache.lookup(2, &a, &dev, &opts).is_none());
+        let job = CompileJob::new(Arc::new(a.clone()), &dev, opts.clone());
+        let (program, report) = dummy(2);
+        cache.store(2, job, program, report);
+        assert!(cache.lookup(2, &a, &dev, &opts).is_some());
+        let stats = cache.stats();
+        assert_eq!(
+            (stats.hits, stats.misses, stats.collisions, stats.len),
+            (2, 1, 0, 2)
+        );
+        assert!(format!("{cache:?}").contains("len: 2"));
     }
 }

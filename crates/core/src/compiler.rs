@@ -3,7 +3,7 @@
 //! [`CompiledProgram`] it produces.
 
 use crate::batch::{BatchOutcome, BatchReport};
-use crate::cache::CompilationCache;
+use crate::cache::{CompilationCache, CompileJob};
 use crate::context::{CompileContext, ProgramSchedule, RouterTrace};
 use crate::manager::PassManager;
 use crate::report::{CompileReport, CompileStats};
@@ -12,7 +12,7 @@ use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use trios_ir::Circuit;
 use trios_noise::{estimate_success, Calibration, SuccessEstimate};
@@ -326,14 +326,17 @@ impl Compiler {
         topology: &Topology,
         cached: Option<(&CompilationCache, u64)>,
     ) -> Result<(CompiledProgram, CompileReport, bool), Diagnostic> {
+        // The caller owns its results, so a hit copies the program out of
+        // the shared entry, and a miss stores a copy of what it returns.
         if let Some((cache, key)) = cached {
-            if let Some((program, report)) = cache.get(key) {
-                return Ok((program, report, true));
+            if let Some(entry) = cache.lookup(key, circuit, topology, &self.options) {
+                return Ok((entry.program.clone(), entry.report.clone(), true));
             }
         }
         let (program, report) = self.run_pipeline(manager, circuit, topology)?;
         if let Some((cache, key)) = cached {
-            cache.insert(key, (program.clone(), report.clone()));
+            let job = CompileJob::new(Arc::new(circuit.clone()), topology, self.options.clone());
+            cache.store(key, job, program.clone(), report.clone());
         }
         Ok((program, report, false))
     }

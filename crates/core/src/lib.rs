@@ -101,7 +101,7 @@ mod shard;
 pub mod sweep;
 
 pub use batch::{BatchOutcome, BatchPassStat, BatchReport};
-pub use cache::{CacheStats, CachedCompilation, CompilationCache};
+pub use cache::{CacheEntry, CacheStats, CachedCompilation, CompilationCache, CompileJob};
 pub use compiler::{
     with_measurements, BatchDiagnostic, CompiledProgram, Compiler, CompilerBuilder,
 };

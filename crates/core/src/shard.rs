@@ -10,8 +10,13 @@
 //! key always lands in the same shard, and with one shard the structure
 //! behaves exactly like a plain `CompilationCache`.
 
-use crate::cache::{CacheStats, CachedCompilation, CompilationCache};
+use crate::cache::{CacheEntry, CacheStats, CachedCompilation, CompilationCache, CompileJob};
+use crate::report::CompileReport;
+use crate::{CompileOptions, CompiledProgram};
 use std::fmt;
+use std::sync::Arc;
+use trios_ir::Circuit;
+use trios_topology::Topology;
 
 /// An N-way sharded LRU compilation cache.
 ///
@@ -91,14 +96,38 @@ impl ShardedCache {
         &self.shards[index]
     }
 
-    /// The cached compilation for `key`, if present, from its shard;
-    /// counts a hit or a miss there.
+    /// [`CompilationCache::lookup`] in `key`'s shard: the shared entry
+    /// if it answers the job, counted as a hit, miss or collision there.
+    pub fn lookup(
+        &self,
+        key: u64,
+        circuit: &Circuit,
+        device: &Topology,
+        options: &CompileOptions,
+    ) -> Option<Arc<CacheEntry>> {
+        self.shards[self.shard_of(key)].lookup(key, circuit, device, options)
+    }
+
+    /// [`CompilationCache::store`] in `key`'s shard, evicting that shard's
+    /// LRU entry when full; returns the shared entry.
+    pub fn store(
+        &self,
+        key: u64,
+        job: CompileJob,
+        program: CompiledProgram,
+        report: CompileReport,
+    ) -> Arc<CacheEntry> {
+        self.shards[self.shard_of(key)].store(key, job, program, report)
+    }
+
+    /// The unchecked [`CompilationCache::get`] in `key`'s shard, kept for
+    /// perfbench's traced serve replay alone.
     pub fn get(&self, key: u64) -> Option<CachedCompilation> {
         self.shards[self.shard_of(key)].get(key)
     }
 
-    /// Stores `value` under `key` in its shard, evicting that shard's LRU
-    /// entry when full.
+    /// The unchecked [`CompilationCache::insert`] in `key`'s shard, kept
+    /// for perfbench's traced serve replay alone.
     pub fn insert(&self, key: u64, value: CachedCompilation) {
         self.shards[self.shard_of(key)].insert(key, value)
     }
@@ -146,6 +175,7 @@ impl fmt::Debug for ShardedCache {
             .field("len", &stats.len)
             .field("hits", &stats.hits)
             .field("misses", &stats.misses)
+            .field("collisions", &stats.collisions)
             .finish()
     }
 }
@@ -224,6 +254,33 @@ mod tests {
         assert_eq!(per_shard.iter().map(|s| s.hits).sum::<u64>(), 32);
         for (i, s) in per_shard.iter().enumerate() {
             assert!(s.len <= 4, "shard {i} over capacity: {s:?}");
+        }
+    }
+
+    #[test]
+    fn checked_lookups_and_stores_route_to_the_same_shard() {
+        let cache = ShardedCache::new(4, 4);
+        let device = trios_topology::line(2);
+        let options = CompileOptions::default();
+        let circuit = |tag: usize| dummy(tag).0.circuit;
+        for key in 0..8u64 {
+            let job = CompileJob::new(Arc::new(circuit(key as usize)), &device, options.clone());
+            let (program, report) = dummy(key as usize);
+            let stored = cache.store(key, job, program, report);
+            let found = cache.lookup(key, &circuit(key as usize), &device, &options);
+            assert!(found.is_some_and(|found| Arc::ptr_eq(&found, &stored)));
+            // Another circuit under the key is a collision in that shard.
+            assert!(cache
+                .lookup(key, &circuit(key as usize + 1), &device, &options)
+                .is_none());
+        }
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.collisions), (8, 8, 8));
+        for shard in cache.shard_stats() {
+            assert_eq!(
+                (shard.hits, shard.misses),
+                (shard.collisions, shard.collisions)
+            );
         }
     }
 

@@ -145,6 +145,14 @@ impl Circuit {
         self.instructions.reserve(additional);
     }
 
+    /// Drops the spare capacity of the instruction list and the name, so a
+    /// circuit kept for long (a compilation cache's entry) holds only
+    /// what it uses, without the copy a `clone` would make.
+    pub fn shrink_to_fit(&mut self) {
+        self.instructions.shrink_to_fit();
+        self.name.shrink_to_fit();
+    }
+
     /// Appends `gate` applied to `qubits` (given as plain indices).
     ///
     /// # Panics
@@ -475,6 +483,25 @@ impl Circuit {
         h
     }
 
+    /// `true` when `other` has what [`Circuit::structural_hash`] reads:
+    /// the same width and, instruction by instruction, the same gate,
+    /// parameter bits and operands. Names are ignored, and parameters
+    /// compare by their bits, so a NaN angle equals itself.
+    ///
+    /// A compilation cache compares a hit's circuit with its request's
+    /// this way, so two circuits that share a hash never share an entry.
+    pub fn same_structure(&self, other: &Circuit) -> bool {
+        self.num_qubits == other.num_qubits
+            && self.instructions.len() == other.instructions.len()
+            && self
+                .instructions
+                .iter()
+                .zip(&other.instructions)
+                // Operand lists compare whole: every constructor leaves
+                // the unused slots at qubit 0.
+                .all(|(a, b)| a.operands() == b.operands() && same_gate(a.gate(), b.gate()))
+    }
+
     /// Validates every instruction against the circuit width.
     ///
     /// Circuits built through the public API are valid by construction; this
@@ -520,6 +547,30 @@ impl<'a> IntoIterator for &'a Circuit {
 
     fn into_iter(self) -> Self::IntoIter {
         self.iter()
+    }
+}
+
+/// `true` when `a` and `b` are one gate with the same parameter bits, as
+/// [`Circuit::structural_hash`] reads them: a NaN angle equals itself,
+/// and `0.0` differs from `-0.0`.
+fn same_gate(a: Gate, b: Gate) -> bool {
+    let same = |x: f64, y: f64| x.to_bits() == y.to_bits();
+    match (a, b) {
+        (Gate::Rx(x), Gate::Rx(y))
+        | (Gate::Ry(x), Gate::Ry(y))
+        | (Gate::Rz(x), Gate::Rz(y))
+        | (Gate::U1(x), Gate::U1(y))
+        | (Gate::Xpow(x), Gate::Xpow(y))
+        | (Gate::Cxpow(x), Gate::Cxpow(y))
+        | (Gate::Cp(x), Gate::Cp(y)) => same(x, y),
+        (Gate::U2(x0, x1), Gate::U2(y0, y1)) => same(x0, y0) && same(x1, y1),
+        (Gate::U3(x0, x1, x2), Gate::U3(y0, y1, y2)) => {
+            same(x0, y0) && same(x1, y1) && same(x2, y2)
+        }
+        // Two different gates, or one without parameters. A parameterized
+        // gate missing from the arms above compares unequal to itself: a
+        // cache miss, never a hit on another angle.
+        _ => std::mem::discriminant(&a) == std::mem::discriminant(&b) && a.param_array().1 == 0,
     }
 }
 
@@ -753,6 +804,65 @@ mod tests {
         let mut d = Circuit::new(4);
         d.h(0).cx(0, 1).ccx(0, 1, 2);
         assert_ne!(a.structural_hash(), d.structural_hash());
+    }
+
+    #[test]
+    fn same_structure_reads_what_the_hash_reads() {
+        let mut a = Circuit::with_name(3, "alpha");
+        a.h(0)
+            .rz(0.25, 1)
+            .cx(0, 1)
+            .ccx(0, 1, 2)
+            .u3(0.1, 0.2, 0.3, 2);
+        let mut renamed = a.clone();
+        renamed.set_name("beta");
+        assert!(a.same_structure(&renamed), "names are ignored");
+        let variants: [fn(&mut Circuit); 7] = [
+            |c| *c = Circuit::from_instructions(4, c.iter().copied()).unwrap(),
+            |c| c.instructions[0] = Instruction::new(Gate::X, &[Qubit::new(0)]),
+            |c| {
+                c.instructions[1] =
+                    Instruction::new(Gate::Rz(0.25 + f64::EPSILON), &[Qubit::new(1)])
+            },
+            |c| c.instructions[1] = Instruction::new(Gate::Rx(0.25), &[Qubit::new(1)]),
+            |c| c.instructions[2] = Instruction::new(Gate::Cx, &[Qubit::new(1), Qubit::new(0)]),
+            |c| {
+                let z = f64::from_bits(0.3f64.to_bits() ^ 1);
+                c.instructions[4] = Instruction::new(Gate::U3(0.1, 0.2, z), &[Qubit::new(2)])
+            },
+            |c| c.instructions.truncate(3),
+        ];
+        for (i, change) in variants.iter().enumerate() {
+            let mut b = a.clone();
+            change(&mut b);
+            assert_ne!(a.structural_hash(), b.structural_hash(), "variant {i}");
+            assert!(!a.same_structure(&b), "variant {i}");
+            assert!(!b.same_structure(&a), "variant {i}");
+        }
+        let (mut zero, mut negative) = (Circuit::new(1), Circuit::new(1));
+        zero.rz(0.0, 0);
+        negative.rz(-0.0, 0);
+        assert!(
+            !zero.same_structure(&negative),
+            "0.0 and -0.0 differ in bits"
+        );
+        let mut nan = Circuit::new(1);
+        nan.rz(f64::NAN, 0);
+        assert!(
+            nan.same_structure(&nan.clone()),
+            "parameters compare by bits"
+        );
+    }
+
+    #[test]
+    fn shrink_to_fit_keeps_the_circuit() {
+        let mut c = Circuit::with_name(2, String::with_capacity(64) + "bell");
+        c.reserve(100);
+        c.h(0).cx(0, 1);
+        let before = c.clone();
+        c.shrink_to_fit();
+        assert_eq!(c, before);
+        assert_eq!(c.instructions.capacity(), 2);
     }
 
     #[test]

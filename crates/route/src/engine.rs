@@ -108,6 +108,7 @@ impl<'a> RoutingEngine<'a> {
             PathMetric::EdgeWeights(w) => Some(WeightedPaths {
                 table: WeightTable::new(topo, w)?,
                 memo: HashMap::new(),
+                arena: Vec::new(),
                 scratch: SearchScratch::new(),
             }),
         };
@@ -633,7 +634,11 @@ fn bridge_middle(topo: &Topology, pa: usize, pb: usize) -> Option<usize> {
 /// searches run in.
 struct WeightedPaths {
     table: WeightTable,
-    memo: HashMap<(usize, usize), Vec<usize>>,
+    /// Where each ordered pair's path lies in `arena`, as `start..end`.
+    memo: HashMap<(usize, usize), (usize, usize)>,
+    /// Every path found so far, end to end, so the run's searches share
+    /// one buffer instead of allocating one each.
+    arena: Vec<usize>,
     scratch: SearchScratch,
 }
 
@@ -641,9 +646,9 @@ impl WeightedPaths {
     /// Writes the weighted shortest path from `a` to `b` into `path`,
     /// searched once per ordered pair and run; `false` if there is none.
     fn path_into(&mut self, topo: &Topology, a: usize, b: usize, path: &mut Vec<usize>) -> bool {
-        if let Some(found) = self.memo.get(&(a, b)) {
+        if let Some(&(start, end)) = self.memo.get(&(a, b)) {
             path.clear();
-            path.extend_from_slice(found);
+            path.extend_from_slice(&self.arena[start..end]);
             return true;
         }
         let table = &self.table;
@@ -654,7 +659,9 @@ impl WeightedPaths {
         {
             return false;
         }
-        self.memo.insert((a, b), path.clone());
+        let start = self.arena.len();
+        self.arena.extend_from_slice(path);
+        self.memo.insert((a, b), (start, self.arena.len()));
         true
     }
 }

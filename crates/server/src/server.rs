@@ -36,8 +36,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use trios_core::request::CircuitRef;
 use trios_core::{
-    run_sweep, CacheStats, CompilationCache, CompiledProgram, ShardedCache, SweepError, SweepSpec,
-    Topology,
+    run_sweep, CacheEntry, CacheStats, CompilationCache, CompileJob, ShardedCache, SweepError,
+    SweepSpec, Topology,
 };
 
 /// Tuning knobs of one [`Server`].
@@ -665,8 +665,10 @@ fn execute(shared: &Arc<Shared>, method: &Method) -> Result<String, ProtocolErro
                 .finish())
         }
         Method::Estimate(params) => {
-            let (program, result) = compile_one(shared, &params.compile)?;
-            let estimate = program.estimate_success(&params.calibration.calibration());
+            let (entry, result) = compile_one(shared, &params.compile)?;
+            let estimate = entry
+                .program
+                .estimate_success(&params.calibration.calibration());
             let success = JsonObj::new()
                 .f64("probability", estimate.probability())
                 .f64("p_gates", estimate.p_gates)
@@ -728,17 +730,20 @@ fn execute(shared: &Arc<Shared>, method: &Method) -> Result<String, ProtocolErro
 
 /// The cached compile at the heart of every work method: key the request
 /// on the device table's shared topology, consult the request's shard,
-/// compile and fill on miss.
+/// compile and fill on miss. Either way the reply reads the shared cache
+/// entry: a hit copies a pointer, and a miss stores what it compiled
+/// without copying it.
 fn compile_one(
     shared: &Arc<Shared>,
     params: &CompileParams,
-) -> Result<(CompiledProgram, JsonObj), ProtocolError> {
+) -> Result<(Arc<CacheEntry>, JsonObj), ProtocolError> {
     let circuit = params.circuit.circuit()?;
     let device = shared.devices.resolve(&params.request.device)?;
     let compiler = params.request.compiler();
-    let key = CompilationCache::key(&circuit, &device, compiler.options());
-    let (program, cached) = match shared.cache.get(key) {
-        Some((program, _report)) => (program, true),
+    let options = compiler.options();
+    let key = CompilationCache::key(&circuit, &device, options);
+    let (entry, cached) = match shared.cache.lookup(key, &circuit, &device, options) {
+        Some(entry) => (entry, true),
         None => {
             let (program, report) =
                 compiler
@@ -747,10 +752,11 @@ fn compile_one(
                         kind: ErrorKind::Compile,
                         message: e.to_string(),
                     })?;
-            shared.cache.insert(key, (program.clone(), report));
-            (program, false)
+            let job = CompileJob::new(Arc::new(circuit), &device, options.clone());
+            (shared.cache.store(key, job, program, report), false)
         }
     };
+    let program = &entry.program;
     let stats = JsonObj::new()
         .u64("two_qubit_gates", program.stats.two_qubit_gates as u64)
         .u64("one_qubit_gates", program.stats.one_qubit_gates as u64)
@@ -769,7 +775,7 @@ fn compile_one(
     if params.emit_qasm {
         result = result.str("qasm", &trios_qasm::emit(&program.circuit));
     }
-    Ok((program, result))
+    Ok((entry, result))
 }
 
 #[cfg(test)]

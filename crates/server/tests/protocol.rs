@@ -270,27 +270,45 @@ fn concurrent_clients_match_the_sequential_compiler_byte_for_byte() {
     server.join();
 }
 
+/// The fields of a result object other than `"cached"`, in order.
+fn all_but_cached(result: &Value) -> Vec<(String, Value)> {
+    match result {
+        Value::Object(fields) => fields
+            .iter()
+            .filter(|(k, _)| k != "cached")
+            .cloned()
+            .collect(),
+        other => panic!("a result is an object: {other:?}"),
+    }
+}
+
 #[test]
 fn repeated_requests_hit_the_shared_cache_across_connections() {
     let server = start(test_config());
+    let request = r#"{"benchmark": "bv-20", "emit-qasm": true}"#;
 
     let mut first = Client::connect(server.local_addr()).unwrap();
-    let response = parse(&first.call("compile", r#"{"benchmark": "bv-20"}"#).unwrap());
+    let cold = parse(&first.call("compile", request).unwrap());
     assert_eq!(
-        result_of(&response).get("cached").and_then(Value::as_bool),
+        result_of(&cold).get("cached").and_then(Value::as_bool),
         Some(false)
     );
 
-    // A different connection, same request: served from the shared cache.
+    // A different connection, same request: served from the shared cache,
+    // with a reply that differs from the first in `cached` alone.
     let mut second = Client::connect(server.local_addr()).unwrap();
-    let response = parse(&second.call("compile", r#"{"benchmark": "bv-20"}"#).unwrap());
+    let warm = parse(&second.call("compile", request).unwrap());
     assert_eq!(
-        result_of(&response).get("cached").and_then(Value::as_bool),
+        result_of(&warm).get("cached").and_then(Value::as_bool),
         Some(true)
+    );
+    assert_eq!(
+        all_but_cached(result_of(&warm)),
+        all_but_cached(result_of(&cold))
     );
 
     let stats = server.cache().stats();
-    assert_eq!((stats.hits, stats.misses), (1, 1));
+    assert_eq!((stats.hits, stats.misses, stats.collisions), (1, 1, 0));
 
     // The stats method reports the same numbers over the wire.
     let response = parse(&second.call("stats", "{}").unwrap());
@@ -298,6 +316,7 @@ fn repeated_requests_hit_the_shared_cache_across_connections() {
     let cache = result.get("cache").expect("stats carry cache block");
     assert_eq!(cache.get("hits").and_then(Value::as_u64), Some(1));
     assert_eq!(cache.get("misses").and_then(Value::as_u64), Some(1));
+    assert_eq!(cache.get("collisions").and_then(Value::as_u64), Some(0));
     assert_eq!(
         result
             .get("latency")

@@ -2,7 +2,8 @@
 //! Table-1 benchmark is compiled on Johannesburg, and the allocations plus
 //! reallocations of one compile, averaged over the benchmarks, must stay
 //! under a ceiling a little above what the compiler needs. A change that
-//! brings back an allocation per gate or per path fails here.
+//! brings back an allocation per gate or per path fails here. A checked
+//! compilation-cache hit must allocate nothing at all.
 //!
 //! This file is a test binary of its own because it installs a counting
 //! `#[global_allocator]`. The counters are thread-local: the harness runs
@@ -11,8 +12,9 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 use trios_benchmarks::Benchmark;
-use trios_core::Compiler;
+use trios_core::{CompilationCache, CompileJob, Compiler, ShardedCache};
 
 struct Counting;
 
@@ -82,11 +84,12 @@ fn mean_per_compile(router: &str) -> u64 {
 /// Asserts `router`'s mean under `ceiling`. Each ceiling sits about 10%
 /// above the debug-build mean measured when it was set (release builds
 /// read three less): 71 for `baseline`, 72 for `trios`, 74 for
-/// `trios-lookahead` and 116 for `trios-noise`. Before path searches
-/// reused per-run buffers and compiles shared the standard registries,
-/// the means were 187–190, 143–146, 124–127 and 316–319; before the
-/// compiler stopped allocating per gate and per path, 407–410, 315–318,
-/// 266–269 and 513–516.
+/// `trios-lookahead` and 97 for `trios-noise`. Before the noise-aware
+/// router kept its weighted paths in one buffer per run, `trios-noise`
+/// read 116. Before path searches reused per-run buffers and compiles
+/// shared the standard registries, the means were 187–190, 143–146,
+/// 124–127 and 316–319; before the compiler stopped allocating per gate
+/// and per path, 407–410, 315–318, 266–269 and 513–516.
 fn assert_under(router: &str, ceiling: u64) {
     let mean = mean_per_compile(router);
     eprintln!("{router}: {mean} allocations and reallocations per compile");
@@ -113,5 +116,39 @@ fn trios_lookahead_compiles_within_the_allocation_budget() {
 
 #[test]
 fn trios_noise_compiles_within_the_allocation_budget() {
-    assert_under("trios-noise", 128);
+    assert_under("trios-noise", 107);
+}
+
+/// A checked hit shares the cached entry: the lookup compares the job
+/// and copies a pointer, so it and dropping that pointer allocate
+/// nothing, however large the compiled program.
+#[test]
+fn a_shared_cache_hit_allocates_nothing() {
+    let device = trios_topology::johannesburg();
+    let compiler = Compiler::default();
+    let options = compiler.options();
+    let cache = ShardedCache::new(4, 64);
+    let circuits: Vec<_> = Benchmark::ALL.iter().map(|b| b.build()).collect();
+    for circuit in &circuits {
+        let key = CompilationCache::key(circuit, &device, options);
+        let (program, report) = compiler.compile_with_report(circuit, &device).unwrap();
+        let job = CompileJob::new(Arc::new(circuit.clone()), &device, options.clone());
+        cache.store(key, job, program, report);
+    }
+    let keys: Vec<_> = circuits
+        .iter()
+        .map(|circuit| CompilationCache::key(circuit, &device, options))
+        .collect();
+    let before = allocations();
+    for (circuit, &key) in circuits.iter().zip(&keys) {
+        let entry = cache.lookup(key, circuit, &device, options);
+        assert!(entry.is_some(), "{}: a stored job must hit", circuit.name());
+    }
+    assert_eq!(
+        allocations() - before,
+        0,
+        "allocations in {} hits",
+        keys.len()
+    );
+    assert_eq!(cache.stats().hits, keys.len() as u64);
 }

@@ -7,9 +7,10 @@
 //! equal the scans they replace.
 
 use proptest::prelude::*;
+use std::sync::Arc;
 use trios_core::{
-    CachedCompilation, CompilationCache, CompileOptions, CompileReport, CompileStats,
-    CompiledProgram, Compiler, DirectionPolicy, ShardedCache,
+    CacheEntry, CachedCompilation, CompilationCache, CompileJob, CompileOptions, CompileReport,
+    CompileStats, CompiledProgram, Compiler, DirectionPolicy, ShardedCache,
 };
 use trios_ir::{Circuit, Gate, GateCounts, Instruction, Qubit};
 use trios_route::{check_legal, Layout, LookaheadConfig, ToffoliPolicy};
@@ -427,26 +428,49 @@ proptest! {
 
     /// With a single shard, [`ShardedCache`] is observationally identical
     /// to a flat [`CompilationCache`] of the same capacity: every
-    /// interleaving of inserts and lookups returns the same values and
-    /// leaves the same counters, so sharding is purely a contention
-    /// optimization, never a semantic change (LRU order included — the
-    /// key range deliberately exceeds the capacity range to force
-    /// evictions).
+    /// interleaving of inserts, stores and lookups, checked or not,
+    /// returns the same values and leaves the same counters, so sharding
+    /// is purely a contention optimization, never a semantic change (LRU
+    /// order included — the key range deliberately exceeds the capacity
+    /// range to force evictions). Key and tag vary apart, so a checked
+    /// lookup often finds another tag's job under its key: hits, misses
+    /// and collisions must agree, and a hit must be the tag looked up.
     #[test]
     fn single_shard_cache_matches_the_flat_cache(
         capacity in 0usize..6,
-        ops in proptest::collection::vec((any::<bool>(), 0u64..16, 1usize..8), 0..60),
+        ops in proptest::collection::vec((0u8..4, 0u64..16, 1usize..8), 0..60),
     ) {
         let sharded = ShardedCache::new(1, capacity);
         let flat = CompilationCache::new(capacity);
-        for &(is_insert, key, tag) in &ops {
-            if is_insert {
-                sharded.insert(key, tagged_entry(tag));
-                flat.insert(key, tagged_entry(tag));
-            } else {
-                let a = sharded.get(key).as_ref().map(tag_of);
-                let b = flat.get(key).as_ref().map(tag_of);
-                prop_assert_eq!(a, b);
+        let (device, options) = (line(2), CompileOptions::default());
+        let job = |tag| {
+            let circuit = Arc::new(tagged_entry(tag).0.circuit);
+            CompileJob::new(circuit, &device, options.clone())
+        };
+        for &(op, key, tag) in &ops {
+            match op {
+                0 => {
+                    sharded.insert(key, tagged_entry(tag));
+                    flat.insert(key, tagged_entry(tag));
+                }
+                1 => {
+                    let a = sharded.get(key).as_ref().map(tag_of);
+                    let b = flat.get(key).as_ref().map(tag_of);
+                    prop_assert_eq!(a, b);
+                }
+                2 => {
+                    let (program, report) = tagged_entry(tag);
+                    sharded.store(key, job(tag), program.clone(), report.clone());
+                    flat.store(key, job(tag), program, report);
+                }
+                _ => {
+                    let circuit = tagged_entry(tag).0.circuit;
+                    let found = |entry: Arc<CacheEntry>| entry.program.circuit.len();
+                    let a = sharded.lookup(key, &circuit, &device, &options).map(found);
+                    let b = flat.lookup(key, &circuit, &device, &options).map(found);
+                    prop_assert_eq!(a, b);
+                    prop_assert!(a.is_none_or(|found| found == tag), "a hit answers its own job");
+                }
             }
             prop_assert_eq!(sharded.stats(), flat.stats());
             prop_assert_eq!(sharded.len(), flat.len());
