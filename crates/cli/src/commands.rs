@@ -563,47 +563,66 @@ fn run_serve(options: &ServeOptions) -> Result<String, CliError> {
 
     if options.check {
         // Smoke probe: a real client on a real socket round-trips the
-        // whole stack — ping, one compile and its cache hit, stats,
-        // drained shutdown.
+        // whole stack — ping, one compile and its cache hit, one estimate
+        // and its hit, stats, drained shutdown. The compile's miss emits
+        // QASM from the program it compiled and its hit from the decoded
+        // entry; both estimates read the entry's gate counts.
         let mut client = Client::connect(addr)?;
         client.ping()?;
         let failed = |what: &str, reply: &str| {
             CliError::Usage(format!("serve check: {what} failed: {reply}"))
         };
-        let mut compile = |round: &str| {
-            let reply = client.call(
-                "compile",
-                r#"{"benchmark": "cnx_inplace-4", "device": "line:6"}"#,
-            )?;
+        let mut call = |method: &str, params: &str, round: &str| {
+            let reply = client.call(method, params)?;
             let result = serde_json::from_str(&reply)
                 .ok()
-                .filter(|reply| reply.get("ok").and_then(Value::as_bool) == Some(true))
+                .filter(|reply: &Value| reply.get("ok").and_then(Value::as_bool) == Some(true))
                 .and_then(|reply| reply.get("result").cloned())
-                .ok_or_else(|| failed(&format!("{round} compile round-trip"), &reply))?;
+                .ok_or_else(|| failed(&format!("{round} {method} round-trip"), &reply))?;
             Ok::<_, CliError>((reply, result))
         };
-        let (_, cold) = compile("first")?;
-        let (reply, warm) = compile("repeated")?;
+        let compile = r#"{"benchmark": "cnx_inplace-4", "device": "line:6", "emit-qasm": true}"#;
+        let (_, cold) = call("compile", compile, "first")?;
+        let (reply, warm) = call("compile", compile, "repeated")?;
+        let qasm = |result: &Value| {
+            result
+                .get("qasm")
+                .and_then(Value::as_str)
+                .map(str::to_owned)
+        };
         if warm.get("cached").and_then(Value::as_bool) != Some(true)
             || warm.get("stats") != cold.get("stats")
+            || qasm(&warm).is_none()
+            || qasm(&warm) != qasm(&cold)
         {
-            return Err(failed("cache hit (cached, equal stats)", &reply));
-        }
-        let stats = client.call("stats", "{}")?;
-        let cache = serde_json::from_str(&stats)
-            .ok()
-            .and_then(|reply| reply.get("result")?.get("cache").cloned());
-        let count = |field| cache.as_ref()?.get(field)?.as_u64();
-        if (count("hits"), count("misses"), count("collisions")) != (Some(1), Some(1), Some(0)) {
             return Err(failed(
-                "stats round-trip (1 hit, 1 miss, 0 collisions)",
+                "cache hit (cached, equal stats, identical QASM)",
+                &reply,
+            ));
+        }
+        let estimate = r#"{"benchmark": "cnx_inplace-4", "device": "line:6", "seed": 1}"#;
+        let (_, cold) = call("estimate", estimate, "first")?;
+        let (reply, warm) = call("estimate", estimate, "repeated")?;
+        if warm.get("cached").and_then(Value::as_bool) != Some(true)
+            || warm.get("success").is_none()
+            || warm.get("success") != cold.get("success")
+        {
+            return Err(failed("estimate hit (cached, equal success)", &reply));
+        }
+        let (stats, result) = call("stats", "{}", "first")?;
+        let count = |field| result.get("cache")?.get(field)?.as_u64();
+        if (count("hits"), count("misses"), count("collisions")) != (Some(2), Some(2), Some(0))
+            || count("bytes").unwrap_or(0) == 0
+        {
+            return Err(failed(
+                "stats round-trip (2 hits, 2 misses, 0 collisions, bytes held)",
                 &stats,
             ));
         }
         let _ = client.call("shutdown", "{}")?;
         server.join();
         return Ok(format!(
-            "serve check: ok ({addr}, ping + compile + cached compile + stats round-tripped, drained)\n"
+            "serve check: ok ({addr}, ping + compile + cached compile + estimate + cached estimate + stats round-tripped, drained)\n"
         ));
     }
 
@@ -1666,10 +1685,13 @@ mod tests {
     #[test]
     fn serve_check_round_trips_a_real_socket() {
         // The check fails unless the repeated compile is a cache hit with
-        // equal stats, and `stats` reads 1 hit, 1 miss and 0 collisions.
+        // equal stats and byte-identical QASM, the repeated estimate a hit
+        // with an equal `success`, and `stats` reads 2 hits, 2 misses, 0
+        // collisions and a nonzero `bytes`.
         let out = run(&args(&["serve", "--check", "--workers", "2"])).unwrap();
         assert!(out.contains("serve check: ok"), "{out}");
         assert!(out.contains("cached compile"), "{out}");
+        assert!(out.contains("cached estimate"), "{out}");
         assert!(out.contains("drained"), "{out}");
     }
 

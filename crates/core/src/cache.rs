@@ -11,16 +11,20 @@
 //! Each entry is stored once, behind an [`Arc`], beside the
 //! [`CompileJob`] it answers. A hit copies the pointer, not the program,
 //! and only after comparing that job with its own: equal keys are not
-//! trusted to mean equal jobs.
+//! trusted to mean equal jobs. Entries keep circuits packed
+//! ([`PackedCircuit`]): a compiled program's few distinct gates once, and
+//! a `u16` stream of gate indices and operands.
 
-use crate::report::CompileReport;
-use crate::{CompileOptions, CompiledProgram};
+use crate::report::{CompileReport, CompileStats, PassRecord};
+use crate::{CompileOptions, CompiledProgram, SchedulePass};
 use std::collections::HashMap;
 use std::fmt;
+use std::mem::{size_of, size_of_val};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use trios_ir::{hash, Circuit};
+use trios_ir::{hash, Circuit, GateCounts, PackedCircuit, MAX_QUBITS};
+use trios_noise::{estimate_from_counts, Calibration, SuccessEstimate};
 use trios_passes::OptimizeOptions;
-use trios_route::{DirectionPolicy, InitialMapping, LookaheadConfig, PathMetric};
+use trios_route::{DirectionPolicy, InitialMapping, Layout, LookaheadConfig, PathMetric};
 use trios_topology::Topology;
 
 /// The compiled program plus the report of the compile that produced it,
@@ -31,17 +35,18 @@ pub type CachedCompilation = (CompiledProgram, CompileReport);
 /// structural hash of the device it was compiled for, and the options.
 #[derive(Debug)]
 pub struct CompileJob {
-    circuit: Arc<Circuit>,
+    circuit: PackedCircuit,
     /// [`Topology::structural_hash`] of the device.
     device: u64,
     options: CompileOptions,
 }
 
 impl CompileJob {
-    /// The job of compiling `circuit` for `device` under `options`.
-    pub fn new(circuit: Arc<Circuit>, device: &Topology, options: CompileOptions) -> Self {
+    /// The job of compiling `circuit` for `device` under `options`; the
+    /// job keeps the circuit packed.
+    pub fn new(circuit: &Circuit, device: &Topology, options: CompileOptions) -> Self {
         CompileJob {
-            circuit,
+            circuit: PackedCircuit::new(circuit),
             device: device.structural_hash(),
             options,
         }
@@ -49,7 +54,7 @@ impl CompileJob {
 
     /// `true` when compiling `circuit` for `device` under `options` is
     /// this job, compared field by field as [`CompilationCache::key`]
-    /// hashes them: circuits by [`Circuit::same_structure`] (names
+    /// hashes them: circuits by [`PackedCircuit::same_structure`] (names
     /// ignored), devices by structural hash, options by resolved router
     /// and decomposer names and every other knob, floats by their bits.
     fn answers(&self, circuit: &Circuit, device: &Topology, options: &CompileOptions) -> bool {
@@ -57,38 +62,152 @@ impl CompileJob {
             && options_eq(&self.options, options)
             && self.circuit.same_structure(circuit)
     }
+
+    /// The heap bytes held: the packed circuit, and the names and lists
+    /// of the options.
+    fn heap_bytes(&self) -> usize {
+        let options = &self.options;
+        let names: usize = [&options.router, &options.decomposer]
+            .into_iter()
+            .flatten()
+            .map(String::len)
+            .sum();
+        let mapping = match &options.mapping {
+            InitialMapping::Fixed(assignment) => size_of_val(&assignment[..]),
+            InitialMapping::NoiseAware { edge_errors } => size_of_val(&edge_errors[..]),
+            _ => 0,
+        };
+        let metric = match &options.metric {
+            PathMetric::EdgeWeights(weights) => size_of_val(&weights[..]),
+            PathMetric::Hops => 0,
+        };
+        self.circuit.heap_bytes() + names + mapping + metric
+    }
 }
 
-/// One cached compilation, shared by every hit on it.
+/// A [`Layout`] as an entry keeps it: the logical→physical map, one `u16`
+/// a slot (two, low half first, on a device wider than
+/// [`MAX_QUBITS`]), and the device width.
+#[derive(Debug)]
+struct PackedLayout {
+    width: usize,
+    map: Box<[u16]>,
+}
+
+impl PackedLayout {
+    fn new(layout: &Layout) -> Self {
+        let width = layout.num_physical();
+        let words = if width > MAX_QUBITS { 2 } else { 1 };
+        let mut map = Vec::with_capacity(layout.num_logical() * words);
+        for logical in 0..layout.num_logical() {
+            let physical = layout.physical(logical);
+            map.push(physical as u16);
+            if words == 2 {
+                map.push((physical >> 16) as u16);
+            }
+        }
+        PackedLayout {
+            width,
+            map: map.into_boxed_slice(),
+        }
+    }
+
+    fn unpack(&self) -> Layout {
+        let words = if self.width > MAX_QUBITS { 2 } else { 1 };
+        let mapping: Vec<usize> = self
+            .map
+            .chunks(words)
+            .map(|slot| {
+                slot.iter()
+                    .rev()
+                    .fold(0, |p, &word| p << 16 | word as usize)
+            })
+            .collect();
+        Layout::from_mapping(&mapping, self.width).expect("a stored layout maps injectively")
+    }
+}
+
+/// One cached compilation, shared by every hit on it: the compiled
+/// circuit packed, both layouts, the program's stats and gate counts,
+/// and the pass records the compile was stored with.
+///
+/// [`stats`](Self::stats), [`counts`](Self::counts) and
+/// [`estimate_success`](Self::estimate_success) read the entry as it is;
+/// [`program`](Self::program) and [`report`](Self::report) rebuild owned
+/// values.
 #[derive(Debug)]
 pub struct CacheEntry {
     /// `None` for an entry stored by the unchecked
     /// [`CompilationCache::insert`]: it answers no checked lookup.
     job: Option<CompileJob>,
-    /// The compiled program.
-    pub program: CompiledProgram,
-    /// The report of the compile that produced it.
-    pub report: CompileReport,
+    circuit: PackedCircuit,
+    initial_layout: PackedLayout,
+    final_layout: PackedLayout,
+    stats: CompileStats,
+    passes: Box<[PassRecord]>,
 }
 
 impl CacheEntry {
-    /// An entry holding only what it uses: the program's instruction
-    /// buffer, and the job's circuit when the entry holds its only
-    /// reference, lose their spare capacity in place.
-    fn new(
-        mut job: Option<CompileJob>,
-        mut program: CompiledProgram,
-        report: CompileReport,
-    ) -> Self {
-        program.circuit.shrink_to_fit();
-        if let Some(circuit) = job.as_mut().and_then(|job| Arc::get_mut(&mut job.circuit)) {
-            circuit.shrink_to_fit();
-        }
+    fn new(job: Option<CompileJob>, program: &CompiledProgram, passes: &[PassRecord]) -> Self {
         CacheEntry {
             job,
-            program,
-            report,
+            circuit: PackedCircuit::new(&program.circuit),
+            initial_layout: PackedLayout::new(&program.initial_layout),
+            final_layout: PackedLayout::new(&program.final_layout),
+            stats: program.stats,
+            passes: passes.into(),
         }
+    }
+
+    /// The stored program's stats.
+    pub fn stats(&self) -> &CompileStats {
+        &self.stats
+    }
+
+    /// The gate counts of the stored program's circuit.
+    pub fn counts(&self) -> GateCounts {
+        self.circuit.counts()
+    }
+
+    /// The stored program, decoded.
+    pub fn program(&self) -> CompiledProgram {
+        CompiledProgram {
+            circuit: self.circuit.unpack(),
+            initial_layout: self.initial_layout.unpack(),
+            final_layout: self.final_layout.unpack(),
+            stats: self.stats,
+        }
+    }
+
+    /// The report of the compile that produced the program: the pass
+    /// records it was stored with (none for a server's entry) and the
+    /// program's stats.
+    pub fn report(&self) -> CompileReport {
+        CompileReport::new(self.passes.to_vec(), self.stats)
+    }
+
+    /// [`CompiledProgram::estimate_success`] of the stored program. Every
+    /// compile is scheduled under [`SchedulePass::DURATIONS`], so under a
+    /// calibration with those durations the entry's counts and
+    /// `duration_us` are all the estimate reads: nothing is decoded and
+    /// nothing allocated. Under other durations the program is decoded.
+    pub fn estimate_success(&self, calibration: &Calibration) -> SuccessEstimate {
+        if calibration.durations == SchedulePass::DURATIONS {
+            estimate_from_counts(&self.counts(), self.stats.duration_us, calibration)
+        } else {
+            self.program().estimate_success(calibration)
+        }
+    }
+
+    /// The bytes this entry holds: its own allocation, the packed
+    /// circuits, the layouts, the job's options and the pass records.
+    pub fn bytes(&self) -> usize {
+        size_of::<CacheEntry>()
+            + self.circuit.heap_bytes()
+            + size_of_val(&*self.initial_layout.map)
+            + size_of_val(&*self.final_layout.map)
+            + self.job.as_ref().map_or(0, CompileJob::heap_bytes)
+            + size_of_val(&*self.passes)
     }
 }
 
@@ -104,6 +223,7 @@ impl CacheEntry {
 /// pair: a hit shares the stored [`CacheEntry`] and answers only the job
 /// it was stored for. A lookup that finds another job under its key is a
 /// miss, counted in [`CacheStats::collisions`] as well.
+/// [`CacheStats::bytes`] counts what the entries hold.
 ///
 /// A capacity of `0` disables storage entirely: every lookup misses and
 /// every insert is dropped, so `CompilationCache::new(0)` is a convenient
@@ -141,6 +261,8 @@ struct Inner {
     hits: u64,
     misses: u64,
     collisions: u64,
+    /// [`CacheEntry::bytes`] summed over `entries`.
+    bytes: usize,
 }
 
 struct Entry {
@@ -175,10 +297,11 @@ impl CompilationCache {
     /// The state behind the lock, recovered if a thread panicked while
     /// holding it. That is sound because every critical section leaves a
     /// valid cache at any point it could unwind: the code under the lock
-    /// is map operations on `u64` keys, counter increments and job
+    /// is map operations on `u64` keys, counter updates and job
     /// comparisons, none of which panics, and each section changes the
     /// map before the counters that record the change, so an unwind could
-    /// at worst leave one lookup uncounted, never an entry half-stored.
+    /// at worst leave one lookup uncounted or one entry's bytes unsummed,
+    /// never an entry half-stored.
     fn lock(&self) -> MutexGuard<'_, Inner> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -204,37 +327,43 @@ impl CompilationCache {
         })
     }
 
-    /// Stores the compilation of `job` under `key` without copying it,
+    /// Stores the compilation of `job` under `key`, packed, with the pass
+    /// records `passes` (a caller that reads no report stores none),
     /// evicting the least-recently-used entry when the cache is full, and
     /// returns the shared entry (also at capacity 0, which stores nothing).
     pub fn store(
         &self,
         key: u64,
         job: CompileJob,
-        program: CompiledProgram,
-        report: CompileReport,
+        program: &CompiledProgram,
+        passes: &[PassRecord],
     ) -> Arc<CacheEntry> {
-        let entry = Arc::new(CacheEntry::new(Some(job), program, report));
+        let entry = Arc::new(CacheEntry::new(Some(job), program, passes));
         self.put(key, Arc::clone(&entry));
         entry
     }
 
-    /// The compilation stored under `key`, copied out, with no check of
-    /// the job it answers; counts a hit or a miss.
+    /// The compilation stored under `key`, decoded, with no check of the
+    /// job it answers; counts a hit or a miss.
     ///
     /// Kept, with [`insert`](Self::insert), for perfbench's traced serve
     /// replay alone; both go once that replay moves to
     /// [`lookup`](Self::lookup) and [`store`](Self::store).
     pub fn get(&self, key: u64) -> Option<CachedCompilation> {
         self.find(key, |_| true)
-            .map(|entry| (entry.program.clone(), entry.report.clone()))
+            .map(|entry| (entry.program(), entry.report()))
     }
 
     /// Stores `value` under `key` without a job, so no checked
-    /// [`lookup`](Self::lookup) answers from it. Kept for perfbench's
-    /// traced serve replay alone, like [`get`](Self::get).
+    /// [`lookup`](Self::lookup) answers from it. The entry keeps the
+    /// report's pass records; its stats are the program's. Kept for
+    /// perfbench's traced serve replay alone, like [`get`](Self::get).
     pub fn insert(&self, key: u64, value: CachedCompilation) {
-        self.put(key, Arc::new(CacheEntry::new(None, value.0, value.1)));
+        let (program, report) = value;
+        self.put(
+            key,
+            Arc::new(CacheEntry::new(None, &program, &report.passes)),
+        );
     }
 
     /// The entry under `key` if `accept` takes it; counts a hit, or a
@@ -267,12 +396,15 @@ impl CompilationCache {
         if self.capacity == 0 {
             return;
         }
-        let mut inner = self.lock();
+        let bytes = value.bytes();
+        let mut guard = self.lock();
+        let inner = &mut *guard;
         inner.tick += 1;
         let tick = inner.tick;
         if let Some(entry) = inner.entries.get_mut(&key) {
-            entry.value = value;
+            let replaced = std::mem::replace(&mut entry.value, value).bytes();
             entry.last_used = tick;
+            inner.bytes = inner.bytes + bytes - replaced;
             return;
         }
         if inner.entries.len() >= self.capacity {
@@ -285,7 +417,9 @@ impl CompilationCache {
                 .min_by_key(|(_, e)| e.last_used)
                 .map(|(k, _)| k)
             {
-                inner.entries.remove(&lru);
+                if let Some(evicted) = inner.entries.remove(&lru) {
+                    inner.bytes -= evicted.value.bytes();
+                }
             }
         }
         inner.entries.insert(
@@ -295,6 +429,7 @@ impl CompilationCache {
                 last_used: tick,
             },
         );
+        inner.bytes += bytes;
     }
 
     /// Maximum number of entries (0 = caching disabled).
@@ -341,6 +476,7 @@ impl CompilationCache {
             collisions: inner.collisions,
             len: inner.entries.len(),
             capacity: self.capacity,
+            bytes: inner.bytes,
         }
     }
 
@@ -348,6 +484,7 @@ impl CompilationCache {
     pub fn clear(&self) {
         let mut inner = self.lock();
         inner.entries.clear();
+        inner.bytes = 0;
         inner.hits = 0;
         inner.misses = 0;
         inner.collisions = 0;
@@ -355,9 +492,9 @@ impl CompilationCache {
 }
 
 /// One atomic snapshot of a cache's counters: hits, misses, collisions,
-/// occupancy, and capacity read together under a single lock, so the
-/// numbers are mutually consistent even while other threads keep hitting
-/// the cache.
+/// occupancy, capacity and bytes read together under a single lock, so
+/// the numbers are mutually consistent even while other threads keep
+/// hitting the cache.
 ///
 /// Produced by [`CompilationCache::stats`] and
 /// [`ShardedCache::stats`](crate::ShardedCache::stats); rendered by the
@@ -374,6 +511,9 @@ pub struct CacheStats {
     pub len: usize,
     /// Maximum entries (0 = caching disabled).
     pub capacity: usize,
+    /// Bytes the cached entries hold ([`CacheEntry::bytes`] summed):
+    /// packed circuits, layouts, jobs and pass records.
+    pub bytes: usize,
 }
 
 impl CacheStats {
@@ -395,6 +535,7 @@ impl CacheStats {
             collisions: self.collisions + other.collisions,
             len: self.len + other.len,
             capacity: self.capacity + other.capacity,
+            bytes: self.bytes + other.bytes,
         }
     }
 }
@@ -423,13 +564,14 @@ mod cache_stats_serde {
 
     impl Serialize for CacheStats {
         fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-            let mut s = serializer.serialize_struct("CacheStats", 6)?;
+            let mut s = serializer.serialize_struct("CacheStats", 7)?;
             s.serialize_field("hits", &self.hits)?;
             s.serialize_field("misses", &self.misses)?;
             s.serialize_field("collisions", &self.collisions)?;
             s.serialize_field("len", &self.len)?;
             s.serialize_field("capacity", &self.capacity)?;
             s.serialize_field("hit_rate", &self.hit_rate())?;
+            s.serialize_field("bytes", &self.bytes)?;
             s.end()
         }
     }
@@ -631,10 +773,8 @@ fn options_eq(a: &CompileOptions, b: &CompileOptions) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::CompileStats;
     use crate::PaperConfig;
     use trios_ir::{Gate, Instruction};
-    use trios_route::Layout;
     use trios_topology::{line, ring};
 
     fn dummy(tag: usize) -> CachedCompilation {
@@ -841,8 +981,8 @@ mod tests {
         a.h(0).rz(0.25, 1).cx(0, 1).ccx(0, 1, 2);
         let cache = CompilationCache::new(4);
         let (program, report) = dummy(5);
-        let job = CompileJob::new(Arc::new(a.clone()), &line(4), CompileOptions::default());
-        let entry = cache.store(1, job, program, report);
+        let job = CompileJob::new(&a, &line(4), CompileOptions::default());
+        let entry = cache.store(1, job, &program, &report.passes);
         (cache, a, entry)
     }
 
@@ -919,7 +1059,7 @@ mod tests {
         let first = cache.lookup(1, &renamed, &dev, &opts).expect("renamed hit");
         let second = cache.lookup(1, &a, &dev, &opts).expect("hit");
         assert!(Arc::ptr_eq(&first, &stored) && Arc::ptr_eq(&first, &second));
-        assert_eq!(first.program.circuit.len(), 5);
+        assert_eq!(first.program().circuit.len(), 5);
         assert!(first.job.as_ref().unwrap().circuit.same_structure(&a));
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.collisions), (2, 0, 0));
@@ -946,9 +1086,9 @@ mod tests {
             ..CompileOptions::default()
         };
         let cache = CompilationCache::new(2);
-        let job = CompileJob::new(Arc::new(nan.clone()), &line(4), weights(0.0));
+        let job = CompileJob::new(&nan, &line(4), weights(0.0));
         let (program, report) = dummy(1);
-        cache.store(7, job, program, report);
+        cache.store(7, job, &program, &report.passes);
         assert!(cache.lookup(7, &nan, &line(4), &weights(0.0)).is_some());
         assert!(cache.lookup(7, &nan, &line(4), &weights(-0.0)).is_none());
         let stats = cache.stats();
@@ -985,9 +1125,9 @@ mod tests {
         let (dev, opts) = (line(4), CompileOptions::default());
         assert!(cache.lookup(1, &a, &dev, &opts).is_some());
         assert!(cache.lookup(2, &a, &dev, &opts).is_none());
-        let job = CompileJob::new(Arc::new(a.clone()), &dev, opts.clone());
+        let job = CompileJob::new(&a, &dev, opts.clone());
         let (program, report) = dummy(2);
-        cache.store(2, job, program, report);
+        cache.store(2, job, &program, &report.passes);
         assert!(cache.lookup(2, &a, &dev, &opts).is_some());
         let stats = cache.stats();
         assert_eq!(
@@ -995,5 +1135,87 @@ mod tests {
             (2, 1, 0, 2)
         );
         assert!(format!("{cache:?}").contains("len: 2"));
+    }
+
+    #[test]
+    fn a_hit_decodes_the_stored_program_and_report() {
+        let mut circuit = Circuit::with_name(4, "ripple");
+        circuit
+            .h(0)
+            .ccx(0, 1, 3)
+            .rz(0.25, 2)
+            .ccx(3, 2, 0)
+            .measure_all();
+        let device = line(5);
+        let compiler = crate::Compiler::builder().seed(3).build();
+        let (program, report) = compiler.compile_with_report(&circuit, &device).unwrap();
+        assert!(
+            program.initial_layout != program.final_layout,
+            "routing moved qubits"
+        );
+        let cache = CompilationCache::new(2);
+        let job = CompileJob::new(&circuit, &device, compiler.options().clone());
+        cache.store(9, job, &program, &report.passes);
+        let entry = cache
+            .lookup(9, &circuit, &device, compiler.options())
+            .expect("hit");
+        assert_eq!(entry.program(), program);
+        assert_eq!(entry.report(), report);
+        assert_eq!(entry.stats(), &program.stats);
+        assert_eq!(entry.counts(), program.circuit.counts());
+        let mut slower = Calibration::near_future();
+        slower.durations.two_qubit_us *= 2.0;
+        for calibration in [Calibration::default(), Calibration::near_future(), slower] {
+            let want = program.estimate_success(&calibration);
+            let got = entry.estimate_success(&calibration);
+            assert_eq!(got.probability().to_bits(), want.probability().to_bits());
+            assert_eq!(got.duration_us.to_bits(), want.duration_us.to_bits());
+        }
+        // The unchecked pair round-trips the same values.
+        cache.insert(10, (program.clone(), report.clone()));
+        assert_eq!(cache.get(10), Some((program, report)));
+    }
+
+    #[test]
+    fn layouts_round_trip_on_every_device_width() {
+        for width in [2, MAX_QUBITS, MAX_QUBITS + 7] {
+            let mut layout = Layout::trivial(2, width);
+            layout.swap_physical(0, width - 1);
+            let packed = PackedLayout::new(&layout);
+            assert_eq!(packed.unpack(), layout, "width {width}");
+        }
+    }
+
+    #[test]
+    fn bytes_sum_what_the_live_entries_hold() {
+        let cache = CompilationCache::new(3);
+        let live = |cache: &CompilationCache| -> usize {
+            let inner = cache.lock();
+            inner.entries.values().map(|e| e.value.bytes()).sum()
+        };
+        let (a, job_circuit) = (dummy(4), dummy(6).0.circuit);
+        let job = CompileJob::new(&job_circuit, &line(2), CompileOptions::default());
+        let stored = cache.store(1, job, &a.0, &a.1.passes);
+        assert!(stored.bytes() > size_of::<CacheEntry>() + stored.circuit.heap_bytes());
+        assert_eq!(cache.stats().bytes, stored.bytes());
+        for key in 2..=3 {
+            cache.insert(key, dummy(key as usize));
+        }
+        assert_eq!(cache.stats().bytes, live(&cache));
+        // A replace under a live key, then evictions of the oldest.
+        cache.insert(2, dummy(40));
+        assert_eq!(cache.stats().bytes, live(&cache));
+        for key in 4..=6 {
+            cache.insert(key, dummy(key as usize * 10));
+            assert_eq!(cache.stats().len, 3);
+            assert_eq!(cache.stats().bytes, live(&cache));
+        }
+        assert!(cache.get(1).is_none(), "the first entry was evicted");
+        cache.clear();
+        assert_eq!(cache.stats().bytes, 0);
+        // Capacity 0 keeps nothing, so it holds no bytes either.
+        let off = CompilationCache::new(0);
+        off.insert(1, dummy(3));
+        assert_eq!(off.stats().bytes, 0);
     }
 }

@@ -12,7 +12,7 @@ use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 use trios_ir::Circuit;
 use trios_noise::{estimate_success, Calibration, SuccessEstimate};
@@ -326,17 +326,17 @@ impl Compiler {
         topology: &Topology,
         cached: Option<(&CompilationCache, u64)>,
     ) -> Result<(CompiledProgram, CompileReport, bool), Diagnostic> {
-        // The caller owns its results, so a hit copies the program out of
-        // the shared entry, and a miss stores a copy of what it returns.
+        // The caller owns its results, so a hit decodes the program and
+        // report out of the shared entry, and a miss stores them packed.
         if let Some((cache, key)) = cached {
             if let Some(entry) = cache.lookup(key, circuit, topology, &self.options) {
-                return Ok((entry.program.clone(), entry.report.clone(), true));
+                return Ok((entry.program(), entry.report(), true));
             }
         }
         let (program, report) = self.run_pipeline(manager, circuit, topology)?;
         if let Some((cache, key)) = cached {
-            let job = CompileJob::new(Arc::new(circuit.clone()), topology, self.options.clone());
-            cache.store(key, job, program.clone(), report.clone());
+            let job = CompileJob::new(circuit, topology, self.options.clone());
+            cache.store(key, job, &program, &report.passes);
         }
         Ok((program, report, false))
     }

@@ -11,7 +11,7 @@
 //! behaves exactly like a plain `CompilationCache`.
 
 use crate::cache::{CacheEntry, CacheStats, CachedCompilation, CompilationCache, CompileJob};
-use crate::report::CompileReport;
+use crate::report::PassRecord;
 use crate::{CompileOptions, CompiledProgram};
 use std::fmt;
 use std::sync::Arc;
@@ -114,10 +114,10 @@ impl ShardedCache {
         &self,
         key: u64,
         job: CompileJob,
-        program: CompiledProgram,
-        report: CompileReport,
+        program: &CompiledProgram,
+        passes: &[PassRecord],
     ) -> Arc<CacheEntry> {
-        self.shards[self.shard_of(key)].store(key, job, program, report)
+        self.shards[self.shard_of(key)].store(key, job, program, passes)
     }
 
     /// The unchecked [`CompilationCache::get`] in `key`'s shard, kept for
@@ -264,9 +264,9 @@ mod tests {
         let options = CompileOptions::default();
         let circuit = |tag: usize| dummy(tag).0.circuit;
         for key in 0..8u64 {
-            let job = CompileJob::new(Arc::new(circuit(key as usize)), &device, options.clone());
+            let job = CompileJob::new(&circuit(key as usize), &device, options.clone());
             let (program, report) = dummy(key as usize);
-            let stored = cache.store(key, job, program, report);
+            let stored = cache.store(key, job, &program, &report.passes);
             let found = cache.lookup(key, &circuit(key as usize), &device, &options);
             assert!(found.is_some_and(|found| Arc::ptr_eq(&found, &stored)));
             // Another circuit under the key is a collision in that shard.

@@ -69,6 +69,25 @@ impl Circuit {
         })
     }
 
+    /// A circuit from parts the caller has already checked: every operand
+    /// of every instruction below `num_qubits` (a
+    /// [`PackedCircuit`](crate::PackedCircuit) decodes what it read from a
+    /// valid circuit).
+    pub(crate) fn from_checked_parts(
+        num_qubits: usize,
+        name: String,
+        instructions: Vec<Instruction>,
+    ) -> Self {
+        debug_assert!(instructions
+            .iter()
+            .all(|instr| instr.operands().max_index() < num_qubits));
+        Circuit {
+            num_qubits,
+            name,
+            instructions,
+        }
+    }
+
     /// The circuit name (may be empty).
     pub fn name(&self) -> &str {
         &self.name
@@ -143,14 +162,6 @@ impl Circuit {
     /// a pass that knows how much it will emit grows the list once.
     pub fn reserve(&mut self, additional: usize) {
         self.instructions.reserve(additional);
-    }
-
-    /// Drops the spare capacity of the instruction list and the name, so a
-    /// circuit kept for long (a compilation cache's entry) holds only
-    /// what it uses, without the copy a `clone` would make.
-    pub fn shrink_to_fit(&mut self) {
-        self.instructions.shrink_to_fit();
-        self.name.shrink_to_fit();
     }
 
     /// Appends `gate` applied to `qubits` (given as plain indices).
@@ -488,8 +499,9 @@ impl Circuit {
     /// parameter bits and operands. Names are ignored, and parameters
     /// compare by their bits, so a NaN angle equals itself.
     ///
-    /// A compilation cache compares a hit's circuit with its request's
-    /// this way, so two circuits that share a hash never share an entry.
+    /// [`PackedCircuit::same_structure`](crate::PackedCircuit::same_structure),
+    /// which a compilation cache runs on every hit, reads the same; this
+    /// is the reference its tests compare it against.
     pub fn same_structure(&self, other: &Circuit) -> bool {
         self.num_qubits == other.num_qubits
             && self.instructions.len() == other.instructions.len()
@@ -553,7 +565,8 @@ impl<'a> IntoIterator for &'a Circuit {
 /// `true` when `a` and `b` are one gate with the same parameter bits, as
 /// [`Circuit::structural_hash`] reads them: a NaN angle equals itself,
 /// and `0.0` differs from `-0.0`.
-fn same_gate(a: Gate, b: Gate) -> bool {
+#[inline]
+pub(crate) fn same_gate(a: Gate, b: Gate) -> bool {
     let same = |x: f64, y: f64| x.to_bits() == y.to_bits();
     match (a, b) {
         (Gate::Rx(x), Gate::Rx(y))
@@ -852,17 +865,6 @@ mod tests {
             nan.same_structure(&nan.clone()),
             "parameters compare by bits"
         );
-    }
-
-    #[test]
-    fn shrink_to_fit_keeps_the_circuit() {
-        let mut c = Circuit::with_name(2, String::with_capacity(64) + "bell");
-        c.reserve(100);
-        c.h(0).cx(0, 1);
-        let before = c.clone();
-        c.shrink_to_fit();
-        assert_eq!(c, before);
-        assert_eq!(c.instructions.capacity(), 2);
     }
 
     #[test]

@@ -33,14 +33,20 @@ pub struct GateCounts {
 
 impl GateCounts {
     /// Folds one gate into the summary.
+    #[inline]
+    pub(crate) fn record(&mut self, gate: Gate) {
+        self.add(gate, 1);
+    }
+
+    /// Folds `n` uses of one gate into the summary.
     ///
     /// One match names every gate, so a new gate cannot join the counts
     /// unclassified.
     #[inline]
-    pub(crate) fn record(&mut self, gate: Gate) {
-        self.total += 1;
+    pub(crate) fn add(&mut self, gate: Gate, n: usize) {
+        self.total += n;
         match gate {
-            Gate::Measure => self.measure += 1,
+            Gate::Measure => self.measure += n,
             Gate::I
             | Gate::H
             | Gate::X
@@ -58,27 +64,27 @@ impl GateCounts {
             | Gate::U1(_)
             | Gate::U2(..)
             | Gate::U3(..)
-            | Gate::Xpow(_) => self.one_qubit += 1,
-            Gate::Cz | Gate::Cp(_) | Gate::Cxpow(_) => self.two_qubit += 1,
+            | Gate::Xpow(_) => self.one_qubit += n,
+            Gate::Cz | Gate::Cp(_) | Gate::Cxpow(_) => self.two_qubit += n,
             Gate::Cx => {
-                self.two_qubit += 1;
-                self.cx += 1;
+                self.two_qubit += n;
+                self.cx += n;
             }
             Gate::Swap => {
-                self.two_qubit += 1;
-                self.swap += 1;
+                self.two_qubit += n;
+                self.swap += n;
             }
             Gate::Ccx => {
-                self.three_qubit += 1;
-                self.ccx += 1;
+                self.three_qubit += n;
+                self.ccx += n;
             }
             Gate::Ccz => {
-                self.three_qubit += 1;
-                self.ccz += 1;
+                self.three_qubit += n;
+                self.ccz += n;
             }
             Gate::Cswap => {
-                self.three_qubit += 1;
-                self.cswap += 1;
+                self.three_qubit += n;
+                self.cswap += n;
             }
         }
     }

@@ -156,6 +156,7 @@ impl Gate {
 
     /// [`Gate::params`] without a heap allocation: the parameters padded
     /// to three, and how many of them are real.
+    #[inline]
     pub(crate) fn param_array(self) -> ([f64; 3], usize) {
         match self {
             Gate::Rx(a)

@@ -54,6 +54,15 @@ impl Instruction {
         Instruction { gate, operands }
     }
 
+    /// An instruction from parts the caller has already checked: `gate`'s
+    /// arity operands, all distinct (a [`PackedCircuit`](crate::PackedCircuit)
+    /// decodes what it read from valid instructions).
+    #[inline]
+    pub(crate) fn from_checked_parts(gate: Gate, operands: Operands) -> Self {
+        debug_assert!(operands.len() == gate.arity() && operands.are_distinct());
+        Instruction { gate, operands }
+    }
+
     /// The gate being applied.
     #[inline]
     pub fn gate(&self) -> Gate {

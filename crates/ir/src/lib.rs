@@ -40,6 +40,7 @@ mod gate;
 pub mod hash;
 mod instruction;
 mod operands;
+mod packed;
 mod qubit;
 
 pub use circuit::Circuit;
@@ -49,4 +50,5 @@ pub use error::CircuitError;
 pub use gate::Gate;
 pub use instruction::Instruction;
 pub use operands::Operands;
+pub use packed::PackedCircuit;
 pub use qubit::{Qubit, MAX_QUBITS};

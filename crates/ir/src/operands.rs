@@ -126,6 +126,13 @@ impl Operands {
         }
     }
 
+    /// All three operand slots as indices, the unused ones at 0, so a
+    /// caller can copy them whole and keep the first [`len`](Self::len).
+    #[inline]
+    pub(crate) fn padded_indices(&self) -> [u16; 3] {
+        self.qubits.map(|q| q.index() as u16)
+    }
+
     /// The largest qubit index among the operands.
     ///
     /// Every constructor leaves the unused slots at qubit 0, so the

@@ -6,7 +6,7 @@
 //! construction nor the BFS runs of their device.
 
 use crate::protocol::ProtocolError;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use trios_core::Topology;
 
 /// Distinct device specs the table holds. Past it, the spec used least
@@ -26,6 +26,16 @@ pub(crate) struct DeviceTable {
 }
 
 impl DeviceTable {
+    /// The table behind the lock, recovered if a thread panicked while
+    /// holding it. That is sound because the table is a cache of
+    /// topologies, valid in every state an unwind could leave: a spec's
+    /// entry is removed and pushed back whole, and one parsed for the
+    /// first time is added only after `parse_spec` returns, so at worst
+    /// an entry is missing and is built again by the next request.
+    fn lock(&self) -> MutexGuard<'_, Vec<(String, Arc<Topology>)>> {
+        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The topology of `spec`, built on its first request.
     ///
     /// Building happens under the table's lock, so two requests racing
@@ -37,7 +47,7 @@ impl DeviceTable {
     /// A `bad-request` error for a spec `parse_spec` refuses; nothing is
     /// stored for it.
     pub(crate) fn resolve(&self, spec: &str) -> Result<Arc<Topology>, ProtocolError> {
-        let mut entries = self.entries.lock().expect("device table poisoned");
+        let mut entries = self.lock();
         let entry = match entries.iter().position(|(known, _)| known == spec) {
             Some(index) => entries.remove(index),
             None => {
@@ -59,7 +69,7 @@ impl DeviceTable {
     /// recency.
     #[cfg(test)]
     pub(crate) fn get(&self, spec: &str) -> Option<Arc<Topology>> {
-        let entries = self.entries.lock().expect("device table poisoned");
+        let entries = self.lock();
         entries
             .iter()
             .find(|(known, _)| known == spec)
@@ -69,7 +79,7 @@ impl DeviceTable {
     /// Specs held, least recently used first.
     #[cfg(test)]
     pub(crate) fn specs(&self) -> Vec<String> {
-        let entries = self.entries.lock().expect("device table poisoned");
+        let entries = self.lock();
         entries.iter().map(|(spec, _)| spec.clone()).collect()
     }
 }
@@ -104,6 +114,27 @@ mod tests {
             assert!(error.message.contains(bad), "{}", error.message);
         }
         assert!(table.specs().is_empty());
+    }
+
+    #[test]
+    fn a_poisoned_table_is_recovered() {
+        let table = DeviceTable::default();
+        let first = table.resolve("line:5").unwrap();
+        let panicked = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _held = table.entries.lock().unwrap();
+                    panic!("a panic while the device table is held");
+                })
+                .join()
+        });
+        assert!(panicked.is_err());
+        assert!(table.entries.is_poisoned());
+        assert!(Arc::ptr_eq(&first, &table.resolve("line:5").unwrap()));
+        let ring = table.resolve("ring:7").unwrap();
+        assert_eq!((ring.name(), ring.num_qubits()), ("ring-7", 7));
+        assert_eq!(table.specs(), ["line:5", "ring:7"]);
+        assert!(table.get("ring:7").is_some_and(|d| Arc::ptr_eq(&d, &ring)));
     }
 
     #[test]

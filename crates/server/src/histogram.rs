@@ -8,7 +8,7 @@
 //! honest for a metric whose point is "did p99 blow up", and exactly what
 //! a fixed 64-slot table can promise.
 
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Quantile summary of everything recorded so far.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -74,9 +74,18 @@ impl LatencyHistogram {
         LatencyHistogram::default()
     }
 
+    /// The counts behind the lock, recovered if a thread panicked while
+    /// holding it. That is sound because every critical section only adds
+    /// to or reads counters, none of which panics (`bucket_of` clamps
+    /// every sample into the table), so an unwind could at worst leave
+    /// one sample counted in its bucket but not yet in `count` or `max_us`.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Records one sample.
     pub fn record_us(&self, us: u64) {
-        let mut inner = self.inner.lock().expect("histogram lock poisoned");
+        let mut inner = self.lock();
         inner.buckets[bucket_of(us)] += 1;
         inner.count += 1;
         inner.max_us = inner.max_us.max(us);
@@ -85,7 +94,7 @@ impl LatencyHistogram {
     /// One consistent snapshot of count, max, and the p50/p90/p99
     /// estimates. All zeros before the first sample.
     pub fn snapshot(&self) -> LatencySnapshot {
-        let inner = self.inner.lock().expect("histogram lock poisoned");
+        let inner = self.lock();
         LatencySnapshot {
             count: inner.count,
             p50_us: inner.quantile(0.50),
@@ -230,6 +239,27 @@ mod tests {
             proptest::prop_assert!(s.p50_us >= rank(0.50));
             proptest::prop_assert!(s.p99_us >= rank(0.99));
         }
+    }
+
+    #[test]
+    fn a_poisoned_histogram_is_recovered() {
+        let h = LatencyHistogram::new();
+        h.record_us(5);
+        let panicked = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _held = h.inner.lock().unwrap();
+                    panic!("a panic while the histogram is held");
+                })
+                .join()
+        });
+        assert!(panicked.is_err());
+        assert!(h.inner.is_poisoned());
+        h.record_us(100);
+        h.record_us(7);
+        let s = h.snapshot();
+        assert_eq!((s.count, s.max_us), (3, 100));
+        assert_eq!((s.p50_us, s.p99_us), (7, 100));
     }
 
     #[test]

@@ -31,13 +31,13 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use trios_core::request::CircuitRef;
 use trios_core::{
-    run_sweep, CacheEntry, CacheStats, CompilationCache, CompileJob, ShardedCache, SweepError,
-    SweepSpec, Topology,
+    run_sweep, CacheEntry, CacheStats, CompilationCache, CompileJob, CompiledProgram, ShardedCache,
+    SweepError, SweepSpec, Topology,
 };
 
 /// Tuning knobs of one [`Server`].
@@ -241,7 +241,7 @@ impl Server {
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
         }
-        let readers = std::mem::take(&mut *self.shared.readers.lock().expect("readers poisoned"));
+        let readers = std::mem::take(&mut *lock(&self.shared.readers));
         for reader in readers {
             let _ = reader.join();
         }
@@ -251,7 +251,7 @@ impl Server {
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
-        self.shared.conns.lock().expect("conns poisoned").clear();
+        lock(&self.shared.conns).clear();
     }
 }
 
@@ -271,7 +271,7 @@ impl Shared {
             served: self.served.load(Ordering::Relaxed),
             rejected: self.rejected.load(Ordering::Relaxed),
             failed: self.failed.load(Ordering::Relaxed),
-            queue_depth: self.queue.lock().expect("queue poisoned").len(),
+            queue_depth: lock(&self.queue).len(),
             queue_high_water: self.queue_high_water.load(Ordering::Relaxed),
             queue_capacity: self.config.queue_capacity,
             workers: self.config.effective_workers(),
@@ -289,7 +289,7 @@ impl Shared {
         let _ = TcpStream::connect(self.addr);
         // EOF every reader; write halves stay open so queued responses
         // still drain.
-        for conn in self.conns.lock().expect("conns poisoned").values() {
+        for conn in lock(&self.conns).values() {
             let _ = conn.shutdown(std::net::Shutdown::Read);
         }
         self.job_ready.notify_all();
@@ -304,7 +304,7 @@ impl Shared {
         let mut buf = Vec::with_capacity(line.len() + 1);
         buf.extend_from_slice(line.as_bytes());
         buf.push(b'\n');
-        let mut stream = writer.lock().expect("writer poisoned");
+        let mut stream = lock(writer);
         let _ = stream.write_all(&buf);
         let _ = stream.flush();
     }
@@ -355,6 +355,22 @@ impl Shared {
     }
 }
 
+/// The guard of one of the server's locks, recovered if a thread panicked
+/// while holding it, so one panic cannot take every later request down
+/// with it.
+///
+/// That is sound because no critical section under these locks can leave
+/// its state half-changed: each is one whole operation on the queue (push,
+/// pop, length, the condvar wait), on the connection map (insert, remove,
+/// iterate to shut read halves), on the reader handles (retain, push,
+/// take), or one `write_all` of a whole reply line to a connection, and
+/// none of these panics midway. A poisoned lock can only mean a panic
+/// around such an operation, never inside it, so the state behind it is
+/// one the server reaches without a panic too.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 // ---------------------------------------------------------------------
 // Acceptor and readers
 // ---------------------------------------------------------------------
@@ -369,7 +385,7 @@ fn run_acceptor(listener: &TcpListener, shared: &Arc<Shared>) {
         {
             // Checked under the lock shutdown EOFs readers under, so a
             // connection accepted meanwhile is refused here or EOF'd there.
-            let mut conns = shared.conns.lock().expect("conns poisoned");
+            let mut conns = lock(&shared.conns);
             if shared.shutdown.load(Ordering::SeqCst) {
                 break;
             }
@@ -378,10 +394,10 @@ fn run_acceptor(listener: &TcpListener, shared: &Arc<Shared>) {
         let reader_shared = Arc::clone(shared);
         let handle = std::thread::spawn(move || {
             run_reader(stream, &reader_shared);
-            let mut conns = reader_shared.conns.lock().expect("conns poisoned");
+            let mut conns = lock(&reader_shared.conns);
             conns.remove(&conn);
         });
-        let mut readers = shared.readers.lock().expect("readers poisoned");
+        let mut readers = lock(&shared.readers);
         readers.retain(|reader| !reader.is_finished());
         readers.push(handle);
     }
@@ -534,7 +550,7 @@ fn handle_inline(shared: &Arc<Shared>, writer: &Arc<Mutex<TcpStream>>, request: 
 
 fn enqueue(shared: &Arc<Shared>, writer: &Arc<Mutex<TcpStream>>, request: Request) {
     let depth = {
-        let mut queue = shared.queue.lock().expect("queue poisoned");
+        let mut queue = lock(&shared.queue);
         if shared.shutdown.load(Ordering::SeqCst) {
             drop(queue);
             shared.send_error(
@@ -582,7 +598,7 @@ fn enqueue(shared: &Arc<Shared>, writer: &Arc<Mutex<TcpStream>>, request: Reques
 fn run_worker(shared: &Arc<Shared>) {
     loop {
         let job = {
-            let mut queue = shared.queue.lock().expect("queue poisoned");
+            let mut queue = lock(&shared.queue);
             loop {
                 if let Some(job) = queue.pop_front() {
                     break Some(job);
@@ -592,7 +608,10 @@ fn run_worker(shared: &Arc<Shared>) {
                 if shared.shutdown.load(Ordering::SeqCst) {
                     break None;
                 }
-                queue = shared.job_ready.wait(queue).expect("queue poisoned");
+                queue = shared
+                    .job_ready
+                    .wait(queue)
+                    .unwrap_or_else(PoisonError::into_inner);
             }
         };
         let Some(job) = job else { return };
@@ -666,9 +685,8 @@ fn execute(shared: &Arc<Shared>, method: &Method) -> Result<String, ProtocolErro
         }
         Method::Estimate(params) => {
             let (entry, result) = compile_one(shared, &params.compile)?;
-            let estimate = entry
-                .program
-                .estimate_success(&params.calibration.calibration());
+            // From the entry's counts and duration: nothing is decoded.
+            let estimate = entry.estimate_success(&params.calibration.calibration());
             let success = JsonObj::new()
                 .f64("probability", estimate.probability())
                 .f64("p_gates", estimate.p_gates)
@@ -731,8 +749,10 @@ fn execute(shared: &Arc<Shared>, method: &Method) -> Result<String, ProtocolErro
 /// The cached compile at the heart of every work method: key the request
 /// on the device table's shared topology, consult the request's shard,
 /// compile and fill on miss. Either way the reply reads the shared cache
-/// entry: a hit copies a pointer, and a miss stores what it compiled
-/// without copying it.
+/// entry's stats: a hit copies a pointer, and a miss stores what it
+/// compiled, packed and without pass records, which the server never
+/// reads. Only `emit-qasm` needs the circuit: a miss emits the one it
+/// holds, and a hit decodes the entry's.
 fn compile_one(
     shared: &Arc<Shared>,
     params: &CompileParams,
@@ -742,27 +762,31 @@ fn compile_one(
     let compiler = params.request.compiler();
     let options = compiler.options();
     let key = CompilationCache::key(&circuit, &device, options);
-    let (entry, cached) = match shared.cache.lookup(key, &circuit, &device, options) {
-        Some(entry) => (entry, true),
+    let emit = |program: &CompiledProgram| trios_qasm::emit(&program.circuit);
+    let (entry, cached, qasm) = match shared.cache.lookup(key, &circuit, &device, options) {
+        Some(entry) => {
+            let qasm = params.emit_qasm.then(|| emit(&entry.program()));
+            (entry, true, qasm)
+        }
         None => {
-            let (program, report) =
-                compiler
-                    .compile_with_report(&circuit, &device)
-                    .map_err(|e| ProtocolError {
-                        kind: ErrorKind::Compile,
-                        message: e.to_string(),
-                    })?;
-            let job = CompileJob::new(Arc::new(circuit), &device, options.clone());
-            (shared.cache.store(key, job, program, report), false)
+            let program = compiler
+                .compile(&circuit, &device)
+                .map_err(|e| ProtocolError {
+                    kind: ErrorKind::Compile,
+                    message: e.to_string(),
+                })?;
+            let job = CompileJob::new(&circuit, &device, options.clone());
+            let entry = shared.cache.store(key, job, &program, &[]);
+            (entry, false, params.emit_qasm.then(|| emit(&program)))
         }
     };
-    let program = &entry.program;
+    let stats = entry.stats();
     let stats = JsonObj::new()
-        .u64("two_qubit_gates", program.stats.two_qubit_gates as u64)
-        .u64("one_qubit_gates", program.stats.one_qubit_gates as u64)
-        .u64("swap_count", program.stats.swap_count as u64)
-        .u64("depth", program.stats.depth as u64)
-        .f64("duration_us", program.stats.duration_us)
+        .u64("two_qubit_gates", stats.two_qubit_gates as u64)
+        .u64("one_qubit_gates", stats.one_qubit_gates as u64)
+        .u64("swap_count", stats.swap_count as u64)
+        .u64("depth", stats.depth as u64)
+        .f64("duration_us", stats.duration_us)
         .finish();
     let mut result = JsonObj::new()
         .str("input", &params.circuit.to_string())
@@ -772,8 +796,8 @@ fn compile_one(
         .u64("seed", params.request.options.seed)
         .bool("cached", cached)
         .raw("stats", &stats);
-    if params.emit_qasm {
-        result = result.str("qasm", &trios_qasm::emit(&program.circuit));
+    if let Some(qasm) = qasm {
+        result = result.str("qasm", &qasm);
     }
     Ok((entry, result))
 }
@@ -937,6 +961,45 @@ mod tests {
         server.shutdown();
         server.join();
         assert!(client.read_line().is_err(), "connection must be closed");
+    }
+
+    #[test]
+    fn poisoned_locks_are_recovered_and_the_server_keeps_serving() {
+        let server = test_server();
+        let mut client = crate::Client::connect(server.local_addr()).unwrap();
+        client.ping().unwrap();
+        let shared = &server.shared;
+        let poison = |lock: &(dyn Fn() + Sync)| {
+            let panicked = std::thread::scope(|scope| scope.spawn(lock).join());
+            assert!(panicked.is_err());
+        };
+        poison(&|| {
+            let _held = shared.queue.lock().unwrap();
+            panic!("a panic while the queue is held");
+        });
+        poison(&|| {
+            let _held = shared.conns.lock().unwrap();
+            panic!("a panic while the connections are held");
+        });
+        poison(&|| {
+            let _held = shared.readers.lock().unwrap();
+            panic!("a panic while the reader handles are held");
+        });
+        assert!(shared.queue.is_poisoned() && shared.conns.is_poisoned());
+        assert!(shared.readers.is_poisoned());
+        // Workers waiting on the queue, new connections, stats and the
+        // drain all get past the poisoned locks.
+        let params = r#"{"benchmark": "cnx_inplace-4", "device": "line:6"}"#;
+        let mut second = crate::Client::connect(server.local_addr()).unwrap();
+        for client in [&mut client, &mut second] {
+            let result = result_of(&client.call("compile", params).unwrap());
+            assert!(result.get("stats").is_some(), "{result:?}");
+        }
+        let stats = result_of(&client.call("stats", "{}").unwrap());
+        let cache = stats.get("cache").unwrap();
+        assert_eq!(cache.get("hits").and_then(|v| v.as_u64()), Some(1));
+        server.shutdown();
+        server.join();
     }
 
     #[test]

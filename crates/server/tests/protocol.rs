@@ -318,6 +318,11 @@ fn repeated_requests_hit_the_shared_cache_across_connections() {
     assert_eq!(cache.get("misses").and_then(Value::as_u64), Some(1));
     assert_eq!(cache.get("collisions").and_then(Value::as_u64), Some(0));
     assert_eq!(
+        cache.get("bytes").and_then(Value::as_u64),
+        Some(stats.bytes as u64)
+    );
+    assert!(stats.bytes > 0);
+    assert_eq!(
         result
             .get("latency")
             .and_then(|l| l.get("count"))
@@ -327,6 +332,58 @@ fn repeated_requests_hit_the_shared_cache_across_connections() {
     let shards = result.get("shards").and_then(Value::as_array).unwrap();
     assert_eq!(shards.len(), ServerConfig::default().shards);
 
+    server.shutdown();
+    server.join();
+}
+
+/// The `result` text of one reply line, as the server wrote it.
+fn result_text(line: &str) -> &str {
+    let start = line.find(r#""result":"#).expect("an ok reply has a result") + 9;
+    &line[start..line.len() - 1]
+}
+
+/// A hit decodes the packed program for `emit-qasm` and estimates from
+/// the entry's gate counts, so its reply must be the miss's, byte for
+/// byte, but for `"cached"`: the QASM text and every float's digits.
+#[test]
+fn cached_replies_equal_the_first_reply_byte_for_byte() {
+    let server = start(test_config());
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let requests = [
+        (
+            "compile",
+            r#"{"benchmark": "grovers-9", "device": "heavy-hex:127", "emit-qasm": true}"#,
+        ),
+        (
+            "estimate",
+            r#"{"benchmark": "cnx_inplace-4", "device": "grid:3x3", "calibration": "now"}"#,
+        ),
+        (
+            "estimate",
+            r#"{"benchmark": "cnx_inplace-4", "device": "grid:3x3", "calibration": "future", "seed": 1}"#,
+        ),
+        (
+            "estimate",
+            r#"{"benchmark": "cnx_inplace-4", "device": "grid:3x3", "calibration": "improve:2", "seed": 2, "emit-qasm": true}"#,
+        ),
+    ];
+    for (method, params) in requests {
+        let first = client.call(method, params).unwrap();
+        let again = client.call(method, params).unwrap();
+        let (first, again) = (result_text(&first), result_text(&again));
+        assert!(first.contains(r#""cached":false"#), "{first}");
+        assert_eq!(
+            again,
+            first.replace(r#""cached":false"#, r#""cached":true"#),
+            "{method} {params}"
+        );
+        if params.contains("emit-qasm") {
+            assert!(first.contains(r#"OPENQASM 2.0;\n"#), "{first}");
+        }
+    }
+    let stats = server.cache().stats();
+    assert_eq!((stats.hits, stats.misses), (4, 4));
+    assert!(stats.bytes > 0);
     server.shutdown();
     server.join();
 }

@@ -3,7 +3,8 @@
 //! reallocations of one compile, averaged over the benchmarks, must stay
 //! under a ceiling a little above what the compiler needs. A change that
 //! brings back an allocation per gate or per path fails here. A checked
-//! compilation-cache hit must allocate nothing at all.
+//! compilation-cache hit, and an estimate from its entry, must allocate
+//! nothing at all.
 //!
 //! This file is a test binary of its own because it installs a counting
 //! `#[global_allocator]`. The counters are thread-local: the harness runs
@@ -12,9 +13,8 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::Arc;
 use trios_benchmarks::Benchmark;
-use trios_core::{CompilationCache, CompileJob, Compiler, ShardedCache};
+use trios_core::{Calibration, CompilationCache, CompileJob, Compiler, ShardedCache};
 
 struct Counting;
 
@@ -119,9 +119,10 @@ fn trios_noise_compiles_within_the_allocation_budget() {
     assert_under("trios-noise", 107);
 }
 
-/// A checked hit shares the cached entry: the lookup compares the job
-/// and copies a pointer, so it and dropping that pointer allocate
-/// nothing, however large the compiled program.
+/// A checked hit shares the cached entry: the lookup compares the packed
+/// job and copies a pointer, so it and dropping that pointer allocate
+/// nothing, however large the compiled program. Nor does an estimate,
+/// which reads the entry's gate counts and duration.
 #[test]
 fn a_shared_cache_hit_allocates_nothing() {
     let device = trios_topology::johannesburg();
@@ -131,18 +132,21 @@ fn a_shared_cache_hit_allocates_nothing() {
     let circuits: Vec<_> = Benchmark::ALL.iter().map(|b| b.build()).collect();
     for circuit in &circuits {
         let key = CompilationCache::key(circuit, &device, options);
-        let (program, report) = compiler.compile_with_report(circuit, &device).unwrap();
-        let job = CompileJob::new(Arc::new(circuit.clone()), &device, options.clone());
-        cache.store(key, job, program, report);
+        let program = compiler.compile(circuit, &device).unwrap();
+        let job = CompileJob::new(circuit, &device, options.clone());
+        cache.store(key, job, &program, &[]);
     }
     let keys: Vec<_> = circuits
         .iter()
         .map(|circuit| CompilationCache::key(circuit, &device, options))
         .collect();
+    let calibration = Calibration::near_future();
+    let mut probabilities = Vec::with_capacity(keys.len());
     let before = allocations();
     for (circuit, &key) in circuits.iter().zip(&keys) {
         let entry = cache.lookup(key, circuit, &device, options);
-        assert!(entry.is_some(), "{}: a stored job must hit", circuit.name());
+        let entry = entry.unwrap_or_else(|| panic!("{}: a stored job must hit", circuit.name()));
+        probabilities.push(entry.estimate_success(&calibration).probability());
     }
     assert_eq!(
         allocations() - before,
@@ -151,4 +155,9 @@ fn a_shared_cache_hit_allocates_nothing() {
         keys.len()
     );
     assert_eq!(cache.stats().hits, keys.len() as u64);
+    for (circuit, probability) in circuits.iter().zip(probabilities) {
+        let program = compiler.compile(circuit, &device).unwrap();
+        let want = program.estimate_success(&calibration).probability();
+        assert_eq!(probability.to_bits(), want.to_bits(), "{}", circuit.name());
+    }
 }

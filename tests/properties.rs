@@ -12,7 +12,7 @@ use trios_core::{
     CacheEntry, CachedCompilation, CompilationCache, CompileJob, CompileOptions, CompileReport,
     CompileStats, CompiledProgram, Compiler, DirectionPolicy, ShardedCache,
 };
-use trios_ir::{Circuit, Gate, GateCounts, Instruction, Qubit};
+use trios_ir::{Circuit, Gate, GateCounts, Instruction, PackedCircuit, Qubit};
 use trios_route::{check_legal, Layout, LookaheadConfig, ToffoliPolicy};
 use trios_schedule::{asap_total_us, schedule_asap, GateDurations};
 use trios_sim::{DenseSimulator, Simulator};
@@ -443,10 +443,7 @@ proptest! {
         let sharded = ShardedCache::new(1, capacity);
         let flat = CompilationCache::new(capacity);
         let (device, options) = (line(2), CompileOptions::default());
-        let job = |tag| {
-            let circuit = Arc::new(tagged_entry(tag).0.circuit);
-            CompileJob::new(circuit, &device, options.clone())
-        };
+        let job = |tag| CompileJob::new(&tagged_entry(tag).0.circuit, &device, options.clone());
         for &(op, key, tag) in &ops {
             match op {
                 0 => {
@@ -460,18 +457,19 @@ proptest! {
                 }
                 2 => {
                     let (program, report) = tagged_entry(tag);
-                    sharded.store(key, job(tag), program.clone(), report.clone());
-                    flat.store(key, job(tag), program, report);
+                    sharded.store(key, job(tag), &program, &report.passes);
+                    flat.store(key, job(tag), &program, &report.passes);
                 }
                 _ => {
                     let circuit = tagged_entry(tag).0.circuit;
-                    let found = |entry: Arc<CacheEntry>| entry.program.circuit.len();
+                    let found = |entry: Arc<CacheEntry>| entry.program().circuit.len();
                     let a = sharded.lookup(key, &circuit, &device, &options).map(found);
                     let b = flat.lookup(key, &circuit, &device, &options).map(found);
                     prop_assert_eq!(a, b);
                     prop_assert!(a.is_none_or(|found| found == tag), "a hit answers its own job");
                 }
             }
+            // Whole snapshots: the bytes the entries hold agree too.
             prop_assert_eq!(sharded.stats(), flat.stats());
             prop_assert_eq!(sharded.len(), flat.len());
         }
@@ -501,6 +499,162 @@ proptest! {
         for (&key, &shard) in keys.iter().zip(&routed) {
             prop_assert_eq!(a.shard_of(key), shard);
             prop_assert_eq!(b.shard_of(key), shard);
+        }
+    }
+}
+
+/// A parameter drawn from ordinary angles, ±0.0, ±∞, subnormals of
+/// either sign and NaNs with arbitrary payloads and signs.
+fn arb_param() -> impl Strategy<Value = f64> {
+    const MANTISSA: u64 = (1 << 52) - 1;
+    (0u8..8, -10.0f64..10.0, any::<u64>()).prop_map(|(kind, angle, bits)| match kind {
+        0 | 1 => angle,
+        2 => 0.0,
+        3 => -0.0,
+        4 if bits & 1 == 0 => f64::INFINITY,
+        4 => f64::NEG_INFINITY,
+        5 => f64::from_bits(bits & (1 << 63 | MANTISSA) | 1),
+        _ => f64::from_bits(0x7ff0_0000_0000_0000 | bits & (1 << 63 | MANTISSA) | 1),
+    })
+}
+
+/// The gate of kind `kind` (every one of the 27, measurement included)
+/// with parameters taken from `p` as it needs them.
+fn gate_of(kind: usize, p: [f64; 3]) -> Gate {
+    match kind {
+        0 => Gate::I,
+        1 => Gate::H,
+        2 => Gate::X,
+        3 => Gate::Y,
+        4 => Gate::Z,
+        5 => Gate::S,
+        6 => Gate::Sdg,
+        7 => Gate::T,
+        8 => Gate::Tdg,
+        9 => Gate::Sx,
+        10 => Gate::Sxdg,
+        11 => Gate::Rx(p[0]),
+        12 => Gate::Ry(p[0]),
+        13 => Gate::Rz(p[0]),
+        14 => Gate::U1(p[0]),
+        15 => Gate::U2(p[0], p[1]),
+        16 => Gate::U3(p[0], p[1], p[2]),
+        17 => Gate::Xpow(p[0]),
+        18 => Gate::Cxpow(p[0]),
+        19 => Gate::Cx,
+        20 => Gate::Cz,
+        21 => Gate::Cp(p[0]),
+        22 => Gate::Swap,
+        23 => Gate::Ccx,
+        24 => Gate::Ccz,
+        25 => Gate::Cswap,
+        _ => Gate::Measure,
+    }
+}
+
+/// One instruction as drawn: gate kind, parameters, operand seeds.
+type Drawn = (usize, [f64; 3], [usize; 3]);
+
+fn arb_drawn() -> impl Strategy<Value = Drawn> {
+    (
+        0usize..27,
+        (arb_param(), arb_param(), arb_param()),
+        (any::<u16>(), any::<u16>(), any::<u16>()),
+    )
+        .prop_map(|(kind, (a, b, c), (x, y, z))| {
+            (kind, [a, b, c], [x as usize, y as usize, z as usize])
+        })
+}
+
+/// The drawn instructions over `width` (at least 3) qubits, operands made
+/// distinct, then an X on the top qubit so the widest index is used.
+fn build_drawn(width: usize, drawn: &[Drawn]) -> Circuit {
+    let mut instructions: Vec<Instruction> = drawn
+        .iter()
+        .map(|&(kind, params, [x, y, z])| {
+            let gate = gate_of(kind, params);
+            let a = x % width;
+            let b = (a + 1 + y % (width - 1)) % width;
+            let mut c = z % width;
+            while c == a || c == b {
+                c = (c + 1) % width;
+            }
+            let qubits = [a, b, c].map(Qubit::new);
+            Instruction::new(gate, &qubits[..gate.arity()])
+        })
+        .collect();
+    instructions.push(Instruction::new(Gate::X, &[Qubit::new(width - 1)]));
+    Circuit::from_instructions(width, instructions).unwrap()
+}
+
+/// A width of 3 to 8 qubits, or the widest register the IR holds.
+fn arb_width() -> impl Strategy<Value = usize> {
+    (any::<bool>(), 3usize..9).prop_map(|(widest, n)| if widest { trios_ir::MAX_QUBITS } else { n })
+}
+
+/// Each instruction's gate name, parameter bits and operands: what
+/// `Circuit::structural_hash` reads, with floats compared by bits.
+fn bitwise(circuit: &Circuit) -> Vec<(&'static str, Vec<u64>, Vec<Qubit>)> {
+    circuit
+        .iter()
+        .map(|i| {
+            let bits = i.gate().params().into_iter().map(f64::to_bits).collect();
+            (i.gate().name(), bits, i.qubits().to_vec())
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Packing loses nothing: the unpacked circuit has the name, width,
+    /// gates, parameter bits, operands and structural hash it was packed
+    /// from, and the counts taken while packing are `Circuit::counts`.
+    #[test]
+    fn packed_circuits_unpack_to_what_was_packed(
+        width in arb_width(),
+        drawn in proptest::collection::vec(arb_drawn(), 0..48),
+        name in "[a-z]{0,12}",
+    ) {
+        let mut circuit = build_drawn(width, &drawn);
+        circuit.set_name(name);
+        let packed = PackedCircuit::new(&circuit);
+        let back = packed.unpack();
+        prop_assert_eq!(back.name(), circuit.name());
+        prop_assert_eq!(back.num_qubits(), circuit.num_qubits());
+        prop_assert_eq!(bitwise(&back), bitwise(&circuit));
+        prop_assert_eq!(back.structural_hash(), circuit.structural_hash());
+        prop_assert_eq!(packed.counts(), circuit.counts());
+        prop_assert!(packed.same_structure(&circuit));
+    }
+
+    /// The packed job check agrees with `Circuit::same_structure`, its
+    /// reference, on pairs that differ in one parameter bit, one operand,
+    /// one gate, the width or the length, and on equal pairs.
+    #[test]
+    fn packed_same_structure_agrees_with_the_circuit_check(
+        width in arb_width(),
+        drawn in proptest::collection::vec(arb_drawn(), 1..32),
+        edit in (0u8..6, any::<usize>(), 0usize..3, 0u32..64),
+    ) {
+        let (what, at, operand, bit) = edit;
+        let at = at % drawn.len();
+        let mut other = drawn.clone();
+        let mut other_width = width;
+        match what {
+            0 => other[at].1[operand] = f64::from_bits(other[at].1[operand].to_bits() ^ 1 << bit),
+            1 => other[at].2[operand] += 1,
+            2 => other[at].0 = (other[at].0 + 1) % 27,
+            3 if width == trios_ir::MAX_QUBITS => other_width = width - 1,
+            3 => other_width = width + 1,
+            4 => { other.pop(); }
+            _ => {}
+        }
+        let (a, b) = (build_drawn(width, &drawn), build_drawn(other_width, &other));
+        prop_assert_eq!(PackedCircuit::new(&a).same_structure(&b), a.same_structure(&b));
+        prop_assert_eq!(PackedCircuit::new(&b).same_structure(&a), b.same_structure(&a));
+        if what == 5 {
+            prop_assert!(PackedCircuit::new(&a).same_structure(&b));
         }
     }
 }
